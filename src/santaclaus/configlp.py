@@ -6,12 +6,15 @@ below tau.  The covering LP over minimal configurations asks for fractional
 weights so that every machine group reaches its cover requirement while no
 job is used more than once in total.
 
-Solving works by column generation: a restricted master (exact simplex) is
-re-solved as pricing adds improving columns.  Pricing is a minimum-knapsack
-dynamic program over the master's dual values: a column prices in exactly
-when its jobs' dual cost is below the group's cover dual.  With exact
-arithmetic, pricing convergence with a positive shortfall objective is a
-proof of infeasibility, not a numeric judgement call.
+Solving works by column generation over one restricted master per cover LP
+call.  The master is an exact simplex tableau (`ratlp.Tableau`) kept for the
+whole call: pricing's improving columns enter it as B^-1 a, a job's row
+enters with the first column that uses the job, and each round re-optimises
+from the previous optimal basis.  Pricing is a minimum-knapsack dynamic
+program over the master's dual values: a column prices in exactly when its
+jobs' dual cost is below the group's cover dual.  With exact arithmetic,
+pricing convergence with a positive shortfall objective is a proof of
+infeasibility, not a numeric judgement call.
 
 The same engine serves three covers: the per-machine configuration LP
 (cover >= 1), the small-jobs-only variant with cover >= 1/2 used by the
@@ -21,16 +24,22 @@ cover at threshold ceil(T/6).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .instances import Instance
 from .rat import ceil_frac
-from .ratlp import LinearProgram, solve_lp
+from .ratlp import Tableau, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class CoverLpError(RuntimeError):
+    """The column-generation master broke an invariant: a solver bug, never
+    an input fault.  Raised, not asserted, so that ``python -O`` keeps it."""
 
 
 @dataclass(frozen=True, order=True)
@@ -247,15 +256,49 @@ def solve_cover_lp(
                 raise ValueError(f"machine {i} belongs to two groups")
             group_of[i] = g
 
+    # The master keeps one tableau for the whole call.  Its columns are, in
+    # order: shortfall a_g, excess e_g (absent under exact cover), the
+    # configurations in creation order, then job slacks s_j by job id.  Every
+    # row is an equality whose own a_g or s_j is a unit column, so the master
+    # starts on that identity basis (feasible, no phase 1) and the tableau
+    # columns of a_g and s_j always hold B^-1: a priced column enters as
+    # B^-1 a at its place in the order, and the row of a job seen for the
+    # first time touches only new, nonbasic columns, so it enters as written
+    # with s_j basic.  Each round then re-optimises from the previous optimal
+    # basis.  Pivot tie-breaks read column indices, so columns are inserted
+    # in this order, not appended: each solve then pivots exactly as a solve
+    # of the same master written out from scratch on that basis would.
+    master = Tableau()
+    ngroups = len(groups)
+    base = ngroups if exact_cover else 2 * ngroups
+    for c in range(base):
+        master.insert_column(c, {}, -ONE if c < ngroups else ZERO)
+    for g in range(ngroups):
+        cover = {g: ONE} if exact_cover else {g: ONE, ngroups + g: -ONE}
+        master.add_row(cover, cover_rhs, basic=g)
+
     columns: list[tuple[int, int, Configuration]] = []
     colset: set[tuple[int, int, Configuration]] = set()
+    job_rows: list[int] = []  # jobs with a row, sorted
+    row_of: dict[int, int] = {}
 
     def add_column(i: int, cfg: Configuration) -> bool:
         key = (group_of[i], i, cfg)
         if key in colset:
             return False
         colset.add(key)
+        col = base + len(columns)
         columns.append(key)
+        entries = {row_of[j]: ONE for j in cfg.jobs if j in row_of}
+        entries[group_of[i]] = ONE
+        master.insert_column(col, entries)
+        for j in cfg.jobs:
+            if j not in row_of:
+                k = bisect_left(job_rows, j)
+                job_rows.insert(k, j)
+                slack = base + len(columns) + k
+                master.insert_column(slack, {})
+                row_of[j] = master.add_row({col: ONE, slack: ONE}, ONE, basic=slack)
         return True
 
     # Warm start: seeds first, then one greedy column per machine whose pool
@@ -275,75 +318,16 @@ def solve_cover_lp(
         if pool and sum(sizes[j] for j in pool) >= tau:
             add_column(i, prune_to_minimal(pool, tau, sizes))
 
-    all_jobs = sorted({j for i in group_of for j in pools.get(i, ())})
-    ngroups = len(groups)
-
-    # The master carries its own shortfall (a), excess (e) and job-slack (s)
-    # variables so that every row is an equality over named variables.  The
-    # previous optimal basis then re-installs verbatim after columns are
-    # appended (fresh rows start on their own slack), and no phase-1 run is
-    # ever needed: the very first basis is shortfall+slack.
-    prev_basis: dict[tuple, tuple] | None = None
-
     while True:
         if counters is not None:
             counters["master_solves"] = counters.get("master_solves", 0) + 1
-        ncols = len(columns)
-        job_rows = [
-            j for j in all_jobs if any(j in cfg.jobs for (_, _, cfg) in columns)
-        ]
-        names: list[tuple] = [("a", g) for g in range(ngroups)]
-        if not exact_cover:
-            names += [("e", g) for g in range(ngroups)]
-        names += [("col", c) for c in range(ncols)]
-        names += [("s", j) for j in job_rows]
-        index = {name: v for v, name in enumerate(names)}
-
-        lp = LinearProgram(len(names))
-        for g in range(ngroups):
-            lp.objective[index[("a", g)]] = Fraction(-1)
-        row_ids: list[tuple] = []
-        for g in range(ngroups):
-            row = {
-                index[("col", c)]: ONE
-                for c, (gg, _, _) in enumerate(columns)
-                if gg == g
-            }
-            row[index[("a", g)]] = ONE
-            if not exact_cover:
-                row[index[("e", g)]] = Fraction(-1)
-            row_ids.append(("cover", g))
-            lp.add_constraint(row, "=", cover_rhs)
-        job_row_of = {}
-        for j in job_rows:
-            row = {
-                index[("col", c)]: ONE
-                for c, (_, _, cfg) in enumerate(columns)
-                if j in cfg.jobs
-            }
-            row[index[("s", j)]] = ONE
-            job_row_of[j] = len(lp.constraints)
-            row_ids.append(("job", j))
-            lp.add_constraint(row, "=", ONE)
-
-        hint = []
-        for rid in row_ids:
-            name = None
-            if prev_basis is not None:
-                name = prev_basis.get(rid)
-            if name is None:
-                name = ("a", rid[1]) if rid[0] == "cover" else ("s", rid[1])
-            hint.append(index[name])
-        sol = solve_lp(lp, basis_hint=hint)
-        assert sol.is_optimal, "shortfall master is always feasible and bounded"
-        prev_basis = {
-            rid: (names[v] if v is not None else None)
-            for rid, v in zip(row_ids, sol.row_basis)
-        }
+        sol = solve_lp(master)
+        if not sol.is_optimal:
+            raise CoverLpError("shortfall master is always feasible and bounded")
 
         duals = sol.dual_values
         lam = {g: -duals[g] for g in range(ngroups)}
-        mu = {j: duals[r] for j, r in job_row_of.items()}
+        mu = {j: duals[r] for j, r in row_of.items()}
 
         improved = False
         for g, group in enumerate(groups):
@@ -356,8 +340,8 @@ def solve_cover_lp(
                     continue
                 reduced = lam[g] - sum((mu.get(j, ZERO) for j in cfg.jobs), ZERO)
                 if reduced > 0:
-                    fresh = add_column(i, cfg)
-                    assert fresh, "an improving column was already in the master"
+                    if not add_column(i, cfg):
+                        raise CoverLpError("an improving column was already in the master")
                     improved = True
         if improved:
             continue
@@ -367,7 +351,7 @@ def solve_cover_lp(
             return None
         weights = {}
         for c, (_, i, cfg) in enumerate(columns):
-            w = sol.values[index[("col", c)]]
+            w = sol.values[base + c]
             if w != 0:
                 weights[(i, cfg)] = weights.get((i, cfg), ZERO) + w
         result = ClpSolution(
@@ -378,7 +362,8 @@ def solve_cover_lp(
             groups=groups,
         )
         ok, why = check_cover_solution(result, pools, sizes)
-        assert ok, f"cover LP postcondition violated: {why}"
+        if not ok:
+            raise CoverLpError(f"cover LP postcondition violated: {why}")
         return result
 
 

@@ -1,12 +1,20 @@
-"""Exact-rational linear programming: dense two-phase primal simplex.
+"""Exact-rational linear programming: dense primal simplex on kept tableaus.
 
-Every LP in the pipeline (configuration-LP masters, assignment LPs, vertex
-re-solves before rounding) goes through `solve_lp`/`solve_feasibility`.  The
-solver works entirely over `fractions.Fraction` with deterministic pivoting
-(Dantzig entering, falling back to Bland's anti-cycling rule), and returns
-exact primal values together with exact dual values per constraint.  Dual
-values are what drives column-generation pricing, so they are asserted
-against strong duality on every optimal solve.
+Every LP in the package reads ``maximize c.x  s.t.  rows, x >= 0`` with a
+non-negative right-hand side on every row.  `solve_lp` accepts two forms:
+
+* a `LinearProgram` (rows ``<=``, ``>=`` or ``=``) is put in standard form
+  with slack, surplus and artificial columns and solved by two-phase simplex;
+* a `Tableau` is an equality-form LP that its caller keeps between solves.
+  Column generation adds each priced column to its master as B^-1 a and each
+  new row in basic form, and `solve_lp` re-optimises from the basis the
+  previous solve left, with no rebuild and no phase 1.
+
+The solver works entirely over `fractions.Fraction` with deterministic
+pivoting (Dantzig entering, falling back to Bland's anti-cycling rule), and
+returns exact primal values together with exact dual values per row.  Dual
+values drive column-generation pricing, so every optimal solve checks the
+original rows exactly and checks strong duality.
 
 The tableau is dense; the LPs this package builds stay small (tens of rows,
 at most a few hundred columns), which keeps exact arithmetic affordable.
@@ -16,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -30,20 +39,22 @@ DANTZIG_PIVOT_LIMIT = 2000
 
 @dataclass
 class LinearProgram:
-    """``maximize c.x  s.t.  rows, bounds``; bounds default to [0, +inf).
+    """``maximize c.x  s.t.  rows, x >= 0`` with every right-hand side >= 0.
 
     ``objective`` and constraint rows are sparse maps from variable index to
-    coefficient.  A bound entry of None means unbounded on that side.
+    coefficient.
     """
 
     variable_count: int
     objective: dict[int, Fraction] = field(default_factory=dict)
     constraints: list[tuple[dict[int, Fraction], str, Fraction]] = field(default_factory=list)
-    bounds: list[tuple[Fraction | None, Fraction | None]] | None = None
 
     def add_constraint(self, coeffs: Mapping[int, Fraction], relation: str, rhs) -> None:
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            raise ValueError("right-hand side must be non-negative")
         row = {}
         for v, a in coeffs.items():
             if v < 0 or v >= self.variable_count:
@@ -51,21 +62,7 @@ class LinearProgram:
             a = Fraction(a)
             if a != 0:
                 row[v] = a
-        self.constraints.append((row, relation, Fraction(rhs)))
-
-    def effective_bounds(self) -> list[tuple[Fraction | None, Fraction | None]]:
-        if self.bounds is None:
-            return [(ZERO, None)] * self.variable_count
-        if len(self.bounds) != self.variable_count:
-            raise ValueError("bounds length must equal variable_count")
-        out = []
-        for lo, hi in self.bounds:
-            lo = None if lo is None else Fraction(lo)
-            hi = None if hi is None else Fraction(hi)
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError("lower bound exceeds upper bound")
-            out.append((lo, hi))
-        return out
+        self.constraints.append((row, relation, rhs))
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,139 @@ class LpSolution:
     values: tuple[Fraction, ...] | None = None
     objective_value: Fraction | None = None
     dual_values: tuple[Fraction, ...] | None = None
-    #: per constraint row, the user variable basic there (None: slack or
-    #: artificial); feeds warm starts of re-solves with added columns.
-    row_basis: tuple[int | None, ...] | None = None
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
+
+
+class Tableau:
+    """``maximize cost.x  s.t.  A x = b, x >= 0``, kept in basic form.
+
+    Every row owns a unit column: one whose original column is the unit
+    vector of that row.  Its tableau column is therefore the row's column of
+    B^-1, which brings a column inserted later into basic form (B^-1 a) and
+    reads the row's dual off the reduced costs.  Columns are inserted at the
+    position the caller names, so their order, which every pivot tie-break
+    reads, does not depend on when they arrived; rows are appended, since no
+    pivot rule reads row order.  Banned columns (artificials) never enter.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list[list[Fraction]] = []  # dense tableau rows, rhs last
+        self.basis: list[int] = []  # per row, the column basic there
+        self.unit: list[int] = []  # per row, its unit column
+        self.rhs: list[Fraction] = []  # per row, the original b
+        self.columns: list[dict[int, Fraction]] = []  # original A, row -> a
+        self.cost: list[Fraction] = []
+        self.banned: set[int] = set()
+
+    @property
+    def variable_count(self) -> int:
+        return len(self.columns)
+
+    @property
+    def constraints(self) -> list[tuple[dict[int, Fraction], str, Fraction]]:
+        """The original rows, as equalities over every column."""
+        rows: list[dict[int, Fraction]] = [{} for _ in self.rhs]
+        for c, col in enumerate(self.columns):
+            for r, a in col.items():
+                rows[r][c] = a
+        return [(row, "=", b) for row, b in zip(rows, self.rhs)]
+
+    def insert_column(self, pos: int, coeffs: Mapping[int, Fraction], cost=ZERO) -> None:
+        """Insert the column with original entries ``coeffs`` (row -> a) at
+        ``pos``, entering the tableau as B^-1 a; it starts nonbasic."""
+        units = [(self.unit[r], a) for r, a in coeffs.items()]
+        for row in self.rows:
+            entry = ZERO
+            for u, a in units:
+                if row[u] != 0:
+                    entry += a * row[u]
+            row.insert(pos, entry)
+        self.basis = [c + (c >= pos) for c in self.basis]
+        self.unit = [c + (c >= pos) for c in self.unit]
+        self.banned = {c + (c >= pos) for c in self.banned}
+        self.columns.insert(pos, dict(coeffs))
+        self.cost.insert(pos, Fraction(cost))
+
+    def add_row(self, coeffs: Mapping[int, Fraction], rhs, basic: int) -> int:
+        """Append the row ``coeffs . x = rhs`` with ``basic`` basic in it and
+        return its index.
+
+        ``basic`` must be a column with coefficient 1 here and no entry in
+        any other row, and no other basic column may appear: then the row is
+        already in basic form and the basis stays primal feasible.
+        """
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            raise ValueError("right-hand side must be non-negative")
+        if coeffs.get(basic) != 1 or self.columns[basic] or basic in self.basis:
+            raise ValueError("the basic column must be a fresh unit column of the row")
+        basic_cols = set(self.basis)
+        if any(c in basic_cols for c in coeffs):
+            raise ValueError("a new row may touch no basic column but its own")
+        r = len(self.rows)
+        row = [ZERO] * len(self.cost) + [rhs]
+        for c, a in coeffs.items():
+            row[c] = Fraction(a)
+            self.columns[c][r] = row[c]
+        self.rows.append(row)
+        self.basis.append(basic)
+        self.unit.append(basic)
+        self.rhs.append(rhs)
+        return r
+
+    def phase_one(self) -> bool:
+        """Drive the artificials out of the basis; False if the rows are
+        infeasible.  Redundant rows keep their artificial basic at zero."""
+        if not any(c in self.banned for c in self.basis):
+            return True
+        ncols = len(self.cost)
+        cost1 = [-ONE if c in self.banned else ZERO for c in range(ncols)]
+        status, _ = _run_simplex(self.rows, self.basis, cost1, ncols, banned=set())
+        assert status == "optimal", "phase-1 objective is bounded by construction"
+        if any(row[ncols] != 0 for row, c in zip(self.rows, self.basis) if c in self.banned):
+            return False
+        _expel_artificials(self.rows, self.basis, ncols, self.banned)
+        return True
+
+    def optimise(self, reported: int | None = None) -> LpSolution:
+        """Phase 2 from the current basis, which must be primal feasible.
+
+        ``reported`` limits the returned values to the leading columns.
+        """
+        ncols = len(self.cost)
+        status, z = _run_simplex(self.rows, self.basis, self.cost, ncols, self.banned)
+        if status == "unbounded":
+            return LpSolution(status="unbounded")
+        x = [ZERO] * ncols
+        for row, c in zip(self.rows, self.basis):
+            x[c] = row[ncols]
+
+        # Exact feasibility of every original row, with artificials at zero.
+        activity = [ZERO] * len(self.rhs)
+        for col, v in zip(self.columns, x):
+            if v != 0:
+                for r, a in col.items():
+                    activity[r] += a * v
+        assert (
+            activity == self.rhs
+            and all(v >= 0 for v in x)
+            and all(x[c] == 0 for c in self.banned)
+        ), "optimal solution violates a constraint; simplex bug"
+
+        # Row r's unit column u prices at z[u] = cost[u] - y_r.
+        duals = [self.cost[u] - z[u] for u in self.unit]
+        objective = sum((c * v for c, v in zip(self.cost, x) if v != 0), ZERO)
+        dual_obj = sum((y * b for y, b in zip(duals, self.rhs)), ZERO)
+        assert dual_obj == objective, "duality gap at optimum; simplex bug"
+        return LpSolution(
+            status="optimal",
+            values=tuple(x[:reported]),
+            objective_value=objective,
+            dual_values=tuple(duals),
+        )
 
 
 def solve_feasibility(lp: LinearProgram) -> LpSolution:
@@ -89,210 +212,49 @@ def solve_feasibility(lp: LinearProgram) -> LpSolution:
         variable_count=lp.variable_count,
         objective={},
         constraints=lp.constraints,
-        bounds=lp.bounds,
     )
     return solve_lp(probe)
 
 
-def solve_lp(lp: LinearProgram, basis_hint: Sequence[int | None] | None = None) -> LpSolution:
-    """Solve the LP; ``basis_hint`` optionally names, per constraint row, a
-    user variable whose columns form a primal-feasible starting basis (rows
-    hinted None fall back to their slack).  A valid hint skips phase 1; an
-    invalid one raises, because hints come from this solver's own output.
-    """
-    bounds = lp.effective_bounds()
+def solve_lp(lp: LinearProgram | Tableau) -> LpSolution:
+    """Solve the LP.  A `Tableau` re-optimises from its kept basis (and keeps
+    the final one); a `LinearProgram` is solved from scratch."""
+    if isinstance(lp, Tableau):
+        return lp.optimise()
+    tableau = _standard_form(lp)
+    if not tableau.phase_one():
+        return LpSolution(status="infeasible")
+    return tableau.optimise(reported=lp.variable_count)
 
-    # Variable standardization: every internal column is >= 0.
-    #   (v, +1, off): x_v = off + col        (finite lower bound)
-    #   (v, -1, off): x_v = off - col        (upper bound only)
-    # Free variables get a (+1, 0) and a (-1, 0) column.
-    cols: list[tuple[int, int, Fraction]] = []
-    var_cols: list[list[int]] = [[] for _ in range(lp.variable_count)]
-    extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for v, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            var_cols[v].append(len(cols))
-            cols.append((v, 1, lo))
-            if hi is not None:
-                extra_rows.append(({len(cols) - 1: Fraction(1)}, "<=", hi - lo))
-        elif hi is not None:
-            var_cols[v].append(len(cols))
-            cols.append((v, -1, hi))
-        else:
-            var_cols[v].append(len(cols))
-            cols.append((v, 1, ZERO))
-            var_cols[v].append(len(cols))
-            cols.append((v, -1, ZERO))
 
-    nstruct = len(cols)
-
-    # Internal rows: user constraints first (remembering sign flips for the
-    # dual mapping), then bound rows.
-    internal: list[list[Fraction]] = []
-    relations: list[str] = []
-    rhs: list[Fraction] = []
-    flips: list[int] = []
-    user_rows = len(lp.constraints)
-
-    def push_row(row_map: Mapping[int, Fraction], relation: str, b: Fraction) -> None:
-        dense = [ZERO] * nstruct
-        for v, a in row_map.items():
-            for c in var_cols[v]:
-                _, sign, _ = cols[c]
-                dense[c] += a * sign
-        # a * (off + sign*col): the constant part a*off moves to the rhs.
-        # Only a variable's first column carries an offset (split columns
-        # both carry zero), so summing over that column alone is exact.
-        b = b - sum((a * cols[var_cols[v][0]][2] for v, a in row_map.items()), ZERO)
-        flip = 1
-        if b < 0:
-            dense = [-a for a in dense]
-            b = -b
-            relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-            flip = -1
-        internal.append(dense)
-        relations.append(relation)
-        rhs.append(b)
-        flips.append(flip)
-
-    for row_map, relation, b in lp.constraints:
-        push_row(row_map, relation, Fraction(b))
-    for dense_map, relation, b in extra_rows:
-        # bound rows are already over internal columns
-        dense = [ZERO] * nstruct
-        for c, a in dense_map.items():
-            dense[c] = a
-        b = Fraction(b)
-        flip = 1
-        if b < 0:
-            dense = [-a for a in dense]
-            b = -b
-            relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-            flip = -1
-        internal.append(dense)
-        relations.append(relation)
-        rhs.append(b)
-        flips.append(flip)
-
-    nrows = len(internal)
-
-    # Tableau columns: structural | slack/surplus | artificial.
-    slack_of_row: list[int | None] = [None] * nrows
-    art_of_row: list[int | None] = [None] * nrows
-    ncols = nstruct
-    for r in range(nrows):
-        if relations[r] in ("<=", ">="):
-            slack_of_row[r] = ncols
+def _standard_form(lp: LinearProgram) -> Tableau:
+    """Columns: structural | slack or surplus per inequality | artificial per
+    ``>=`` or ``=`` row.  Each row starts basic on its slack (``<=``) or its
+    artificial, which is also the row's unit column."""
+    relations = [relation for _, relation, _ in lp.constraints]
+    slack_of: dict[int, int] = {}
+    art_of: dict[int, int] = {}
+    ncols = lp.variable_count
+    for r, relation in enumerate(relations):
+        if relation != "=":
+            slack_of[r] = ncols
             ncols += 1
-    art_cols: list[int] = []
-    for r in range(nrows):
-        if relations[r] in (">=", "="):
-            art_of_row[r] = ncols
-            art_cols.append(ncols)
+    for r, relation in enumerate(relations):
+        if relation != "<=":
+            art_of[r] = ncols
             ncols += 1
-
-    tableau = []
-    basis: list[int] = []
-    for r in range(nrows):
-        row = internal[r] + [ZERO] * (ncols - nstruct) + [rhs[r]]
-        if slack_of_row[r] is not None:
-            row[slack_of_row[r]] = Fraction(1) if relations[r] == "<=" else Fraction(-1)
-        if art_of_row[r] is not None:
-            row[art_of_row[r]] = Fraction(1)
-            basis.append(art_of_row[r])
-        else:
-            basis.append(slack_of_row[r])
-        tableau.append(row)
-
-    banned = set(art_cols)
-
-    if basis_hint is not None:
-        _install_basis_hint(tableau, basis, basis_hint, var_cols, ncols, user_rows)
-
-    # Phase 1: maximize -(sum of artificials); skipped when a hint already
-    # produced an artificial-free feasible basis.
-    if any(basis[r] in banned for r in range(nrows)):
-        cost1 = [ZERO] * ncols
-        for c in art_cols:
-            cost1[c] = Fraction(-1)
-        status, _ = _run_simplex(tableau, basis, cost1, ncols, banned=set())
-        assert status == "optimal", "phase-1 objective is bounded by construction"
-        infeas = sum(tableau[r][ncols] for r in range(nrows) if basis[r] in banned)
-        if infeas != 0:
-            return LpSolution(status="infeasible")
-        _expel_artificials(tableau, basis, ncols, banned)
-
-    # Phase 2 objective over internal columns.  Offsets only shift the
-    # objective by a constant; the reported value is recomputed from the
-    # recovered user values, so they never enter the cost row.
-    cost2 = [ZERO] * ncols
-    for v, cv in lp.objective.items():
-        cv = Fraction(cv)
-        if cv == 0:
-            continue
-        for c in var_cols[v]:
-            _, sign, _ = cols[c]
-            cost2[c] += cv * sign
-
-    status, zrow = _run_simplex(tableau, basis, cost2, ncols, banned=banned)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
-
-    # Recover user-variable values.
-    col_val = [ZERO] * ncols
-    for r in range(nrows):
-        col_val[basis[r]] = tableau[r][ncols]
-    values = []
-    for v in range(lp.variable_count):
-        x = ZERO
-        first = True
-        for c in var_cols[v]:
-            _, sign, off = cols[c]
-            x += sign * col_val[c]
-            if first:
-                x += off
-                first = False
-        values.append(x)
-
-    obj_val = sum((Fraction(cv) * values[v] for v, cv in lp.objective.items()), ZERO)
-
-    # Exact feasibility of every user constraint.
-    for row_map, relation, b in lp.constraints:
-        lhs = sum((a * values[v] for v, a in row_map.items()), ZERO)
-        ok = lhs <= b if relation == "<=" else lhs >= b if relation == ">=" else lhs == b
-        assert ok, "optimal solution violates a constraint; simplex bug"
-
-    # Duals read off the final reduced-cost row: the entry under a row's
-    # initial identity column (its artificial, or its slack for <= rows) is
-    # exactly -y_r, since those columns carry zero cost in phase 2.
-    duals = []
-    for r in range(nrows):
-        if art_of_row[r] is not None:
-            duals.append(-zrow[art_of_row[r]])
-        else:
-            duals.append(-zrow[slack_of_row[r]])
-    # Strong duality on the internal standard form certifies the basis.
-    internal_obj = sum((cost2[c] * col_val[c] for c in range(ncols)), ZERO)
-    dual_obj = sum((duals[r] * rhs[r] for r in range(nrows)), ZERO)
-    assert dual_obj == internal_obj, "duality gap at optimum; simplex bug"
-
-    user_duals = tuple(duals[r] * flips[r] for r in range(user_rows))
-    row_basis = []
-    for r in range(user_rows):
-        b = basis[r]
-        v = None
-        if b < nstruct:
-            owner = cols[b][0]
-            if var_cols[owner][0] == b:
-                v = owner
-        row_basis.append(v)
-    return LpSolution(
-        status="optimal",
-        values=tuple(values),
-        objective_value=obj_val + ZERO,
-        dual_values=user_duals,
-        row_basis=tuple(row_basis),
-    )
+    tableau = Tableau()
+    for c in range(ncols):
+        tableau.insert_column(c, {}, lp.objective.get(c, ZERO) if c < lp.variable_count else ZERO)
+    for r, (row, relation, b) in enumerate(lp.constraints):
+        coeffs = dict(row)
+        if r in slack_of:
+            coeffs[slack_of[r]] = ONE if relation == "<=" else -ONE
+        if r in art_of:
+            coeffs[art_of[r]] = ONE
+        tableau.add_row(coeffs, b, basic=art_of.get(r, slack_of.get(r)))
+    tableau.banned = set(art_of.values())
+    return tableau
 
 
 def _run_simplex(tableau, basis, cost, ncols, banned) -> str:
@@ -372,58 +334,6 @@ def _pivot(tableau, z, basis, r, c, ncols) -> None:
             if row[j] != 0:
                 z[j] -= f * row[j]
     basis[r] = c
-
-
-def _install_basis_hint(tableau, basis, hint, var_cols, ncols, user_rows) -> None:
-    """Gauss-Jordan the hinted variable set into the basis; reject bad hints.
-
-    The hint names one variable per constraint row, but a basis is a column
-    set: the row each column lands in is chosen during elimination (a fixed
-    row order could hit spurious zero pivots).  Hints come from this solver's
-    own `row_basis` output, so a singular set or a negative rhs means the
-    caller mapped rows wrongly; both raise rather than silently falling back.
-    """
-    if len(hint) != user_rows:
-        raise ValueError("basis hint length must match the constraint count")
-    dummy = [ZERO] * (ncols + 1)
-    want = []
-    seen = set()
-    for v in hint:
-        if v is None:
-            continue
-        col = var_cols[v][0]
-        if col in seen:
-            raise ValueError("basis hint repeats a variable")
-        seen.add(col)
-        want.append(col)
-    assigned: set[int] = set()
-    for col in want:
-        row = next(
-            (
-                r
-                for r in range(len(tableau))
-                if r not in assigned and basis[r] == col
-            ),
-            None,
-        )
-        if row is None:
-            row = next(
-                (
-                    r
-                    for r in range(len(tableau))
-                    if r not in assigned
-                    and basis[r] not in seen
-                    and tableau[r][col] != 0
-                ),
-                None,
-            )
-            if row is None:
-                raise ValueError("basis hint columns are singular")
-            _pivot(tableau, dummy, basis, row, col, ncols)
-        assigned.add(row)
-    for row_vals in tableau:
-        if row_vals[ncols] < 0:
-            raise ValueError("basis hint is primal infeasible")
 
 
 def _expel_artificials(tableau, basis, ncols, banned) -> None:

@@ -305,3 +305,32 @@ def test_clp_to_alp_meets_target_on_samples():
             assert mass <= 1
         sizes_checked += 1
     assert sizes_checked > 0
+
+
+def test_cover_postcondition_survives_python_O():
+    # load-bearing checks must not be bare asserts: under -O a sabotaged
+    # check_cover_solution still has to stop the cover LP with a named error
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+import santaclaus.configlp as clp
+assert sys.flags.optimize, "not running under -O"
+clp.check_cover_solution = lambda sol, pools, sizes: (False, "sabotaged")
+try:
+    clp.solve_cover_lp(groups=[(0,)], pools={0: (0,)}, sizes=[3], tau=3)
+except clp.CoverLpError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the sabotaged postcondition went unnoticed")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: cover LP postcondition violated: sabotaged" in proc.stdout

@@ -1,0 +1,93 @@
+"""Golden bytes: fixed instances must keep their exact solve reports.
+
+A change meant only to make the solver faster (a different LP engine, a
+different master, a different pivot arithmetic) must not move a single byte of
+``canonical_json``: the same T, the same allocation and the same counters,
+master solves included.  The strings below were recorded from the solver and
+are compared verbatim.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from santaclaus import Instance, JobSpec, generate_random, solve
+from conftest import mixed_instance
+
+
+def all_unit_instance():
+    """Three machines with 14-16 private unit jobs each and two shared ones:
+    every job is small at the resulting T, so the solve takes no-upper."""
+    jobs = []
+    for i in range(3):
+        jobs += [JobSpec(size=1, eligible=frozenset([i])) for _ in range(14 + i)]
+    jobs += [JobSpec(size=1, eligible=frozenset(range(3))) for _ in range(2)]
+    return Instance(machine_count=3, jobs=tuple(jobs))
+
+
+def random_instance(seed):
+    return generate_random(m=4, n=14, max_size=20, density=Fraction(1, 2), seed=seed)
+
+
+GOLDEN = [
+    (
+        "random-0",
+        lambda: random_instance(0),
+        '{"T":"33/1","branch":"clustered","strategy":"matching","seed":0,'
+        '"branch_detail":"perfect bundle matching","min_value":"13/1",'
+        '"certified_ratio_bound":"33/13","owner":{"0":1,"1":3,"2":2,"7":0},'
+        '"counters":{"clp_solves":9,"composites":0,"master_solves":35,'
+        '"matching_steps":0,"saturated":4,"supers":0}}',
+    ),
+    (
+        "random-3",
+        lambda: random_instance(3),
+        '{"T":"23/1","branch":"clustered","strategy":"matching","seed":0,'
+        '"branch_detail":"perfect bundle matching","min_value":"5/1",'
+        '"certified_ratio_bound":"23/5","owner":{"0":3,"1":0,"3":2,"6":1},'
+        '"counters":{"clp_solves":8,"composites":0,"master_solves":27,'
+        '"matching_steps":0,"saturated":4,"supers":0}}',
+    ),
+    (
+        "random-4",
+        lambda: random_instance(4),
+        '{"T":"31/1","branch":"clustered","strategy":"matching","seed":0,'
+        '"branch_detail":"perfect bundle matching","min_value":"5/1",'
+        '"certified_ratio_bound":"31/5","owner":{"0":1,"1":0,"2":2,"3":3},'
+        '"counters":{"clp_solves":8,"composites":0,"master_solves":31,'
+        '"matching_steps":0,"saturated":4,"supers":0}}',
+    ),
+    (
+        "random-10",
+        lambda: random_instance(10),
+        '{"T":"31/1","branch":"clustered","strategy":"matching","seed":0,'
+        '"branch_detail":"perfect bundle matching","min_value":"6/1",'
+        '"certified_ratio_bound":"31/6","owner":{"0":3,"3":0,"5":2,"7":1},'
+        '"counters":{"clp_solves":9,"composites":0,"master_solves":27,'
+        '"matching_steps":0,"saturated":4,"supers":0}}',
+    ),
+    (
+        "mixed-composite",
+        lambda: mixed_instance(4, m=3, nbig=2, nsmall=14),
+        '{"T":"14/1","branch":"clustered","strategy":"matching","seed":0,'
+        '"branch_detail":"perfect bundle matching","min_value":"3/1",'
+        '"certified_ratio_bound":"14/3","owner":{"0":1,"1":2,"2":0,"3":0,"4":0},'
+        '"counters":{"clp_solves":7,"composites":1,"master_solves":34,'
+        '"matching_steps":1,"saturated":2,"supers":0}}',
+    ),
+    (
+        "all-unit-no-upper",
+        all_unit_instance,
+        '{"T":"15/1","branch":"no-upper","strategy":"matching","seed":0,'
+        '"branch_detail":"resolved small-only cover at rhs 1/2","min_value":"7/1",'
+        '"certified_ratio_bound":"15/7","owner":{"1":0,"2":0,"3":0,"4":0,"5":0,'
+        '"6":0,"7":0,"14":1,"15":1,"16":1,"17":1,"18":1,"19":1,"20":1,"32":2,'
+        '"33":2,"34":2,"35":2,"36":2,"37":2,"38":2},'
+        '"counters":{"clp_solves":6,"master_solves":14,"small_rounded_jobs":21}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("name,make,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_canonical_json_is_byte_identical(name, make, expected):
+    assert solve(make()).canonical_json() == expected

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
-from santaclaus.ratlp import LinearProgram, solve_feasibility, solve_lp
+import pytest
+
+from santaclaus.ratlp import LinearProgram, Tableau, solve_feasibility, solve_lp
 from conftest import enumerate_lp_vertices
 
 F = Fraction
 
 
 def test_single_constraint():
-    lp = LinearProgram(1, objective={0: F(1)}, bounds=[(F(0), F(10))])
+    lp = LinearProgram(1, objective={0: F(1)})
+    lp.add_constraint({0: F(1)}, "<=", F(10))
     lp.add_constraint({0: F(1)}, "<=", F(3))
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -40,19 +43,21 @@ def test_unbounded():
     assert solve_lp(lp).status == "unbounded"
 
 
-def test_equality_and_free_variable():
-    # x free, y >= 0: max y s.t. x + y = 2, x >= -3  ==> x=-3, y=5
-    lp = LinearProgram(2, objective={1: F(1)}, bounds=[(None, None), (F(0), None)])
-    lp.add_constraint({0: F(1), 1: F(1)}, "=", F(2))
-    lp.add_constraint({0: F(1)}, ">=", F(-3))
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.values == (F(-3), F(5))
+def test_negative_rhs_rejected():
+    # every LP the package builds has x >= 0 and rhs >= 0; a negative rhs
+    # would start the slack basis infeasible, so it is refused up front
+    lp = LinearProgram(2)
+    with pytest.raises(ValueError):
+        lp.add_constraint({0: F(1), 1: F(-1)}, ">=", F(-3))
+    assert lp.constraints == []
 
 
 def test_shifted_and_upper_bounded_variables():
-    # max x + 2y with 1 <= x <= 4, y <= 2 (lower bound 0), x + y <= 5
-    lp = LinearProgram(2, objective={0: F(1), 1: F(2)}, bounds=[(F(1), F(4)), (F(0), F(2))])
+    # max x + 2y with 1 <= x <= 4, y <= 2, x + y <= 5; the bounds are rows
+    lp = LinearProgram(2, objective={0: F(1), 1: F(2)})
+    lp.add_constraint({0: F(1)}, ">=", F(1))
+    lp.add_constraint({0: F(1)}, "<=", F(4))
+    lp.add_constraint({1: F(1)}, "<=", F(2))
     lp.add_constraint({0: F(1), 1: F(1)}, "<=", F(5))
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -150,3 +155,80 @@ def test_random_lps_agree_with_vertex_enumeration():
                 (y * rhs for y, (_, _, rhs) in zip(sol.dual_values, rows)), F(0)
             )
             assert dual_obj == sol.objective_value, f"trial {trial}"
+
+
+def _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs):
+    """Grow a kept master the way column generation does and yield it after
+    every round: cover rows first, configurations inserted before the job
+    slacks in creation order, a job's row added with the first column that
+    uses it."""
+    master = Tableau()
+    base = ngroups if exact_cover else 2 * ngroups
+    for g in range(ngroups):
+        master.insert_column(g, {}, F(-1))
+    for g in range(base - ngroups):
+        master.insert_column(ngroups + g, {})
+    for g in range(ngroups):
+        cover = {g: F(1)} if exact_cover else {g: F(1), ngroups + g: F(-1)}
+        master.add_row(cover, cover_rhs, basic=g)
+    configs = set()
+    job_rows, row_of = [], {}
+    for _ in range(rng.randint(2, 6)):
+        for _ in range(rng.randint(1, 3)):
+            g = rng.randrange(ngroups)
+            jobs = tuple(sorted(rng.sample(range(njobs), rng.randint(1, 3))))
+            if (g, jobs) in configs:
+                continue
+            col = base + len(configs)
+            configs.add((g, jobs))
+            entries = {row_of[j]: F(1) for j in jobs if j in row_of}
+            entries[g] = F(1)
+            master.insert_column(col, entries)
+            for j in jobs:
+                if j not in row_of:
+                    job_rows.append(j)
+                    job_rows.sort()
+                    slack = base + len(configs) + job_rows.index(j)
+                    master.insert_column(slack, {})
+                    row_of[j] = master.add_row({col: F(1), slack: F(1)}, F(1), basic=slack)
+        yield master
+
+
+def test_kept_master_matches_fresh_solves():
+    # after every round the kept tableau re-optimises from its old basis; a
+    # fresh two-phase solve over the same rows and columns must agree, and
+    # the kept duals must certify the optimum on every present column
+    from random import Random
+
+    rng = Random(7)
+    for trial in range(60):
+        ngroups = rng.randint(1, 3)
+        exact_cover = rng.random() < 0.4
+        cover_rhs = rng.choice([F(1), F(1, 2)])
+        for master in _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs=6):
+            kept = solve_lp(master)
+            fresh_lp = LinearProgram(
+                master.variable_count,
+                objective={c: a for c, a in enumerate(master.cost) if a != 0},
+            )
+            for row, relation, rhs in master.constraints:
+                fresh_lp.add_constraint(row, relation, rhs)
+            fresh = solve_lp(fresh_lp)
+            assert kept.status == fresh.status == "optimal", f"trial {trial}"
+            assert kept.objective_value == fresh.objective_value, f"trial {trial}"
+            y = kept.dual_values
+            assert sum((a * b for a, b in zip(y, master.rhs)), F(0)) == kept.objective_value
+            for c, column in enumerate(master.columns):
+                reduced = master.cost[c] - sum((y[r] * a for r, a in column.items()), F(0))
+                assert reduced <= 0, f"trial {trial}: column {c} prices in"
+
+
+def test_kept_master_rejects_rows_out_of_basic_form():
+    master = Tableau()
+    master.insert_column(0, {}, F(-1))
+    master.insert_column(1, {})
+    master.add_row({0: F(1)}, F(1), basic=0)
+    with pytest.raises(ValueError):
+        master.add_row({0: F(1), 1: F(1)}, F(1), basic=1)  # touches basic column 0
+    with pytest.raises(ValueError):
+        master.add_row({1: F(1)}, F(-1), basic=1)
