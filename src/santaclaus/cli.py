@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--strategy", choices=("matching", "enumeration"), default="matching"
     )
-    p_solve.add_argument("--alpha", type=int, default=12)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", required=True, help="allocation JSON output")
     p_solve.add_argument("--report", help="optional solve-report JSON output")
@@ -91,7 +90,7 @@ def _load_instance(path: str):
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
-    report = solve(inst, strategy=args.strategy, alpha=args.alpha, seed=args.seed)
+    report = solve(inst, strategy=args.strategy, seed=args.seed)
     Path(args.out).write_text(
         serialize_allocation(report.allocation) + "\n", encoding="utf-8"
     )

@@ -56,13 +56,6 @@ class BigGraph:
     def job_total(self, j: int) -> Fraction:
         return sum((w for (_, jj), w in self.weights.items() if jj == j), ZERO)
 
-    def to_dot(self) -> str:
-        lines = ["graph big_support {"]
-        for (i, j), w in sorted(self.weights.items()):
-            lines.append(f'  "m{i}" -- "g{j}" [label="{w}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class Cluster:
@@ -87,6 +80,10 @@ class Composite:
 
 @dataclass
 class ClusterSet:
+    """The clustering result.  ``composites`` lists the super machines first,
+    in the order of ``supers`` (composite d < len(supers) is ``supers[d]``),
+    then one singleton per middle machine in machine order."""
+
     supers: tuple[Cluster, ...]
     saturated: tuple[SaturatedCluster, ...]
     composites: tuple[Composite, ...]
@@ -212,13 +209,7 @@ def eliminate_cycles(
                 new_weights.pop((i, cfg))
     for (i, j), w in weights.items():
         new_weights[(i, Configuration(jobs=(j,), total_size=t_int))] = w
-    xstar = ClpSolution(
-        tau=x.tau,
-        weights=new_weights,
-        cover_rhs=x.cover_rhs,
-        exact_cover=x.exact_cover,
-        groups=x.groups,
-    )
+    xstar = ClpSolution(tau=x.tau, weights=new_weights, cover_rhs=x.cover_rhs)
     return BigGraph(weights=weights), xstar
 
 

@@ -2,9 +2,9 @@
 
 A configuration (bundle) is a set of jobs for one machine.  It is minimal at
 threshold tau when its total size reaches tau and dropping any member falls
-below tau.  The covering LP over minimal configurations asks for fractional
-weights so that every machine group reaches its cover requirement while no
-job is used more than once in total.
+below tau.  The covering LP over minimal configurations (the configuration
+LP) asks for fractional weights so that every machine reaches its cover
+requirement while no job is used more than once in total.
 
 Solving works by column generation over one restricted master per cover LP
 call.  The master is an exact simplex tableau (`ratlp.Tableau`) kept for the
@@ -12,14 +12,14 @@ whole call: pricing's improving columns enter it as B^-1 a, a job's row
 enters with the first column that uses the job, and each round re-optimises
 from the previous optimal basis.  Pricing is a minimum-knapsack dynamic
 program over the master's dual values: a column prices in exactly when its
-jobs' dual cost is below the group's cover dual.  With exact arithmetic,
+jobs' dual cost is below the machine's cover dual.  With exact arithmetic,
 pricing convergence with a positive shortfall objective is a proof of
 infeasibility, not a numeric judgement call.
 
-The same engine serves three covers: the per-machine configuration LP
-(cover >= 1), the small-jobs-only variant with cover >= 1/2 used by the
-no-upper-class branch, and the composite-machine extension with exact unit
-cover at threshold ceil(T/6).
+The same engine serves two covers, both with one cover row per machine: the
+configuration LP (cover >= 1) that the T search probes and the gap instance
+is classified by, and the small-jobs-only variant with cover >= 1/2 used by
+the no-upper-class branch.
 """
 
 from __future__ import annotations
@@ -48,14 +48,6 @@ class Configuration:
 
     jobs: tuple[int, ...]
     total_size: int
-
-    def __contains__(self, job: int) -> bool:
-        return job in self.jobs
-
-
-def make_configuration(jobs: Iterable[int], sizes: Sequence[int]) -> Configuration:
-    tup = tuple(sorted(set(jobs)))
-    return Configuration(jobs=tup, total_size=sum(sizes[j] for j in tup))
 
 
 def is_minimal(jobs: Iterable[int], tau: Fraction, sizes: Sequence[int]) -> bool:
@@ -166,8 +158,6 @@ class ClpSolution:
     tau: Fraction
     weights: dict[tuple[int, Configuration], Fraction]
     cover_rhs: Fraction
-    exact_cover: bool
-    groups: tuple[tuple[int, ...], ...]
 
     def machine_cover(self, machine: int) -> Fraction:
         return sum(
@@ -186,27 +176,16 @@ class ClpSolution:
         out.sort(key=lambda t: t[0])
         return out
 
-    def dump_columns(self) -> list[dict]:
-        """Debug view of the carried columns as plain JSON-able rows."""
-        rows = []
-        for (i, cfg), w in sorted(self.weights.items()):
-            rows.append(
-                {
-                    "machine": i,
-                    "jobs": list(cfg.jobs),
-                    "total_size": cfg.total_size,
-                    "weight": f"{w.numerator}/{w.denominator}",
-                }
-            )
-        return rows
-
 
 def check_cover_solution(
     sol: ClpSolution,
     pools: Mapping[int, Sequence[int]],
     sizes: Sequence[int],
 ) -> tuple[bool, str | None]:
-    """Exact feasibility check: cover, job usage, minimality, eligibility."""
+    """Exact feasibility check: cover, job usage, minimality, eligibility.
+
+    Every machine in ``pools`` must reach ``sol.cover_rhs``.
+    """
     for (i, cfg), w in sol.weights.items():
         if w < 0 or w > 1:
             return False, f"weight out of [0,1] on machine {i}"
@@ -215,13 +194,10 @@ def check_cover_solution(
             return False, f"machine {i} carries a job outside its pool"
         if not is_minimal(cfg.jobs, sol.tau, sizes):
             return False, f"machine {i} carries a non-minimal configuration {cfg.jobs}"
-    for g, group in enumerate(sol.groups):
-        cover = sum((sol.machine_cover(i) for i in group), ZERO)
-        if sol.exact_cover:
-            if cover != sol.cover_rhs:
-                return False, f"group {g} cover {cover} != {sol.cover_rhs}"
-        elif cover < sol.cover_rhs:
-            return False, f"group {g} cover {cover} < {sol.cover_rhs}"
+    for i in sorted(pools):
+        cover = sol.machine_cover(i)
+        if cover < sol.cover_rhs:
+            return False, f"machine {i} cover {cover} < {sol.cover_rhs}"
     for j, used in sorted(sol.job_usage().items()):
         if used > 1:
             return False, f"job {j} used {used} > 1"
@@ -229,68 +205,61 @@ def check_cover_solution(
 
 
 def solve_cover_lp(
-    groups: Sequence[Sequence[int]],
     pools: Mapping[int, Sequence[int]],
     sizes: Sequence[int],
     tau: Fraction,
     cover_rhs: Fraction = ONE,
-    exact_cover: bool = False,
     seeds: Mapping[int, Iterable[tuple[int, ...]]] | None = None,
     counters: dict[str, int] | None = None,
 ) -> ClpSolution | None:
     """Column generation for the covering LP; None means certified infeasible.
 
-    ``groups`` are disjoint machine tuples sharing one cover row each (plain
-    configuration LP: singletons).  ``pools[i]`` lists the jobs machine i may
-    bundle (eligibility already applied).  ``seeds`` optionally warm-start
-    the master with job bundles re-pruned to minimality at this tau.
+    Every machine in ``pools`` gets one cover row, ``>= cover_rhs``, in
+    machine order; ``pools[i]`` lists the jobs machine i may bundle
+    (eligibility already applied), so a machine with an empty pool makes the
+    LP infeasible.  ``seeds`` optionally warm-start the master with job
+    bundles re-pruned to minimality at this tau.
     """
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    groups = tuple(tuple(sorted(g)) for g in groups)
-    group_of = {}
-    for g, group in enumerate(groups):
-        for i in group:
-            if i in group_of:
-                raise ValueError(f"machine {i} belongs to two groups")
-            group_of[i] = g
+    machines = sorted(pools)
+    cover_row = {i: r for r, i in enumerate(machines)}
 
     # The master keeps one tableau for the whole call.  Its columns are, in
-    # order: shortfall a_g, excess e_g (absent under exact cover), the
-    # configurations in creation order, then job slacks s_j by job id.  Every
-    # row is an equality whose own a_g or s_j is a unit column, so the master
-    # starts on that identity basis (feasible, no phase 1) and the tableau
-    # columns of a_g and s_j always hold B^-1: a priced column enters as
-    # B^-1 a at its place in the order, and the row of a job seen for the
-    # first time touches only new, nonbasic columns, so it enters as written
-    # with s_j basic.  Each round then re-optimises from the previous optimal
-    # basis.  Pivot tie-breaks read column indices, so columns are inserted
-    # in this order, not appended: each solve then pivots exactly as a solve
-    # of the same master written out from scratch on that basis would.
+    # order: shortfall a_i, excess e_i, the configurations in creation order,
+    # then job slacks s_j by job id.  Every row is an equality whose own a_i
+    # or s_j is a unit column, so the master starts on that identity basis
+    # (feasible, no phase 1) and the tableau columns of a_i and s_j always
+    # hold B^-1: a priced column enters as B^-1 a at its place in the order,
+    # and the row of a job seen for the first time touches only new,
+    # nonbasic columns, so it enters as written with s_j basic.  Each round
+    # then re-optimises from the previous optimal basis.  Pivot tie-breaks
+    # read column indices, so columns are inserted in this order, not
+    # appended: each solve then pivots exactly as a solve of the same master
+    # written out from scratch on that basis would.
     master = Tableau()
-    ngroups = len(groups)
-    base = ngroups if exact_cover else 2 * ngroups
+    nrows = len(machines)
+    base = 2 * nrows
     for c in range(base):
-        master.insert_column(c, {}, -ONE if c < ngroups else ZERO)
-    for g in range(ngroups):
-        cover = {g: ONE} if exact_cover else {g: ONE, ngroups + g: -ONE}
-        master.add_row(cover, cover_rhs, basic=g)
+        master.insert_column(c, {}, -ONE if c < nrows else ZERO)
+    for r in range(nrows):
+        master.add_row({r: ONE, nrows + r: -ONE}, cover_rhs, basic=r)
 
-    columns: list[tuple[int, int, Configuration]] = []
-    colset: set[tuple[int, int, Configuration]] = set()
+    columns: list[tuple[int, Configuration]] = []
+    colset: set[tuple[int, Configuration]] = set()
     job_rows: list[int] = []  # jobs with a row, sorted
     row_of: dict[int, int] = {}
 
     def add_column(i: int, cfg: Configuration) -> bool:
-        key = (group_of[i], i, cfg)
+        key = (i, cfg)
         if key in colset:
             return False
         colset.add(key)
         col = base + len(columns)
         columns.append(key)
         entries = {row_of[j]: ONE for j in cfg.jobs if j in row_of}
-        entries[group_of[i]] = ONE
+        entries[cover_row[i]] = ONE
         master.insert_column(col, entries)
         for j in cfg.jobs:
             if j not in row_of:
@@ -305,16 +274,16 @@ def solve_cover_lp(
     # reaches tau at all.
     if seeds:
         for i in sorted(seeds):
-            if i not in group_of:
+            if i not in cover_row:
                 continue
-            pool = set(pools.get(i, ()))
+            pool = set(pools[i])
             for jobs in sorted(set(tuple(sorted(js)) for js in seeds[i])):
                 if not set(jobs) <= pool:
                     continue
                 if sum(sizes[j] for j in jobs) >= tau:
                     add_column(i, prune_to_minimal(jobs, tau, sizes))
-    for i in sorted(group_of):
-        pool = sorted(pools.get(i, ()))
+    for i in machines:
+        pool = sorted(pools[i])
         if pool and sum(sizes[j] for j in pool) >= tau:
             add_column(i, prune_to_minimal(pool, tau, sizes))
 
@@ -326,23 +295,22 @@ def solve_cover_lp(
             raise CoverLpError("shortfall master is always feasible and bounded")
 
         duals = sol.dual_values
-        lam = {g: -duals[g] for g in range(ngroups)}
+        lam = {i: -duals[r] for i, r in cover_row.items()}
         mu = {j: duals[r] for j, r in row_of.items()}
 
         improved = False
-        for g, group in enumerate(groups):
-            for i in group:
-                pool = pools.get(i, ())
-                if not pool:
-                    continue
-                cfg = price_min_knapsack(pool, sizes, mu, tau)
-                if cfg is None:
-                    continue
-                reduced = lam[g] - sum((mu.get(j, ZERO) for j in cfg.jobs), ZERO)
-                if reduced > 0:
-                    if not add_column(i, cfg):
-                        raise CoverLpError("an improving column was already in the master")
-                    improved = True
+        for i in machines:
+            pool = pools[i]
+            if not pool:
+                continue
+            cfg = price_min_knapsack(pool, sizes, mu, tau)
+            if cfg is None:
+                continue
+            reduced = lam[i] - sum((mu.get(j, ZERO) for j in cfg.jobs), ZERO)
+            if reduced > 0:
+                if not add_column(i, cfg):
+                    raise CoverLpError("an improving column was already in the master")
+                improved = True
         if improved:
             continue
 
@@ -350,17 +318,11 @@ def solve_cover_lp(
         if shortfall != 0:
             return None
         weights = {}
-        for c, (_, i, cfg) in enumerate(columns):
+        for c, key in enumerate(columns):
             w = sol.values[base + c]
             if w != 0:
-                weights[(i, cfg)] = weights.get((i, cfg), ZERO) + w
-        result = ClpSolution(
-            tau=tau,
-            weights=weights,
-            cover_rhs=Fraction(cover_rhs),
-            exact_cover=exact_cover,
-            groups=groups,
-        )
+                weights[key] = w
+        result = ClpSolution(tau=tau, weights=weights, cover_rhs=Fraction(cover_rhs))
         ok, why = check_cover_solution(result, pools, sizes)
         if not ok:
             raise CoverLpError(f"cover LP postcondition violated: {why}")
@@ -378,28 +340,26 @@ def machine_pools(inst: Instance, job_pool: Iterable[int] | None = None) -> dict
 def solve_clp_feasibility(
     inst: Instance,
     tau: Fraction,
-    mode: str = "cover-at-least-1",
-    job_pool: Iterable[int] | None = None,
     pools: Mapping[int, Sequence[int]] | None = None,
     sizes: Sequence[int] | None = None,
     cover_rhs: Fraction = ONE,
     seeds: Mapping[int, Iterable[tuple[int, ...]]] | None = None,
     counters: dict[str, int] | None = None,
 ) -> ClpSolution | None:
-    """Per-machine configuration LP (one cover row per machine)."""
-    if mode not in ("cover-at-least-1", "cover-exactly-1"):
-        raise ValueError(f"unknown mode {mode!r}")
+    """Per-machine configuration LP over ``inst`` (one cover row per machine).
+
+    ``pools`` defaults to every machine's eligible jobs, ``sizes`` to the
+    instance's own sizes.
+    """
     if pools is None:
-        pools = machine_pools(inst, job_pool)
+        pools = machine_pools(inst)
     if sizes is None:
         sizes = inst.sizes()
     return solve_cover_lp(
-        groups=[(i,) for i in range(inst.machine_count)],
         pools=pools,
         sizes=sizes,
         tau=tau,
         cover_rhs=cover_rhs,
-        exact_cover=(mode == "cover-exactly-1"),
         seeds=seeds,
         counters=counters,
     )

@@ -1,11 +1,11 @@
 """Gap instances and the big/small, upper/middle classifications.
 
-The alpha-gap instance reshapes job sizes relative to a threshold T: any job
-of size at least T/alpha counts as exactly T (a "big" job), everything else
-keeps its size ("small").  At alpha = 12 and tau = T this gives the pipeline
-two structural facts it leans on throughout: every minimal configuration
-containing a big job is a big singleton, and any machine that is not
-big-heavy ("upper class") carries small-configuration weight of at least 1/2.
+The 12-gap instance reshapes job sizes relative to a threshold T: any job of
+size at least T/12 counts as exactly T (a "big" job), everything else keeps
+its size ("small").  At tau = T this gives the pipeline two structural facts
+it leans on throughout: every minimal configuration containing a big job is
+a big singleton, and any machine that is not big-heavy ("upper class")
+carries small-configuration weight of at least 1/2.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from .configlp import ClpSolution
 from .instances import Instance
 
 HALF = Fraction(1, 2)
+ALPHA = 12  # the gap: jobs of size >= T/ALPHA are big
 
 
 @dataclass(frozen=True)
 class GapInstance:
     base: Instance
     tau: Fraction
-    alpha: int
     gap_size: tuple[int, ...]
 
 
@@ -41,20 +41,18 @@ class MachineClasses:
     small_mass: dict[int, Fraction]
 
 
-def build_gap_instance(inst: Instance, T: Fraction, alpha: int) -> GapInstance:
+def build_gap_instance(inst: Instance, T: Fraction) -> GapInstance:
     T = Fraction(T)
     if T <= 0:
         raise ValueError("T must be positive; a zero T short-circuits the pipeline")
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
     if T.denominator != 1:
         raise ValueError("T must be an integer (the T search returns integers)")
-    threshold = T / alpha
+    threshold = T / ALPHA
     t_int = T.numerator
     gap = tuple(
         job.size if job.size < threshold else t_int for job in inst.jobs
     )
-    return GapInstance(base=inst, tau=T, alpha=alpha, gap_size=gap)
+    return GapInstance(base=inst, tau=T, gap_size=gap)
 
 
 def classify_jobs(gap: GapInstance) -> JobClasses:
@@ -65,7 +63,7 @@ def classify_jobs(gap: GapInstance) -> JobClasses:
     a big job alongside anything else.
     """
     t_int = gap.tau.numerator
-    threshold = gap.tau / gap.alpha
+    threshold = gap.tau / ALPHA
     big = frozenset(
         j for j, job in enumerate(gap.base.jobs) if job.size >= threshold
     )

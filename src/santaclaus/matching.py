@@ -23,7 +23,7 @@ as the cross-check oracle on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -48,8 +48,6 @@ class Hyperedge:
 @dataclass
 class MatchingState:
     matched: dict[int, Hyperedge]
-    add_edges: list[Hyperedge] = field(default_factory=list)
-    blocked_by: list[set[int]] = field(default_factory=list)
     steps: int = 0
 
 
@@ -319,6 +317,3 @@ def _extend_matching(
             blocking_union.extend(bl)
         assert len(blocking_union) == len(set(blocking_union)), "blocker sets must stay disjoint"
         assert len(live) <= len(blocking_union), "|A| <= |B| invariant broken"
-
-    state.add_edges = [a for a in adds if a is not None]
-    state.blocked_by = [bl for a, bl in zip(adds, blockers) if a is not None]

@@ -42,7 +42,7 @@ from .configlp import (
     solve_clp_feasibility,
 )
 from .eap import EapSolution, check_eap, eap_from_matching, restrict_eap, select_by_enumeration
-from .gapclasses import build_gap_instance, classify_jobs, classify_machines
+from .gapclasses import ALPHA, build_gap_instance, classify_jobs, classify_machines
 from .instances import Allocation, Instance, verify_allocation
 from .matching import find_perfect_matching
 from .rat import rat_to_str
@@ -107,18 +107,16 @@ class _Stopwatch:
         self._mark = now
 
 
-def solve(
-    inst: Instance,
-    strategy: str = "matching",
-    alpha: int = 12,
-    seed: int = 0,
-    matching_budget: int = 10**6,
-    selection_budget: int = 10**5,
-) -> SolveReport:
+def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveReport:
     """Run the full pipeline and return a certified allocation report.
 
-    ``seed`` is recorded in the report for reproducibility bookkeeping; the
-    pipeline itself is deterministic and draws no randomness from it.
+    The gap is fixed at ``gapclasses.ALPHA`` = 12, which the certified floors
+    (T/2 - T/12 = 5T/12 without upper machines, T/12 otherwise) rely on.
+    ``strategy`` picks how the clustered branch serves composite machines:
+    bundle matching or selection enumeration, each under its own default
+    step budget.  ``seed`` is recorded in the report for reproducibility
+    bookkeeping; the pipeline itself is deterministic and draws no
+    randomness from it.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -142,7 +140,7 @@ def solve(
             timings_ms=watch.timings_ms,
         )
 
-    gap = build_gap_instance(inst, T, alpha)
+    gap = build_gap_instance(inst, T)
     job_classes = classify_jobs(gap)
     x = solve_clp_feasibility(
         inst, T, pools=machine_pools(inst), sizes=gap.gap_size, seeds=seeds,
@@ -156,14 +154,13 @@ def solve(
     if not machine_classes.upper:
         owner, detail = _solve_no_upper(inst, gap, job_classes, T, counters)
         branch = "no-upper"
-        floor = 5 * T / 12
+        floor = T / 2 - T / ALPHA
     else:
         owner, detail = _solve_clustered(
-            inst, gap, job_classes, machine_classes, x, T, strategy,
-            matching_budget, selection_budget, counters,
+            inst, gap, job_classes, machine_classes, x, T, strategy, counters
         )
         branch = "clustered"
-        floor = T / 12
+        floor = T / ALPHA
     watch.lap("branch")
 
     alloc = Allocation(owner=owner, min_value=verify_allocation(inst, Allocation(owner, ZERO)))
@@ -208,10 +205,7 @@ def _solve_no_upper(inst, gap, job_classes, T, counters):
     return owner, "resolved small-only cover at rhs 1/2"
 
 
-def _solve_clustered(
-    inst, gap, job_classes, machine_classes, x, T, strategy,
-    matching_budget, selection_budget, counters,
-):
+def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, strategy, counters):
     graph = build_big_graph(gap, x, job_classes, machine_classes)
     forest, xstar = eliminate_cycles(graph, x, gap)
     clusters = extract_clusters(forest, xstar, job_classes, machine_classes, gap)
@@ -230,9 +224,7 @@ def _solve_clustered(
         owner[job] = machine
 
     if strategy == "matching":
-        state = find_perfect_matching(
-            clusters, T, strategy="alternating-tree", budget=matching_budget
-        )
+        state = find_perfect_matching(clusters, T)
         counters["matching_steps"] = state.steps
         eap = eap_from_matching(state, clusters)
         ok, why = check_eap(eap, clusters, T)
@@ -244,7 +236,7 @@ def _solve_clustered(
                 give(j, e.member)
         detail = "perfect bundle matching"
     else:
-        selection, shares = select_by_enumeration(clusters, T, budget=selection_budget)
+        selection, shares = select_by_enumeration(clusters, T)
         eap = EapSolution(
             u=dict(shares),
             s={
@@ -264,14 +256,9 @@ def _solve_clustered(
         selected = dict(selection.chosen)
         detail = "selection enumeration plus rounding"
 
-    # Non-selected super members each take a distinct big job of the cluster.
-    super_of_composite = {}
-    super_index = 0
-    for d, comp in enumerate(clusters.composites):
-        if comp.kind == "super":
-            super_of_composite[d] = clusters.supers[super_index]
-            super_index += 1
-    for d, cluster in sorted(super_of_composite.items()):
+    # Non-selected super members each take a distinct big job of the cluster;
+    # super machine d is composite d.
+    for d, cluster in enumerate(clusters.supers):
         chosen = selected[d]
         rest = [i for i in cluster.machines if i != chosen]
         adj = {

@@ -26,7 +26,8 @@ ONE = Fraction(1)
 
 
 class RoundingError(ValueError):
-    pass
+    """Bad input, or a rounding postcondition failed.  Raised, not asserted,
+    so that ``python -O`` keeps the checks."""
 
 
 def round_assignment(fa: FractionalAssignment, sizes) -> dict[int, int]:
@@ -51,7 +52,8 @@ def round_assignment(fa: FractionalAssignment, sizes) -> dict[int, int]:
     fractional = []
     for i, j in positive:
         if vertex[(i, j)] == 1:
-            assert j not in owner
+            if j in owner:
+                raise RoundingError(f"job {j} assigned outright twice")
             owner[j] = i
             outright_value[i] += sizes[j]
         else:
@@ -70,19 +72,22 @@ def round_assignment(fa: FractionalAssignment, sizes) -> dict[int, int]:
             for j in kids:
                 if got >= need:
                     break
-                assert j not in owner
+                if j in owner:
+                    raise RoundingError(f"child job {j} claimed twice")
                 owner[j] = i
                 got += sizes[j]
-            assert got >= need, "child jobs fell short of the loss bound"
+            if got < need:
+                raise RoundingError(f"machine {i}: child jobs fell short of the loss bound")
 
     integral = {i: ZERO for i in machines}
     for j, i in owner.items():
         integral[i] += sizes[j]
     for i in machines:
-        assert integral[i] >= value[i] - max_size[i], (
-            f"machine {i}: rounded value {integral[i]} under the bound "
-            f"{value[i]} - {max_size[i]}"
-        )
+        if integral[i] < value[i] - max_size[i]:
+            raise RoundingError(
+                f"machine {i}: rounded value {integral[i]} under the bound "
+                f"{value[i]} - {max_size[i]}"
+            )
     return owner
 
 
@@ -107,7 +112,8 @@ def _vertex_on_support(fa, pairs, machines, jobs, value, sizes):
         row = {index[(ii, j)]: Fraction(sizes[j]) for (ii, j) in pairs if ii == i}
         lp.add_constraint(row, ">=", value[i])
     sol = solve_feasibility(lp)
-    assert sol.is_optimal, "the input point itself satisfies these rows"
+    if not sol.is_optimal:
+        raise RoundingError("support LP infeasible, although the input point satisfies it")
     return {pair: sol.values[c] for pair, c in index.items()}
 
 
@@ -125,7 +131,8 @@ def _assert_forest(edges) -> None:
         for v in (a, b):
             parent.setdefault(v, v)
         ra, rb = find(a), find(b)
-        assert ra != rb, "positive support contains a cycle; not a vertex"
+        if ra == rb:
+            raise RoundingError("positive support contains a cycle; not a vertex")
         parent[ra] = rb
 
 

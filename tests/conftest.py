@@ -159,7 +159,7 @@ def handmade_super_case():
     from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
 
     inst = shared_big_instance(units=13)
-    gap = build_gap_instance(inst, Fraction(13), 12)
+    gap = build_gap_instance(inst, Fraction(13))
     jc = classify_jobs(gap)
     half = Fraction(1, 2)
     big = Configuration(jobs=(0,), total_size=13)
@@ -168,8 +168,6 @@ def handmade_super_case():
         tau=Fraction(13),
         weights={(0, big): half, (1, big): half, (0, bundle): half, (1, bundle): half},
         cover_rhs=Fraction(1),
-        exact_cover=False,
-        groups=((0,), (1,)),
     )
     mc = classify_machines(gap, jc, x)
     graph = build_big_graph(gap, x, jc, mc)

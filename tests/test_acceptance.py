@@ -163,7 +163,7 @@ def stage_runs():
         T = find_T(inst)
         if T == 0:
             return
-        gap = build_gap_instance(inst, T, 12)
+        gap = build_gap_instance(inst, T)
         jc = classify_jobs(gap)
         x = solve_clp_feasibility(inst, T, pools=machine_pools(inst), sizes=gap.gap_size)
         mc = classify_machines(gap, jc, x)

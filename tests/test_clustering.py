@@ -17,14 +17,8 @@ from conftest import tiny_instance
 F = Fraction
 
 
-def clp_from_weights(weights, tau, groups):
-    return ClpSolution(
-        tau=F(tau),
-        weights=weights,
-        cover_rhs=F(1),
-        exact_cover=False,
-        groups=tuple(groups),
-    )
+def clp_from_weights(weights, tau):
+    return ClpSolution(tau=F(tau), weights=weights, cover_rhs=F(1))
 
 
 def big_single(j, t):
@@ -35,7 +29,7 @@ def big_single(j, t):
 
 def test_build_graph_single_edge():
     inst = tiny_instance([(20, [0])] + [(1, [0])] * 8, machines=1)
-    gap = build_gap_instance(inst, F(20), 12)
+    gap = build_gap_instance(inst, F(20))
     jc = classify_jobs(gap)
     x = clp_from_weights(
         {
@@ -43,7 +37,6 @@ def test_build_graph_single_edge():
             (0, Configuration(jobs=tuple(range(1, 9)), total_size=8)): F(2, 5),
         },
         20,
-        [(0,)],
     )
     # 8 unit jobs total 8 < 20: not actually covering, but the graph builder
     # only reads big-singleton weights.
@@ -54,11 +47,11 @@ def test_build_graph_single_edge():
 
 def test_build_graph_no_upper_machines_is_empty():
     inst = tiny_instance([(1, [0])] * 13, machines=1)
-    gap = build_gap_instance(inst, F(13), 12)
+    gap = build_gap_instance(inst, F(13))
     jc = classify_jobs(gap)
     assert jc.small == frozenset(range(13))
     x = clp_from_weights(
-        {(0, Configuration(jobs=tuple(range(13)), total_size=13)): F(1)}, 13, [(0,)]
+        {(0, Configuration(jobs=tuple(range(13)), total_size=13)): F(1)}, 13
     )
     mc = classify_machines(gap, jc, x)
     g = build_big_graph(gap, x, jc, mc)
@@ -67,7 +60,7 @@ def test_build_graph_no_upper_machines_is_empty():
 
 def test_build_graph_shared_job():
     inst = tiny_instance([(10, [0, 1]), (10, [0]), (10, [1])], machines=2)
-    gap = build_gap_instance(inst, F(10), 12)
+    gap = build_gap_instance(inst, F(10))
     jc = classify_jobs(gap)
     x = clp_from_weights(
         {
@@ -77,7 +70,6 @@ def test_build_graph_shared_job():
             (1, big_single(2, 10)): F(1, 2),
         },
         10,
-        [(0,), (1,)],
     )
     mc = classify_machines(gap, jc, x)
     g = build_big_graph(gap, x, jc, mc)
@@ -89,14 +81,14 @@ def test_build_graph_shared_job():
 
 def make_gap_for_graph(m, njobs, t):
     inst = tiny_instance([(t, list(range(m)))] * njobs, machines=m)
-    return build_gap_instance(inst, F(t), 12)
+    return build_gap_instance(inst, F(t))
 
 
 def test_eliminate_cycles_acyclic_fixed_point():
     gap = make_gap_for_graph(2, 2, 9)
     weights = {(0, 0): F(1, 2), (1, 0): F(1, 2), (1, 1): F(1, 2)}
     x = clp_from_weights(
-        {(i, big_single(j, 9)): w for (i, j), w in weights.items()}, 9, [(0,), (1,)]
+        {(i, big_single(j, 9)): w for (i, j), w in weights.items()}, 9
     )
     g = BigGraph(weights=dict(weights))
     forest, xstar = eliminate_cycles(g, x, gap)
@@ -113,7 +105,7 @@ def test_eliminate_cycles_four_cycle_preserves_totals():
         (1, 1): F(1, 2),
     }
     x = clp_from_weights(
-        {(i, big_single(j, 9)): w for (i, j), w in weights.items()}, 9, [(0,), (1,)]
+        {(i, big_single(j, 9)): w for (i, j), w in weights.items()}, 9
     )
     g = BigGraph(weights=dict(weights))
     forest, xstar = eliminate_cycles(g, x, gap)
@@ -138,7 +130,6 @@ def test_eliminate_cycles_two_disjoint_cycles():
     x = clp_from_weights(
         {(i, big_single(j, 9)): w for (i, j), w in weights.items()},
         9,
-        [(i,) for i in range(4)],
     )
     g = BigGraph(weights=dict(weights))
     forest, _ = eliminate_cycles(g, x, gap)
@@ -152,7 +143,7 @@ def test_eliminate_cycles_two_disjoint_cycles():
 # ------------------------------------------------------------- extraction
 
 def run_clustering(inst, T):
-    gap = build_gap_instance(inst, F(T), 12)
+    gap = build_gap_instance(inst, F(T))
     jc = classify_jobs(gap)
     x = solve_clp_feasibility(
         inst, F(T), pools=machine_pools(inst), sizes=gap.gap_size
@@ -227,7 +218,7 @@ def test_single_machine_single_big_job_saturates():
 def checker_fixture():
     jobs = [(26, [0, 1])] + [(1, [0])] * 13 + [(1, [1])] * 13
     inst = tiny_instance(jobs, machines=2)
-    gap = build_gap_instance(inst, F(13), 12)
+    gap = build_gap_instance(inst, F(13))
     jc = classify_jobs(gap)
     x = solve_clp_feasibility(inst, F(13), pools=machine_pools(inst), sizes=gap.gap_size)
     mc = classify_machines(gap, jc, x)
@@ -272,10 +263,7 @@ def test_checker_rejects_small_starved_cluster():
     stripped = {
         key: w for key, w in x.weights.items() if set(key[1].jobs) <= jc.big
     }
-    hollow = ClpSolution(
-        tau=x.tau, weights=stripped, cover_rhs=x.cover_rhs,
-        exact_cover=x.exact_cover, groups=x.groups,
-    )
+    hollow = ClpSolution(tau=x.tau, weights=stripped, cover_rhs=x.cover_rhs)
     bad = ClusterSet(
         supers=(Cluster(machines=(0,), jobs=()),),
         saturated=(),
@@ -294,9 +282,3 @@ def test_bipartite_match_small_cases():
     full = bipartite_match([0, 1], {0: [10, 11], 1: [10]})
     assert full == {0: 11, 1: 10} or full == {1: 10, 0: 11}
 
-
-def test_graph_dot_dump():
-    g = BigGraph(weights={(0, 3): F(1, 2), (1, 3): F(1, 2)})
-    dot = g.to_dot()
-    assert dot.startswith("graph")
-    assert '"m0" -- "g3"' in dot and "1/2" in dot

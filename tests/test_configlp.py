@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from santaclaus.configlp import (
+    ClpSolution,
     Configuration,
     check_cover_solution,
     clp_to_alp,
@@ -91,9 +92,6 @@ def test_clp_single_machine_single_cover():
     sol = solve_clp_feasibility(inst, F(7))
     assert sol is not None
     assert sol.weights == {(0, Configuration(jobs=(0, 1), total_size=7)): F(1)}
-    assert sol.dump_columns() == [
-        {"machine": 0, "jobs": [0, 1], "total_size": 7, "weight": "1/1"}
-    ]
 
 
 def test_clp_agrees_with_full_column_lp():
@@ -124,54 +122,23 @@ def test_clp_agrees_with_full_column_lp():
             assert by_pricing == by_enumeration, f"seed {seed} tau {tau}"
 
 
-def test_exact_cover_mode():
-    # two machines, one shared job and one private each: exact unit cover
-    inst = tiny_instance([(5, [0, 1]), (5, [0]), (5, [1])], machines=2)
-    sol = solve_clp_feasibility(inst, F(5), mode="cover-exactly-1")
-    assert sol is not None
-    assert sol.machine_cover(0) == 1
-    assert sol.machine_cover(1) == 1
+def test_cover_rows_come_from_pool_keys():
+    # every key of pools gets a cover row: a machine with nothing to bundle
+    # makes the LP infeasible even when the other machines are easy to cover
+    assert solve_cover_lp(pools={0: (0,), 1: ()}, sizes=[3], tau=F(3)) is None
+    sol = solve_cover_lp(pools={0: (0,)}, sizes=[3], tau=F(3))
+    assert sol is not None and sol.machine_cover(0) == 1
 
 
-def test_grouped_cover_rows():
-    # one group of two machines must reach cover 1 jointly
-    inst = tiny_instance([(4, [0]), (4, [1])], machines=2)
-    sol = solve_cover_lp(
-        groups=[(0, 1)],
-        pools=machine_pools(inst),
-        sizes=inst.sizes(),
-        tau=F(4),
-        exact_cover=True,
-    )
-    assert sol is not None
-    assert sol.machine_cover(0) + sol.machine_cover(1) == 1
-
-
-def test_extended_cover_over_composites():
-    # composite rows with exact unit cover over small bundles at ceil(T/6):
-    # the super machine from the handmade case plus its unit pool
-    from math import ceil
-
-    from conftest import handmade_super_case
-
-    inst, clusters = handmade_super_case()
-    T = clusters.gap.tau
-    small = sorted(clusters.job_classes.small)
-    pools = {
-        i: tuple(j for j in small if i in inst.jobs[j].eligible)
-        for comp in clusters.composites
-        for i in comp.machines
-    }
-    sol = solve_cover_lp(
-        groups=[comp.machines for comp in clusters.composites],
-        pools=pools,
-        sizes=inst.sizes(),
-        tau=F(ceil(T / 6)),
-        exact_cover=True,
-    )
-    assert sol is not None
-    for g, comp in enumerate(clusters.composites):
-        assert sum((sol.machine_cover(i) for i in comp.machines), F(0)) == 1
+def test_check_cover_names_short_machine():
+    cfg = Configuration(jobs=(0,), total_size=3)
+    sol = ClpSolution(tau=F(3), weights={(0, cfg): F(1)}, cover_rhs=F(1))
+    assert check_cover_solution(sol, {0: (0,)}, [3]) == (True, None)
+    ok, why = check_cover_solution(sol, {0: (0,), 1: (0,)}, [3])
+    assert not ok and why == "machine 1 cover 0 < 1"
+    half = ClpSolution(tau=F(3), weights={(0, cfg): F(1, 2)}, cover_rhs=F(1))
+    ok, why = check_cover_solution(half, {0: (0,)}, [3])
+    assert not ok and why == "machine 0 cover 1/2 < 1"
 
 
 # ------------------------------------------------------------- find_T
@@ -231,15 +198,7 @@ def test_clp_to_alp_additivity():
         (0, Configuration(jobs=(0, 1), total_size=7)): F(1, 2),
         (0, Configuration(jobs=(0, 2), total_size=8)): F(1, 2),
     }
-    from santaclaus.configlp import ClpSolution
-
-    sol = ClpSolution(
-        tau=F(7),
-        weights=sol_weights,
-        cover_rhs=F(1),
-        exact_cover=False,
-        groups=((0,),),
-    )
+    sol = ClpSolution(tau=F(7), weights=sol_weights, cover_rhs=F(1))
     fa = clp_to_alp(sol, [3, 4, 5])
     assert fa.y[(0, 0)] == 1
     assert fa.y[(0, 1)] == F(1, 2)
@@ -248,11 +207,11 @@ def test_clp_to_alp_additivity():
 
 def test_check_mclp_thresholds():
     from santaclaus.clustering import Cluster, ClusterSet, Composite
-    from santaclaus.configlp import ClpSolution, check_mclp
+    from santaclaus.configlp import check_mclp
     from santaclaus.gapclasses import build_gap_instance, classify_jobs
 
     inst = tiny_instance([(20, [0, 1])] + [(1, [0]), (1, [1])] * 7, machines=2)
-    gap = build_gap_instance(inst, F(14), 12)
+    gap = build_gap_instance(inst, F(14))
     jc = classify_jobs(gap)
     bundle0 = Configuration(jobs=(1, 3, 5, 7, 9, 11, 13), total_size=7)
     bundle1 = Configuration(jobs=(2, 4, 6, 8, 10, 12, 14), total_size=7)
@@ -262,8 +221,6 @@ def test_check_mclp_thresholds():
             tau=F(14),
             weights={(0, bundle0): w0, (1, bundle1): w1},
             cover_rhs=F(1),
-            exact_cover=False,
-            groups=((0,), (1,)),
         )
         return ClusterSet(
             supers=(Cluster(machines=(0, 1), jobs=(0,)),),
@@ -321,7 +278,7 @@ import santaclaus.configlp as clp
 assert sys.flags.optimize, "not running under -O"
 clp.check_cover_solution = lambda sol, pools, sizes: (False, "sabotaged")
 try:
-    clp.solve_cover_lp(groups=[(0,)], pools={0: (0,)}, sizes=[3], tau=3)
+    clp.solve_cover_lp(pools={0: (0,)}, sizes=[3], tau=3)
 except clp.CoverLpError as exc:
     print("raised:", exc)
 else:

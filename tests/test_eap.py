@@ -29,7 +29,7 @@ F = Fraction
 
 
 def clustered(inst, T):
-    gap = build_gap_instance(inst, F(T), 12)
+    gap = build_gap_instance(inst, F(T))
     jc = classify_jobs(gap)
     x = solve_clp_feasibility(inst, F(T), pools=machine_pools(inst), sizes=gap.gap_size)
     mc = classify_machines(gap, jc, x)
@@ -171,13 +171,13 @@ def test_selection_skips_member_without_small_eligibility():
         [(13, [0, 1])] + [(1, [1])] * 13,
         machines=2,
     )
-    gap = build_gap_instance(inst, F(13), 12)
+    gap = build_gap_instance(inst, F(13))
     jc = classify_jobs(gap)
     clusters = ClusterSet(
         supers=(Cluster(machines=(0, 1), jobs=(0,)),),
         saturated=(),
         composites=(Composite(machines=(0, 1), kind="super"),),
-        xstar=ClpSolution(tau=F(13), weights={}, cover_rhs=F(1), exact_cover=False, groups=((0,), (1,))),
+        xstar=ClpSolution(tau=F(13), weights={}, cover_rhs=F(1)),
         gap=gap,
         job_classes=jc,
         machine_classes=None,
@@ -189,13 +189,13 @@ def test_selection_skips_member_without_small_eligibility():
 
 def test_selection_budget_guard():
     inst = tiny_instance([(13, [0, 1])] + [(1, [1])] * 13, machines=2)
-    gap = build_gap_instance(inst, F(13), 12)
+    gap = build_gap_instance(inst, F(13))
     jc = classify_jobs(gap)
     clusters = ClusterSet(
         supers=(Cluster(machines=(0, 1), jobs=(0,)),),
         saturated=(),
         composites=(Composite(machines=(0, 1), kind="super"),),
-        xstar=ClpSolution(tau=F(13), weights={}, cover_rhs=F(1), exact_cover=False, groups=((0,), (1,))),
+        xstar=ClpSolution(tau=F(13), weights={}, cover_rhs=F(1)),
         gap=gap,
         job_classes=jc,
         machine_classes=None,

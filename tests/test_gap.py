@@ -17,11 +17,11 @@ F = Fraction
 
 def test_gap_sizes_follow_threshold_table():
     inst = tiny_instance([(1, [0]), (7, [0]), (12, [0])], machines=1)
-    gap = build_gap_instance(inst, F(12), 12)
+    gap = build_gap_instance(inst, F(12))
     # threshold is 1: every size >= 1 snaps to T
     assert gap.gap_size == (12, 12, 12)
 
-    gap13 = build_gap_instance(tiny_instance([(1, [0])], machines=1), F(13), 12)
+    gap13 = build_gap_instance(tiny_instance([(1, [0])], machines=1), F(13))
     # 1 < 13/12 stays small
     assert gap13.gap_size == (1,)
 
@@ -29,30 +29,30 @@ def test_gap_sizes_follow_threshold_table():
 def test_gap_rejects_zero_T():
     inst = tiny_instance([(1, [0])], machines=1)
     with pytest.raises(ValueError):
-        build_gap_instance(inst, F(0), 12)
+        build_gap_instance(inst, F(0))
 
 
 def test_classify_jobs_boundaries():
     inst = tiny_instance([(1, [0]), (7, [0]), (12, [0])], machines=1)
-    gap = build_gap_instance(inst, F(12), 12)
+    gap = build_gap_instance(inst, F(12))
     jc = classify_jobs(gap)
     assert jc.big == {0, 1, 2}
     assert jc.small == frozenset()
 
     inst2 = tiny_instance([(1, [0]), (13, [0])], machines=1)
-    gap2 = build_gap_instance(inst2, F(12), 12)
+    gap2 = build_gap_instance(inst2, F(12))
     jc2 = classify_jobs(gap2)
     assert jc2.big == {0, 1}  # threshold 1 is inclusive
 
-    gap3 = build_gap_instance(tiny_instance([(1, [0])], machines=1), F(13), 12)
+    gap3 = build_gap_instance(tiny_instance([(1, [0])], machines=1), F(13))
     assert classify_jobs(gap3).small == {0}
 
 
 def test_classification_is_idempotent():
     inst = tiny_instance([(2, [0]), (5, [0])], machines=1)
-    gap = build_gap_instance(inst, F(7), 12)
+    gap = build_gap_instance(inst, F(7))
     once = classify_jobs(gap)
-    again = classify_jobs(build_gap_instance(inst, F(7), 12))
+    again = classify_jobs(build_gap_instance(inst, F(7)))
     assert once == again
 
 
@@ -61,7 +61,7 @@ def test_classify_machines_threshold_and_masses():
     # since 1 < 13/12).  T is 13 by hand: machine 1 tops out at 13.
     inst = tiny_instance([(30, [0])] + [(1, [1])] * 13, machines=2)
     T = F(13)
-    gap = build_gap_instance(inst, T, 12)
+    gap = build_gap_instance(inst, T)
     jc = classify_jobs(gap)
     assert jc.big == {0}
     sol = solve_clp_feasibility(
@@ -86,7 +86,7 @@ def test_gap_solution_transfers_from_original():
         if T == 0:
             continue
         original = solve_clp_feasibility(inst, T)
-        gap = build_gap_instance(inst, T, 12)
+        gap = build_gap_instance(inst, T)
         transferred = {}
         for (i, cfg), w in original.weights.items():
             pruned = prune_to_minimal(cfg.jobs, T, gap.gap_size)
@@ -96,8 +96,6 @@ def test_gap_solution_transfers_from_original():
             tau=original.tau,
             weights=transferred,
             cover_rhs=original.cover_rhs,
-            exact_cover=False,
-            groups=original.groups,
         )
         ok, why = check_cover_solution(moved, machine_pools(inst), gap.gap_size)
         assert ok, f"seed {seed}: {why}"

@@ -16,7 +16,7 @@ F = Fraction
 
 
 def clustered(inst, T):
-    gap = build_gap_instance(inst, F(T), 12)
+    gap = build_gap_instance(inst, F(T))
     jc = classify_jobs(gap)
     x = solve_clp_feasibility(inst, F(T), pools=machine_pools(inst), sizes=gap.gap_size)
     assert x is not None
@@ -77,14 +77,12 @@ def test_enumerate_bundles_empty_support_stream():
     from santaclaus.gapclasses import build_gap_instance, classify_jobs
 
     inst = tiny_instance([(13, [0])] + [(1, [0])] * 13, machines=1)
-    gap = build_gap_instance(inst, F(13), 12)
+    gap = build_gap_instance(inst, F(13))
     hollow = ClusterSet(
         supers=(),
         saturated=(),
         composites=(Composite(machines=(0,), kind="middle"),),
-        xstar=ClpSolution(
-            tau=F(13), weights={}, cover_rhs=F(1), exact_cover=False, groups=((0,),)
-        ),
+        xstar=ClpSolution(tau=F(13), weights={}, cover_rhs=F(1)),
         gap=gap,
         job_classes=classify_jobs(gap),
         machine_classes=None,

@@ -79,3 +79,37 @@ def test_loss_bound_on_generated_assignments():
             assert loads.get(i, 0) >= v - max_size[i], f"seed {seed} machine {i}"
         checked += 1
     assert checked >= 15
+
+
+def test_forest_postcondition_survives_python_O():
+    # the rounding postconditions must not be bare asserts: under -O a
+    # sabotaged vertex step that hands back a support with a cycle still has
+    # to stop the rounding with a named error
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+from fractions import Fraction
+import santaclaus.rounding as rnd
+from santaclaus.configlp import FractionalAssignment
+assert sys.flags.optimize, "not running under -O"
+rnd._vertex_on_support = lambda fa, *rest: dict(fa.y)
+half = Fraction(1, 2)
+cycle = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
+try:
+    rnd.round_assignment(FractionalAssignment(y=cycle, target=Fraction(4)), [4, 4])
+except rnd.RoundingError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the cyclic support went unnoticed")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: positive support contains a cycle; not a vertex" in proc.stdout
