@@ -7,14 +7,17 @@ LP) asks for fractional weights so that every machine reaches its cover
 requirement while no job is used more than once in total.
 
 Solving works by column generation over one restricted master per cover LP
-call.  The master is an exact simplex tableau (`ratlp.Tableau`) kept for the
-whole call: pricing's improving columns enter it as B^-1 a, a job's row
-enters with the first column that uses the job, and each round re-optimises
-from the previous optimal basis.  Pricing is a minimum-knapsack dynamic
-program over the master's dual values: a column prices in exactly when its
-jobs' dual cost is below the machine's cover dual.  With exact arithmetic,
-pricing convergence with a positive shortfall objective is a proof of
-infeasibility, not a numeric judgement call.
+call.  The master is an exact, fraction-free simplex tableau
+(`ratlp.Tableau`) kept for the whole call: pricing's improving columns enter
+it as B^-1 a, a job's row enters with the first column that uses the job,
+and each round re-optimises from the previous optimal basis.  Pricing is a
+minimum-knapsack dynamic program over the master's dual values: a column
+prices in exactly when its jobs' dual cost is below the machine's cover
+dual.  The duals are rationals; pricing scales them by their common
+denominator and runs the table over integers, which keeps every comparison
+and so every priced column the same.  With exact arithmetic, pricing
+convergence with a positive shortfall objective is a proof of infeasibility,
+not a numeric judgement call.
 
 The same engine serves two covers, both with one cover row per machine: the
 configuration LP (cover >= 1) that the T search probes and the gap instance
@@ -27,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .instances import Instance
@@ -67,18 +71,20 @@ def prune_to_minimal(
     """Drop removable jobs, largest cost first (ties: smallest index).
 
     Without costs the job size stands in for the cost, so seeds reuse the
-    same deterministic rule.
+    same deterministic rule.  Totals are integers, so they are compared
+    with ceil(tau).
     """
+    need = ceil_frac(tau)
     chosen = sorted(set(jobs))
     total = sum(sizes[j] for j in chosen)
-    if total < tau:
+    if total < need:
         raise ValueError("cannot prune a bundle that does not reach tau")
     while True:
         drop = None
         drop_key = None
         for j in chosen:
-            if total - sizes[j] >= tau:
-                key = costs.get(j, ZERO) if costs is not None else Fraction(sizes[j])
+            if total - sizes[j] >= need:
+                key = costs.get(j, 0) if costs is not None else sizes[j]
                 if drop is None or key > drop_key:
                     drop, drop_key = j, key
         if drop is None:
@@ -104,16 +110,20 @@ def price_min_knapsack(
         raise ValueError("tau must be positive")
     pool = sorted(pool)
     cap = ceil_frac(tau)
-    if sum(sizes[j] for j in pool) < tau:
+    if sum(sizes[j] for j in pool) < cap:
         return None
+    # Scaling every cost by their common denominator keeps every < and ==
+    # the table makes, so the DP runs over int with the same outcome.
+    raw = [costs.get(j, 0) for j in pool]
+    scale = lcm(*[c.denominator for c in raw])  # a list: see ratlp.Tableau.optimise
+    icost = [c.numerator * (scale // c.denominator) for c in raw]
     K = len(pool)
     NO = None
     dp = [[NO] * (cap + 1) for _ in range(K + 1)]
-    dp[0][0] = ZERO
+    dp[0][0] = 0
     for k in range(1, K + 1):
-        j = pool[k - 1]
-        c = costs.get(j, ZERO)
-        w = sizes[j]
+        c = icost[k - 1]
+        w = sizes[pool[k - 1]]
         prev = dp[k - 1]
         cur = dp[k]
         for s in range(cap + 1):
@@ -122,7 +132,9 @@ def price_min_knapsack(
                 continue
             if cur[s] is None or base < cur[s]:
                 cur[s] = base
-            s2 = min(cap, s + w)
+            s2 = s + w
+            if s2 > cap:
+                s2 = cap
             cand = base + c
             if cur[s2] is None or cand < cur[s2]:
                 cur[s2] = cand
@@ -135,7 +147,7 @@ def price_min_knapsack(
         if dp[k - 1][s] is not None and dp[k - 1][s] == dp[k][s]:
             continue
         j = pool[k - 1]
-        c = costs.get(j, ZERO)
+        c = icost[k - 1]
         w = sizes[j]
         pre = None
         for s_pre in range(cap + 1):
@@ -145,10 +157,11 @@ def price_min_knapsack(
             if base is not None and base + c == dp[k][s]:
                 pre = s_pre
                 break
-        assert pre is not None, "knapsack reconstruction failed"
+        if pre is None:
+            raise CoverLpError("knapsack reconstruction failed")
         chosen.append(j)
         s = pre
-    return prune_to_minimal(chosen, tau, sizes, costs)
+    return prune_to_minimal(chosen, tau, sizes, dict(zip(pool, icost)))
 
 
 @dataclass
@@ -242,9 +255,9 @@ def solve_cover_lp(
     nrows = len(machines)
     base = 2 * nrows
     for c in range(base):
-        master.insert_column(c, {}, -ONE if c < nrows else ZERO)
+        master.insert_column(c, {}, -1 if c < nrows else 0)
     for r in range(nrows):
-        master.add_row({r: ONE, nrows + r: -ONE}, cover_rhs, basic=r)
+        master.add_row({r: 1, nrows + r: -1}, cover_rhs, basic=r)
 
     columns: list[tuple[int, Configuration]] = []
     colset: set[tuple[int, Configuration]] = set()
@@ -258,8 +271,8 @@ def solve_cover_lp(
         colset.add(key)
         col = base + len(columns)
         columns.append(key)
-        entries = {row_of[j]: ONE for j in cfg.jobs if j in row_of}
-        entries[cover_row[i]] = ONE
+        entries = {row_of[j]: 1 for j in cfg.jobs if j in row_of}
+        entries[cover_row[i]] = 1
         master.insert_column(col, entries)
         for j in cfg.jobs:
             if j not in row_of:
@@ -267,7 +280,7 @@ def solve_cover_lp(
                 job_rows.insert(k, j)
                 slack = base + len(columns) + k
                 master.insert_column(slack, {})
-                row_of[j] = master.add_row({col: ONE, slack: ONE}, ONE, basic=slack)
+                row_of[j] = master.add_row({col: 1, slack: 1}, 1, basic=slack)
         return True
 
     # Warm start: seeds first, then one greedy column per machine whose pool
@@ -331,8 +344,9 @@ def solve_cover_lp(
 
 def machine_pools(inst: Instance, job_pool: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
     allowed = set(range(inst.job_count)) if job_pool is None else set(job_pool)
+    # tuple(list), not tuple(generator): see ratlp.Tableau.optimise.
     return {
-        i: tuple(j for j in inst.eligible_jobs(i) if j in allowed)
+        i: tuple([j for j in inst.eligible_jobs(i) if j in allowed])
         for i in range(inst.machine_count)
     }
 

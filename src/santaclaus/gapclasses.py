@@ -20,6 +20,11 @@ HALF = Fraction(1, 2)
 ALPHA = 12  # the gap: jobs of size >= T/ALPHA are big
 
 
+class GapClassError(RuntimeError):
+    """A classification invariant failed: an upstream solver bug, never an
+    input fault.  Raised, not asserted, so that ``python -O`` keeps it."""
+
+
 @dataclass(frozen=True)
 class GapInstance:
     base: Instance
@@ -49,16 +54,15 @@ def build_gap_instance(inst: Instance, T: Fraction) -> GapInstance:
         raise ValueError("T must be an integer (the T search returns integers)")
     threshold = T / ALPHA
     t_int = T.numerator
-    gap = tuple(
-        job.size if job.size < threshold else t_int for job in inst.jobs
-    )
+    # tuple(list), not tuple(generator): see ratlp.Tableau.optimise.
+    gap = tuple([job.size if job.size < threshold else t_int for job in inst.jobs])
     return GapInstance(base=inst, tau=T, gap_size=gap)
 
 
 def classify_jobs(gap: GapInstance) -> JobClasses:
     """Partition jobs: big iff the gap size was snapped to T.
 
-    Also asserts the structural fact used downstream: a big job alone already
+    Also checks the structural fact used downstream: a big job alone already
     reaches tau in the gap instance, so no minimal configuration can contain
     a big job alongside anything else.
     """
@@ -69,9 +73,11 @@ def classify_jobs(gap: GapInstance) -> JobClasses:
     )
     small = frozenset(range(len(gap.gap_size))) - big
     for j in big:
-        assert gap.gap_size[j] == t_int
+        if gap.gap_size[j] != t_int:
+            raise GapClassError(f"big job {j} has gap size {gap.gap_size[j]}, not T = {t_int}")
     for j in small:
-        assert gap.gap_size[j] == gap.base.jobs[j].size < threshold
+        if not gap.gap_size[j] == gap.base.jobs[j].size < threshold:
+            raise GapClassError(f"small job {j} lost its size or reaches T/{ALPHA}")
     return JobClasses(big=big, small=small)
 
 
@@ -83,7 +89,7 @@ def classify_machines(
     In the gap instance at tau = T the carried configurations are either big
     singletons or all-small bundles; anything else is a solver bug and is
     rejected loudly.  Middle machines inherit small mass >= 1/2 from their
-    unit cover, which is asserted rather than assumed.
+    unit cover, which is checked rather than assumed.
     """
     m = gap.base.machine_count
     big_mass = {i: Fraction(0) for i in range(m)}
@@ -91,20 +97,22 @@ def classify_machines(
     for (i, cfg), w in x.weights.items():
         members = set(cfg.jobs)
         if members & job_classes.big:
-            assert len(cfg.jobs) == 1, (
-                f"machine {i} carries a mixed configuration {cfg.jobs}; "
-                "big jobs must appear as singletons in the gap instance"
-            )
+            if len(cfg.jobs) != 1:
+                raise GapClassError(
+                    f"machine {i} carries a mixed configuration {cfg.jobs}; "
+                    "big jobs must appear as singletons in the gap instance"
+                )
             big_mass[i] += w
         else:
             small_mass[i] += w
     upper = frozenset(i for i in range(m) if big_mass[i] >= HALF)
     middle = frozenset(range(m)) - upper
     for i in middle:
-        assert small_mass[i] >= HALF, (
-            f"middle machine {i} has small mass {small_mass[i]} < 1/2; "
-            "the covering solution lost its unit cover"
-        )
+        if small_mass[i] < HALF:
+            raise GapClassError(
+                f"middle machine {i} has small mass {small_mass[i]} < 1/2; "
+                "the covering solution lost its unit cover"
+            )
     return MachineClasses(
         upper=upper, middle=middle, big_mass=big_mass, small_mass=small_mass
     )

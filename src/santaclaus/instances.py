@@ -63,11 +63,12 @@ class Instance:
     def job_count(self) -> int:
         return len(self.jobs)
 
+    # tuple(list), not tuple(generator): see ratlp.Tableau.optimise.
     def sizes(self) -> tuple[int, ...]:
-        return tuple(job.size for job in self.jobs)
+        return tuple([job.size for job in self.jobs])
 
     def eligible_jobs(self, machine: int) -> tuple[int, ...]:
-        return tuple(j for j, job in enumerate(self.jobs) if machine in job.eligible)
+        return tuple([j for j, job in enumerate(self.jobs) if machine in job.eligible])
 
     def total_size(self) -> int:
         return sum(job.size for job in self.jobs)

@@ -1,7 +1,8 @@
-"""Exact-rational linear programming: dense primal simplex on kept tableaus.
+"""Exact linear programming: dense primal simplex on kept fraction-free tableaus.
 
-Every LP in the package reads ``maximize c.x  s.t.  rows, x >= 0`` with a
-non-negative right-hand side on every row.  `solve_lp` accepts two forms:
+Every LP in the package reads ``maximize c.x  s.t.  rows, x >= 0`` with
+integer coefficients and costs and a non-negative rational right-hand side
+on every row.  `solve_lp` accepts two forms:
 
 * a `LinearProgram` (rows ``<=``, ``>=`` or ``=``) is put in standard form
   with slack, surplus and artificial columns and solved by two-phase simplex;
@@ -10,11 +11,18 @@ non-negative right-hand side on every row.  `solve_lp` accepts two forms:
   new row in basic form, and `solve_lp` re-optimises from the basis the
   previous solve left, with no rebuild and no phase 1.
 
-The solver works entirely over `fractions.Fraction` with deterministic
-pivoting (Dantzig entering, falling back to Bland's anti-cycling rule), and
-returns exact primal values together with exact dual values per row.  Dual
-values drive column-generation pricing, so every optimal solve checks the
-original rows exactly and checks strong duality.
+The tableau is fraction-free (Edmonds/Bareiss integer-preserving
+Gauss-Jordan): it holds the integers ``det * B^-1 [A | b * bden]``, where
+``det = |det B|`` and ``bden`` is the common denominator of the right-hand
+side, and each pivot divides exactly by the previous determinant.  Every
+reduced-cost sign and ratio-test comparison reads the same as over the
+rationals ``B^-1 [A | b]``, so pivoting is deterministic and identical to an
+exact-rational simplex (Dantzig entering, falling back to Bland's
+anti-cycling rule).  Only the returned primal and dual values are
+`fractions.Fraction`.  Dual values drive column-generation pricing, so every
+optimal solve checks the original rows exactly and checks strong duality,
+and raises `LpError` (not an ``assert``, which ``python -O`` strips) when
+either fails.
 
 The tableau is dense; the LPs this package builds stay small (tens of rows,
 at most a few hundred columns), which keeps exact arithmetic affordable.
@@ -24,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 RELATIONS = ("<=", ">=", "=")
 
@@ -37,19 +45,35 @@ RELATIONS = ("<=", ">=", "=")
 DANTZIG_PIVOT_LIMIT = 2000
 
 
+class LpError(RuntimeError):
+    """The simplex failed an exact check on its own result: a solver bug,
+    never an input fault.  Raised, not asserted, so that ``python -O`` keeps
+    it."""
+
+
+def _integer(a, what: str) -> int:
+    if type(a) is int:
+        return a
+    f = Fraction(a)
+    if f.denominator != 1:
+        raise ValueError(f"{what} {a} is not an integer")
+    return f.numerator
+
+
 @dataclass
 class LinearProgram:
     """``maximize c.x  s.t.  rows, x >= 0`` with every right-hand side >= 0.
 
     ``objective`` and constraint rows are sparse maps from variable index to
-    coefficient.
+    an integer coefficient; right-hand sides may be any non-negative
+    rational.
     """
 
     variable_count: int
-    objective: dict[int, Fraction] = field(default_factory=dict)
-    constraints: list[tuple[dict[int, Fraction], str, Fraction]] = field(default_factory=list)
+    objective: dict[int, int] = field(default_factory=dict)
+    constraints: list[tuple[dict[int, int], str, Fraction]] = field(default_factory=list)
 
-    def add_constraint(self, coeffs: Mapping[int, Fraction], relation: str, rhs) -> None:
+    def add_constraint(self, coeffs: Mapping[int, int], relation: str, rhs) -> None:
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
         rhs = Fraction(rhs)
@@ -59,7 +83,7 @@ class LinearProgram:
         for v, a in coeffs.items():
             if v < 0 or v >= self.variable_count:
                 raise ValueError(f"variable index {v} out of range")
-            a = Fraction(a)
+            a = _integer(a, "coefficient")
             if a != 0:
                 row[v] = a
         self.constraints.append((row, relation, rhs))
@@ -80,22 +104,27 @@ class LpSolution:
 class Tableau:
     """``maximize cost.x  s.t.  A x = b, x >= 0``, kept in basic form.
 
+    ``rows`` hold the integers ``det * B^-1 [A | b * bden]``, rhs last, with
+    ``det = |det B| > 0`` and ``bden`` the common denominator of ``b``.
     Every row owns a unit column: one whose original column is the unit
-    vector of that row.  Its tableau column is therefore the row's column of
-    B^-1, which brings a column inserted later into basic form (B^-1 a) and
-    reads the row's dual off the reduced costs.  Columns are inserted at the
-    position the caller names, so their order, which every pivot tie-break
-    reads, does not depend on when they arrived; rows are appended, since no
-    pivot rule reads row order.  Banned columns (artificials) never enter.
+    vector of that row.  Its tableau column is therefore ``det`` times the
+    row's column of B^-1, which brings a column inserted later into basic
+    form (B^-1 a) and reads the row's dual off the reduced costs.  Columns
+    are inserted at the position the caller names, so their order, which
+    every pivot tie-break reads, does not depend on when they arrived; rows
+    are appended, since no pivot rule reads row order.  Banned columns
+    (artificials) never enter.
     """
 
     def __init__(self) -> None:
-        self.rows: list[list[Fraction]] = []  # dense tableau rows, rhs last
+        self.rows: list[list[int]] = []  # det * B^-1 [A | b * bden]
+        self.det = 1  # |det B|
+        self.bden = 1  # common denominator of the rhs
         self.basis: list[int] = []  # per row, the column basic there
         self.unit: list[int] = []  # per row, its unit column
         self.rhs: list[Fraction] = []  # per row, the original b
-        self.columns: list[dict[int, Fraction]] = []  # original A, row -> a
-        self.cost: list[Fraction] = []
+        self.columns: list[dict[int, int]] = []  # original A, row -> a
+        self.cost: list[int] = []
         self.banned: set[int] = set()
 
     @property
@@ -103,51 +132,60 @@ class Tableau:
         return len(self.columns)
 
     @property
-    def constraints(self) -> list[tuple[dict[int, Fraction], str, Fraction]]:
+    def constraints(self) -> list[tuple[dict[int, int], str, Fraction]]:
         """The original rows, as equalities over every column."""
-        rows: list[dict[int, Fraction]] = [{} for _ in self.rhs]
+        rows: list[dict[int, int]] = [{} for _ in self.rhs]
         for c, col in enumerate(self.columns):
             for r, a in col.items():
                 rows[r][c] = a
         return [(row, "=", b) for row, b in zip(rows, self.rhs)]
 
-    def insert_column(self, pos: int, coeffs: Mapping[int, Fraction], cost=ZERO) -> None:
-        """Insert the column with original entries ``coeffs`` (row -> a) at
-        ``pos``, entering the tableau as B^-1 a; it starts nonbasic."""
+    def insert_column(self, pos: int, coeffs: Mapping[int, int], cost=0) -> None:
+        """Insert the column with original integer entries ``coeffs``
+        (row -> a) and integer ``cost`` at ``pos``, entering the tableau as
+        B^-1 a; it starts nonbasic."""
+        coeffs = {r: _integer(a, "coefficient") for r, a in coeffs.items()}
+        cost = _integer(cost, "cost")
         units = [(self.unit[r], a) for r, a in coeffs.items()]
         for row in self.rows:
-            entry = ZERO
+            entry = 0
             for u, a in units:
-                if row[u] != 0:
-                    entry += a * row[u]
+                entry += a * row[u]
             row.insert(pos, entry)
         self.basis = [c + (c >= pos) for c in self.basis]
         self.unit = [c + (c >= pos) for c in self.unit]
         self.banned = {c + (c >= pos) for c in self.banned}
-        self.columns.insert(pos, dict(coeffs))
-        self.cost.insert(pos, Fraction(cost))
+        self.columns.insert(pos, coeffs)
+        self.cost.insert(pos, cost)
 
-    def add_row(self, coeffs: Mapping[int, Fraction], rhs, basic: int) -> int:
+    def add_row(self, coeffs: Mapping[int, int], rhs, basic: int) -> int:
         """Append the row ``coeffs . x = rhs`` with ``basic`` basic in it and
         return its index.
 
         ``basic`` must be a column with coefficient 1 here and no entry in
         any other row, and no other basic column may appear: then the row is
-        already in basic form and the basis stays primal feasible.
+        already in basic form, ``det`` does not change, and the basis stays
+        primal feasible.
         """
         rhs = Fraction(rhs)
         if rhs < 0:
             raise ValueError("right-hand side must be non-negative")
+        coeffs = {c: _integer(a, "coefficient") for c, a in coeffs.items()}
         if coeffs.get(basic) != 1 or self.columns[basic] or basic in self.basis:
             raise ValueError("the basic column must be a fresh unit column of the row")
         basic_cols = set(self.basis)
         if any(c in basic_cols for c in coeffs):
             raise ValueError("a new row may touch no basic column but its own")
+        scale = rhs.denominator // gcd(rhs.denominator, self.bden)
+        if scale != 1:
+            self.bden *= scale
+            for row in self.rows:
+                row[-1] *= scale
         r = len(self.rows)
-        row = [ZERO] * len(self.cost) + [rhs]
+        row = [0] * len(self.cost) + [self.det * rhs.numerator * (self.bden // rhs.denominator)]
         for c, a in coeffs.items():
-            row[c] = Fraction(a)
-            self.columns[c][r] = row[c]
+            row[c] = self.det * a
+            self.columns[c][r] = a
         self.rows.append(row)
         self.basis.append(basic)
         self.unit.append(basic)
@@ -159,13 +197,13 @@ class Tableau:
         infeasible.  Redundant rows keep their artificial basic at zero."""
         if not any(c in self.banned for c in self.basis):
             return True
-        ncols = len(self.cost)
-        cost1 = [-ONE if c in self.banned else ZERO for c in range(ncols)]
-        status, _ = _run_simplex(self.rows, self.basis, cost1, ncols, banned=set())
-        assert status == "optimal", "phase-1 objective is bounded by construction"
-        if any(row[ncols] != 0 for row, c in zip(self.rows, self.basis) if c in self.banned):
+        cost1 = [-1 if c in self.banned else 0 for c in range(len(self.cost))]
+        status, _, self.det = _run_simplex(self.rows, self.basis, cost1, self.det, banned=set())
+        if status != "optimal":
+            raise LpError("phase 1 came out unbounded, although its objective is bounded by 0")
+        if any(row[-1] != 0 for row, c in zip(self.rows, self.basis) if c in self.banned):
             return False
-        _expel_artificials(self.rows, self.basis, ncols, self.banned)
+        self.det = _expel_artificials(self.rows, self.basis, self.det, self.banned)
         return True
 
     def optimise(self, reported: int | None = None) -> LpSolution:
@@ -173,36 +211,46 @@ class Tableau:
 
         ``reported`` limits the returned values to the leading columns.
         """
-        ncols = len(self.cost)
-        status, z = _run_simplex(self.rows, self.basis, self.cost, ncols, self.banned)
+        status, z, self.det = _run_simplex(self.rows, self.basis, self.cost, self.det, self.banned)
         if status == "unbounded":
             return LpSolution(status="unbounded")
-        x = [ZERO] * ncols
+        det, bden = self.det, self.bden
+        # x = xs / (det * bden), exactly.
+        xs = [0] * len(self.cost)
         for row, c in zip(self.rows, self.basis):
-            x[c] = row[ncols]
+            xs[c] = row[-1]
+        b_scaled = [b.numerator * (bden // b.denominator) for b in self.rhs]  # b * bden
 
         # Exact feasibility of every original row, with artificials at zero.
-        activity = [ZERO] * len(self.rhs)
-        for col, v in zip(self.columns, x):
-            if v != 0:
+        activity = [0] * len(self.rhs)
+        for col, v in zip(self.columns, xs):
+            if v:
                 for r, a in col.items():
                     activity[r] += a * v
-        assert (
-            activity == self.rhs
-            and all(v >= 0 for v in x)
-            and all(x[c] == 0 for c in self.banned)
-        ), "optimal solution violates a constraint; simplex bug"
+        if (
+            activity != [det * b for b in b_scaled]
+            or any(v < 0 for v in xs)
+            or any(xs[c] != 0 for c in self.banned)
+        ):
+            raise LpError("optimal solution violates a constraint; simplex bug")
 
-        # Row r's unit column u prices at z[u] = cost[u] - y_r.
-        duals = [self.cost[u] - z[u] for u in self.unit]
-        objective = sum((c * v for c, v in zip(self.cost, x) if v != 0), ZERO)
-        dual_obj = sum((y * b for y, b in zip(duals, self.rhs)), ZERO)
-        assert dual_obj == objective, "duality gap at optimum; simplex bug"
+        # Row r's unit column u prices at z[u] / det = cost[u] - y_r.
+        ys = [det * self.cost[u] - z[u] for u in self.unit]  # y * det
+        objective = sum(c * v for c, v in zip(self.cost, xs) if v)  # * det * bden
+        if sum(y * b for y, b in zip(ys, b_scaled)) != objective:
+            raise LpError("duality gap at optimum; simplex bug")
+        scale = det * bden
+        # tuple(list), not tuple(generator): CPython builds the latter at a
+        # guessed size and resizes it, so it skips the per-size tuple free
+        # lists on the way in but joins them on the way out.  Only a full
+        # garbage collection empties those lists, and an integer tableau
+        # allocates too few tracked objects to trigger one often, so peak
+        # memory would grow with every solve.
         return LpSolution(
             status="optimal",
-            values=tuple(x[:reported]),
-            objective_value=objective,
-            dual_values=tuple(duals),
+            values=tuple([Fraction(v, scale) if v else ZERO for v in xs[:reported]]),
+            objective_value=Fraction(objective, scale),
+            dual_values=tuple([Fraction(y, det) for y in ys]),
         )
 
 
@@ -245,116 +293,121 @@ def _standard_form(lp: LinearProgram) -> Tableau:
             ncols += 1
     tableau = Tableau()
     for c in range(ncols):
-        tableau.insert_column(c, {}, lp.objective.get(c, ZERO) if c < lp.variable_count else ZERO)
+        tableau.insert_column(c, {}, lp.objective.get(c, 0) if c < lp.variable_count else 0)
     for r, (row, relation, b) in enumerate(lp.constraints):
         coeffs = dict(row)
         if r in slack_of:
-            coeffs[slack_of[r]] = ONE if relation == "<=" else -ONE
+            coeffs[slack_of[r]] = 1 if relation == "<=" else -1
         if r in art_of:
-            coeffs[art_of[r]] = ONE
+            coeffs[art_of[r]] = 1
         tableau.add_row(coeffs, b, basic=art_of.get(r, slack_of.get(r)))
     tableau.banned = set(art_of.values())
     return tableau
 
 
-def _run_simplex(tableau, basis, cost, ncols, banned) -> str:
-    """Primal simplex on a tableau already in basic form.
+def _run_simplex(rows, basis, cost, det, banned):
+    """Primal simplex on a fraction-free tableau already in basic form;
+    returns the status, the final reduced-cost row and the final ``det``.
 
-    Dantzig entering (largest reduced cost, lowest index on ties) until
-    DANTZIG_PIVOT_LIMIT, then Bland's rule; leaving rows break ratio ties on
-    the smallest basic variable, completing Bland's anti-cycling guarantee.
+    The reduced-cost row ``z`` holds ``det * (cost - cost_B B^-1 A)``, so its
+    signs and order are those of the rational reduced costs.  Dantzig
+    entering (largest reduced cost, lowest index on ties) until
+    DANTZIG_PIVOT_LIMIT, then Bland's rule; the ratio test cross-multiplies,
+    and leaving rows break ratio ties on the smallest basic variable,
+    completing Bland's anti-cycling guarantee.
     """
-    nrows = len(tableau)
-    # Reduced-cost row: z[j] = cost[j] - cost_B . B^-1 A_j.
-    z = list(cost) + [ZERO]
-    for r in range(nrows):
-        cb = cost[basis[r]]
-        if cb != 0:
-            row = tableau[r]
-            for j in range(ncols + 1):
-                if row[j] != 0:
-                    z[j] -= cb * row[j]
+    ncols = len(cost)
+    z = [det * c for c in cost] + [0]
+    for row, b in zip(rows, basis):
+        cb = cost[b]
+        if cb:
+            z = [zj - cb * a for zj, a in zip(z, row)]
     pivots = 0
     while True:
         enter = -1
         if pivots < DANTZIG_PIVOT_LIMIT:
-            best = ZERO
+            best = 0
             for j in range(ncols):
-                if j in banned:
-                    continue
-                if z[j] > best:
+                if z[j] > best and j not in banned:
                     best = z[j]
                     enter = j
         else:
             for j in range(ncols):
-                if j in banned:
-                    continue
-                if z[j] > 0:
+                if z[j] > 0 and j not in banned:
                     enter = j
                     break
         if enter < 0:
-            return "optimal", z
+            return "optimal", z, det
         pivots += 1
-        # Ratio test; ties resolved by smallest basis variable (Bland).
+        # Ratio test rhs/a, compared as cross products (every a > 0); ties
+        # resolved by smallest basis variable (Bland).
         leave = -1
-        best_ratio = None
-        for r in range(nrows):
-            a = tableau[r][enter]
+        for r, row in enumerate(rows):
+            a = row[enter]
             if a > 0:
-                ratio = tableau[r][ncols] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[r] < basis[leave]
-                ):
-                    best_ratio = ratio
-                    leave = r
+                if leave < 0:
+                    leave, num, den = r, row[ncols], a
+                    continue
+                lhs = row[ncols] * den
+                rhs = num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, num, den = r, row[ncols], a
         if leave < 0:
-            return "unbounded", z
-        _pivot(tableau, z, basis, leave, enter, ncols)
+            return "unbounded", z, det
+        det = _pivot(rows, z, basis, det, leave, enter)
 
 
-def _pivot(tableau, z, basis, r, c, ncols) -> None:
-    row = tableau[r]
-    piv = row[c]
-    if piv != 1:
-        inv = 1 / piv
-        for j in range(ncols + 1):
-            if row[j] != 0:
-                row[j] *= inv
-    for rr, other in enumerate(tableau):
-        if rr == r:
+def _pivot(rows, z, basis, det, r, c) -> int:
+    """Bareiss pivot on entry (r, c); returns the new ``det``.
+
+    The new determinant is the pivot entry p; every other row (the
+    reduced-cost row ``z`` too) becomes ``(p * row - f * w) / det``, where w
+    is the pivot row and f the row's entry in column c, and the division is
+    exact.  A negative pivot (only `_expel_artificials` takes one) negates
+    the pivot row first, which negates the whole new tableau and keeps
+    ``det`` positive; the pivot row itself is otherwise unchanged.
+    """
+    w = rows[r]
+    p = w[c]
+    if p < 0:
+        p = -p
+        rows[r] = w = [-a for a in w]
+    for k, other in enumerate(rows):
+        if k == r:
             continue
         f = other[c]
-        if f != 0:
-            for j in range(ncols + 1):
-                if row[j] != 0:
-                    other[j] -= f * row[j]
+        if f:
+            rows[k] = [(p * a - f * b) // det for a, b in zip(other, w)]
+        elif p != det:
+            rows[k] = [p * a // det for a in other]
     f = z[c]
-    if f != 0:
-        for j in range(ncols + 1):
-            if row[j] != 0:
-                z[j] -= f * row[j]
+    if f:
+        z[:] = [(p * a - f * b) // det for a, b in zip(z, w)]
+    elif p != det:
+        z[:] = [p * a // det for a in z]
     basis[r] = c
+    return p
 
 
-def _expel_artificials(tableau, basis, ncols, banned) -> None:
-    """Pivot zero-valued artificials out of the basis where possible.
+def _expel_artificials(rows, basis, det, banned) -> int:
+    """Pivot zero-valued artificials out of the basis where possible and
+    return the final ``det``.
 
     A row whose artificial cannot leave is redundant; the artificial stays
     basic at zero and the banned set keeps it from ever re-entering.
     """
-    nrows = len(tableau)
-    for r in range(nrows):
+    for r in range(len(rows)):
         if basis[r] not in banned:
             continue
-        assert tableau[r][ncols] == 0
+        row = rows[r]
         enter = -1
-        for j in range(ncols):
+        for j in range(len(row) - 1):
             if j in banned:
                 continue
-            if tableau[r][j] != 0:
+            if row[j] != 0:
                 enter = j
                 break
         if enter < 0:
             continue
-        dummy_z = [ZERO] * (ncols + 1)
-        _pivot(tableau, dummy_z, basis, r, enter, ncols)
+        det = _pivot(rows, [0] * len(row), basis, det, r, enter)
+    return det

@@ -62,6 +62,31 @@ def test_pricing_randomized_against_oracle():
             assert is_minimal(cfg.jobs, tau, sizes)
 
 
+
+def test_pricing_with_mixed_denominators_matches_brute_force():
+    # the DP runs over costs scaled by their common denominator; the
+    # configuration it returns must still cost the true minimum over every
+    # subset of the pool that reaches tau, and be minimal at tau
+    from random import Random
+
+    rng = Random(5)
+    palette = [F(1, 3), F(2, 7), F(5, 6), F(3, 4), F(4, 5), F(1), F(0), F(7, 11)]
+    for trial in range(80):
+        n = rng.randint(4, 10)
+        sizes = [rng.randint(1, 8) for _ in range(n)]
+        pool = sorted(rng.sample(range(n), rng.randint(1, min(n, 8))))
+        costs = {j: rng.choice(palette) for j in range(n) if rng.random() < 0.9}
+        tau = F(rng.randint(1, 25), rng.choice([1, 1, 2, 3]))
+        cfg = price_min_knapsack(pool, sizes, costs, tau)
+        best, _ = min_cover_subsets(pool, sizes, costs, tau)
+        if best is None:
+            assert cfg is None, f"trial {trial}"
+            continue
+        assert set(cfg.jobs) <= set(pool), f"trial {trial}"
+        got = sum((costs.get(j, F(0)) for j in cfg.jobs), F(0))
+        assert got == best, f"trial {trial}"
+        assert is_minimal(cfg.jobs, tau, sizes), f"trial {trial}"
+
 def test_prune_drops_largest_cost_first():
     sizes = [4, 4, 4]
     costs = {0: F(1), 1: F(3), 2: F(2)}

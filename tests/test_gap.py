@@ -99,3 +99,39 @@ def test_gap_solution_transfers_from_original():
         )
         ok, why = check_cover_solution(moved, machine_pools(inst), gap.gap_size)
         assert ok, f"seed {seed}: {why}"
+
+
+def test_mixed_configuration_check_survives_python_O():
+    # a configuration holding a big job beside a small one breaks the gap
+    # structure the clustered branch relies on; under -O classify_machines
+    # must still refuse it with GapClassError, not pass it on
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+from fractions import Fraction
+from santaclaus.configlp import ClpSolution, Configuration
+from santaclaus.gapclasses import GapClassError, build_gap_instance, classify_jobs, classify_machines
+from santaclaus.instances import Instance, JobSpec
+assert sys.flags.optimize, "not running under -O"
+inst = Instance(machine_count=1, jobs=(JobSpec(size=30, eligible=frozenset([0])), JobSpec(size=1, eligible=frozenset([0]))))
+gap = build_gap_instance(inst, Fraction(13))
+mixed = Configuration(jobs=(0, 1), total_size=14)
+x = ClpSolution(tau=Fraction(13), weights={(0, mixed): Fraction(1)}, cover_rhs=Fraction(1))
+try:
+    classify_machines(gap, classify_jobs(gap), x)
+except GapClassError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the mixed configuration went unnoticed")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: machine 0 carries a mixed configuration (0, 1)" in proc.stdout

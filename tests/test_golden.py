@@ -91,3 +91,29 @@ GOLDEN = [
 @pytest.mark.parametrize("name,make,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_canonical_json_is_byte_identical(name, make, expected):
     assert solve(make()).canonical_json() == expected
+
+
+def test_canonical_json_is_byte_identical_under_python_O():
+    # with asserts stripped the solver must take the same path: a python -O
+    # subprocess prints the six reports, which must match the strings above
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+assert sys.flags.optimize, "not running under -O"
+from santaclaus import solve
+from test_golden import GOLDEN
+for _, make, _ in GOLDEN:
+    print(solve(make()).canonical_json())
+"""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [expected for _, _, expected in GOLDEN]

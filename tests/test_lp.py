@@ -121,12 +121,12 @@ def test_determinism_identical_bytes():
     assert a == b
 
 
-def test_random_lps_agree_with_vertex_enumeration():
-    # exhaustive cross-check on small random maximization problems,
-    # equality rows included
+def _check_random_lps(seed, make_rhs):
+    """Small random maximization problems, equality rows included, against
+    the exhaustive vertex oracle; ``make_rhs(rng)`` draws each row's rhs."""
     from random import Random
 
-    rng = Random(2024)
+    rng = Random(seed)
     for trial in range(120):
         nvars = rng.choice([1, 2, 3])
         nrows = rng.choice([1, 2, 3])
@@ -136,7 +136,7 @@ def test_random_lps_agree_with_vertex_enumeration():
             coeffs = {v: F(rng.randint(-2, 3)) for v in range(nvars)}
             coeffs = {v: a for v, a in coeffs.items() if a != 0}
             rel = rng.choice(["<=", ">=", "<=", "="])
-            rows.append((coeffs, rel, F(rng.randint(0, 6))))
+            rows.append((coeffs, rel, make_rhs(rng)))
         # keep the region bounded so the oracle's vertex scan is conclusive
         for v in range(nvars):
             rows.append(({v: F(1)}, "<=", F(10)))
@@ -155,6 +155,15 @@ def test_random_lps_agree_with_vertex_enumeration():
                 (y * rhs for y, (_, _, rhs) in zip(sol.dual_values, rows)), F(0)
             )
             assert dual_obj == sol.objective_value, f"trial {trial}"
+
+
+def test_random_lps_agree_with_vertex_enumeration():
+    _check_random_lps(2024, lambda rng: F(rng.randint(0, 6)))
+
+
+def test_random_lps_with_rational_rhs_agree_with_vertex_enumeration():
+    # the fraction-free tableau scales the rhs by their common denominator
+    _check_random_lps(4242, lambda rng: F(rng.randint(0, 36), rng.randint(1, 6)))
 
 
 def _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs):
@@ -232,3 +241,113 @@ def test_kept_master_rejects_rows_out_of_basic_form():
         master.add_row({0: F(1), 1: F(1)}, F(1), basic=1)  # touches basic column 0
     with pytest.raises(ValueError):
         master.add_row({1: F(1)}, F(-1), basic=1)
+
+
+def _basis_inverse_times(master):
+    """|det B| and B^-1 [A | b] for the master's basis, by Fraction
+    Gauss-Jordan elimination over the original columns, independent of the
+    tableau's own arithmetic."""
+    n = len(master.rhs)
+    ncols = master.variable_count
+    mat = [
+        [F(master.columns[c].get(r, 0)) for c in master.basis]
+        + [F(master.columns[c].get(r, 0)) for c in range(ncols)]
+        + [master.rhs[r]]
+        for r in range(n)
+    ]
+    det = F(1)
+    for c in range(n):
+        piv = next(r for r in range(c, n) if mat[r][c] != 0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        inv = 1 / mat[c][c]
+        mat[c] = [a * inv for a in mat[c]]
+        for r in range(n):
+            if r != c and mat[r][c] != 0:
+                f = mat[r][c]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[c])]
+    return abs(det), [row[n:] for row in mat]
+
+
+def test_kept_master_tableau_is_integer_over_basis_determinant():
+    # after every solve of a master grown round by round, each tableau entry
+    # is an int and the tableau is exactly |det B| * B^-1 [A | b * bden]
+    from random import Random
+
+    rng = Random(11)
+    for trial in range(40):
+        ngroups = rng.randint(1, 3)
+        cover_rhs = rng.choice([F(1), F(1, 2)])
+        for master in _random_master_rounds(rng, ngroups, False, cover_rhs, njobs=6):
+            assert solve_lp(master).is_optimal, f"trial {trial}"
+            assert all(type(a) is int for row in master.rows for a in row), f"trial {trial}"
+            det, inverse = _basis_inverse_times(master)
+            assert master.det == det, f"trial {trial}"
+            scale = [det] * master.variable_count + [det * master.bden]
+            expected = [[a * s for a, s in zip(row, scale)] for row in inverse]
+            assert master.rows == expected, f"trial {trial}"
+
+
+def test_non_integer_coefficient_or_cost_rejected():
+    lp = LinearProgram(1)
+    with pytest.raises(ValueError):
+        lp.add_constraint({0: F(1, 2)}, "<=", F(1))
+    assert lp.constraints == []
+    with pytest.raises(ValueError):
+        solve_lp(LinearProgram(1, objective={0: F(1, 3)}))
+
+    master = Tableau()
+    master.insert_column(0, {}, F(-1))  # an integral Fraction is fine
+    master.insert_column(1, {})
+    master.add_row({0: F(1), 1: F(-1)}, F(1, 2), basic=0)
+    with pytest.raises(ValueError):
+        master.insert_column(2, {0: F(2, 3)})
+    with pytest.raises(ValueError):
+        master.insert_column(2, {0: 1}, F(5, 2))
+    master.insert_column(2, {})
+    with pytest.raises(ValueError):
+        master.add_row({1: F(3, 2), 2: F(1)}, F(1), basic=2)
+    assert master.variable_count == 3 and len(master.rows) == 1
+
+
+def test_simplex_checks_survive_python_O():
+    # the exact row-feasibility and duality checks are the only guard on the
+    # tableau arithmetic: under -O a _pivot that leaves one entry off by one
+    # must still stop the solve with LpError
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+from fractions import Fraction
+import santaclaus.ratlp as ratlp
+assert sys.flags.optimize, "not running under -O"
+real_pivot = ratlp._pivot
+
+def sabotaged(rows, z, basis, det, r, c):
+    det = real_pivot(rows, z, basis, det, r, c)
+    rows[r][-1] += 1
+    return det
+
+ratlp._pivot = sabotaged
+lp = ratlp.LinearProgram(2, objective={0: 3, 1: 2})
+lp.add_constraint({0: 1, 1: 1}, "<=", 4)
+lp.add_constraint({0: 1, 1: 3}, "<=", 6)
+try:
+    ratlp.solve_lp(lp)
+except ratlp.LpError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the sabotaged pivot went unnoticed")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: optimal solution violates a constraint" in proc.stdout
