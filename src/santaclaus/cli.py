@@ -101,7 +101,9 @@ def cmd_solve(args) -> int:
         )
     print(
         f"T={rat_to_str(report.T)} branch={report.branch} "
-        f"min_value={rat_to_str(report.allocation.min_value)}"
+        f"min_value={rat_to_str(report.allocation.min_value)} "
+        f"t_search_lower={report.counters['t_search_lower']} "
+        f"t_search_upper={report.counters['t_search_upper']}"
     )
     return 0
 

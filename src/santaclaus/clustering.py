@@ -35,7 +35,8 @@ HALF = Fraction(1, 2)
 
 
 class ClusteringError(RuntimeError):
-    pass
+    """A clustering invariant or postcondition failed.  Raised, not asserted, so
+    that ``python -O`` keeps it."""
 
 
 @dataclass
@@ -186,16 +187,19 @@ def eliminate_cycles(
         cycle = _find_cycle(weights)
         if cycle is None:
             break
-        assert len(cycle) % 2 == 0, "bipartite cycles are even"
+        if len(cycle) % 2:
+            raise ClusteringError(f"odd cycle {cycle} in a bipartite support graph")
         start = cycle.index(min(cycle))
         cycle = cycle[start:] + cycle[:start]
         # Making the next edge share the starting edge's job fixes the
         # traversal direction deterministically.
         if cycle[1][1] != cycle[0][1]:
             cycle = [cycle[0]] + list(reversed(cycle[1:]))
-        assert cycle[1][1] == cycle[0][1]
+        if cycle[1][1] != cycle[0][1]:
+            raise ClusteringError(f"cycle {cycle} does not start on a shared job")
         eps = min(weights[e] for e in cycle[0::2])
-        assert eps > 0
+        if eps <= 0:
+            raise ClusteringError(f"cycle {cycle} carries a non-positive weight")
         for pos, e in enumerate(cycle):
             weights[e] = weights[e] - eps if pos % 2 == 0 else weights[e] + eps
         for e in cycle[0::2]:
@@ -323,7 +327,10 @@ def extract_clusters(
 
     uppers = set(machine_classes.upper)
     covered = [i for c in emitted for i in c["machines"]]
-    assert sorted(covered) == sorted(uppers), "clusters must partition the upper machines"
+    if sorted(covered) != sorted(uppers):
+        raise ClusteringError(
+            f"clusters cover machines {sorted(covered)}, not the upper machines {sorted(uppers)}"
+        )
 
     keep: list[Cluster] = []
     defects: list[dict] = []
@@ -391,7 +398,10 @@ def _check_saturated(clusters: ClusterSet) -> None:
     inst = clusters.gap.base
     used: set[int] = {j for c in clusters.supers for j in c.jobs}
     for c in clusters.saturated:
-        assert len(c.jobs) == len(c.machines)
+        if len(c.jobs) != len(c.machines):
+            raise ClusteringError(
+                f"saturated cluster {c.machines} holds {len(c.jobs)} big jobs, not one per machine"
+            )
         for i, j in c.assignment:
             if j in used:
                 raise ClusteringError(f"big job {j} claimed twice during saturation")

@@ -23,6 +23,10 @@ The same engine serves two covers, both with one cover row per machine: the
 configuration LP (cover >= 1) that the T search probes and the gap instance
 is classified by, and the small-jobs-only variant with cover >= 1/2 used by
 the no-upper-class branch.
+
+The T search bisects only between two bounds that need no LP: the minimum
+load of a largest-first greedy allocation, below, and the smallest pool total
+or the average load, above.  When the two meet, T costs no LP at all.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .instances import Instance
+from .instances import Allocation, Instance, verify_allocation
 from .rat import ceil_frac
 from .ratlp import Tableau, solve_lp
 
@@ -384,24 +388,65 @@ def find_T(inst: Instance, counters: dict[str, int] | None = None) -> Fraction:
     return Fraction(T)
 
 
+def greedy_allocation(inst: Instance) -> dict[int, int]:
+    """Largest-first greedy owner map (job -> machine).
+
+    Jobs go largest first (ties: lower index), each to its least-loaded
+    eligible machine (ties: lower index); jobs no machine may take stay
+    unassigned.
+    """
+    loads = [0] * inst.machine_count
+    owner: dict[int, int] = {}
+    for j in sorted(range(inst.job_count), key=lambda j: (-inst.jobs[j].size, j)):
+        job = inst.jobs[j]
+        if job.eligible:
+            i = min(job.eligible, key=lambda i: (loads[i], i))
+            owner[j] = i
+            loads[i] += job.size
+    return owner
+
+
 def find_T_with_seeds(
     inst: Instance, counters: dict[str, int] | None = None
 ) -> tuple[int, dict[int, set[tuple[int, ...]]]]:
     """Largest integer tau with a feasible configuration LP, plus column seeds.
 
     Integer search is exact: with integer sizes the minimal-configuration
-    family is constant on (k, k+1], so feasibility only changes at integers.
-    Columns discovered at one tau re-seed the master at the next, re-pruned.
+    family is constant on (k, k+1], so feasibility only changes at integers,
+    and it is monotone in tau, so T is unique.  The search bisects a bracket
+    that needs no LP.  Below: the minimum load of `greedy_allocation`, as
+    `verify_allocation` recomputes it; its bundles, pruned, are a feasible
+    point at that tau.  Above: the smallest pool total, and floor(S / m) with
+    S the total size of the jobs some machine may take, since every machine
+    covers tau from its own pool and the m covers share those jobs.  A greedy
+    minimum load of 0 is no information, so the search then probes tau = 1
+    first.  The greedy bundles and the columns found at each feasible tau
+    seed the master at the next probe, re-pruned.  ``counters`` gets the
+    bracket (``t_search_lower``, ``t_search_upper``) and the number of LP
+    probes (``clp_solves``, 0 when the bracket is closed).
     """
     pools = machine_pools(inst)
-    if any(not pools[i] for i in range(inst.machine_count)):
-        return 0, {}
     sizes = inst.sizes()
-    seeds: dict[int, set[tuple[int, ...]]] = {i: set() for i in pools}
+    owner = greedy_allocation(inst)
+    lo = int(verify_allocation(inst, Allocation(owner=owner, min_value=ZERO)))
+    hi = min(
+        min(sum(sizes[j] for j in pools[i]) for i in pools),
+        sum(job.size for job in inst.jobs if job.eligible) // inst.machine_count,
+    )
+    if counters is not None:
+        counters.setdefault("clp_solves", 0)
+        counters["t_search_lower"] = lo
+        counters["t_search_upper"] = hi
+    if lo > hi:
+        raise CoverLpError(f"T search bracket is inverted: greedy {lo} > upper bound {hi}")
+    bundles: dict[int, list[int]] = {i: [] for i in pools}
+    for j, i in sorted(owner.items()):
+        bundles[i].append(j)
+    seeds = {i: {tuple(b)} if b else set() for i, b in bundles.items()}
 
     def feasible(tau: int) -> bool:
         if counters is not None:
-            counters["clp_solves"] = counters.get("clp_solves", 0) + 1
+            counters["clp_solves"] += 1
         sol = solve_clp_feasibility(
             inst, Fraction(tau), pools=pools, sizes=sizes, seeds=seeds, counters=counters
         )
@@ -411,9 +456,11 @@ def find_T_with_seeds(
             seeds[i].add(cfg.jobs)
         return True
 
-    if not feasible(1):
-        return 0, seeds
-    lo, hi = 1, inst.total_size()
+    if lo == 0 and hi > 0:
+        # The greedy leaves some machine empty: fall back to probing tau = 1.
+        if not feasible(1):
+            return 0, seeds
+        lo = 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if feasible(mid):

@@ -34,7 +34,8 @@ ZERO = Fraction(0)
 
 
 class MatchingError(RuntimeError):
-    pass
+    """The bundle matching failed or broke an invariant.  Raised, not asserted, so
+    that ``python -O`` keeps it."""
 
 
 @dataclass(frozen=True)
@@ -311,9 +312,12 @@ def _extend_matching(
                 f"add: composite {e.composite} wants {e.bundle}, blocked by {overlapped}"
             )
         live = [(a, bl) for a, bl in zip(adds, blockers) if a is not None]
-        assert all(bl for _, bl in live), "an add edge lost all blockers without promotion"
+        if not all(bl for _, bl in live):
+            raise MatchingError("an add edge lost all blockers without promotion")
         blocking_union: list[int] = []
         for _, bl in live:
             blocking_union.extend(bl)
-        assert len(blocking_union) == len(set(blocking_union)), "blocker sets must stay disjoint"
-        assert len(live) <= len(blocking_union), "|A| <= |B| invariant broken"
+        if len(blocking_union) != len(set(blocking_union)):
+            raise MatchingError("blocker sets must stay disjoint")
+        if len(live) > len(blocking_union):
+            raise MatchingError("|A| <= |B| invariant broken")

@@ -282,3 +282,42 @@ def test_bipartite_match_small_cases():
     full = bipartite_match([0, 1], {0: [10, 11], 1: [10]})
     assert full == {0: 11, 1: 10} or full == {1: 10, 0: 11}
 
+
+
+def test_cycle_invariant_survives_python_O():
+    # the clustering invariants must not be bare asserts: under -O a
+    # sabotaged cycle finder that hands back an odd "cycle" still has to stop
+    # the cycle elimination with a named error
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+from fractions import Fraction
+import santaclaus.clustering as clu
+from santaclaus.configlp import ClpSolution
+from santaclaus.gapclasses import build_gap_instance
+from santaclaus.instances import Instance, JobSpec
+assert sys.flags.optimize, "not running under -O"
+half = Fraction(1, 2)
+weights = {(0, 0): half, (0, 1): half, (1, 1): half}
+found = iter([[(0, 0), (0, 1), (1, 1)], None])
+clu._find_cycle = lambda w: next(found)
+inst = Instance(machine_count=2, jobs=(JobSpec(4, frozenset([0, 1])),) * 2)
+x = ClpSolution(tau=Fraction(4), weights={}, cover_rhs=Fraction(1))
+try:
+    clu.eliminate_cycles(clu.BigGraph(weights=weights), x, build_gap_instance(inst, Fraction(4)))
+except clu.ClusteringError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the odd cycle went unnoticed")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: odd cycle [(0, 0), (0, 1), (1, 1)] in a bipartite support graph" in proc.stdout

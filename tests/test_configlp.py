@@ -6,6 +6,8 @@ from santaclaus.configlp import (
     check_cover_solution,
     clp_to_alp,
     find_T,
+    find_T_with_seeds,
+    greedy_allocation,
     is_minimal,
     machine_pools,
     price_min_knapsack,
@@ -13,7 +15,14 @@ from santaclaus.configlp import (
     solve_clp_feasibility,
     solve_cover_lp,
 )
-from santaclaus.instances import exact_optimum, generate_random
+from santaclaus.instances import (
+    Instance,
+    JobSpec,
+    exact_optimum,
+    generate_random,
+    verify_allocation,
+)
+from santaclaus.pipeline import solve
 from santaclaus.ratlp import LinearProgram, solve_feasibility
 from conftest import all_minimal_configs, min_cover_subsets, tiny_instance
 
@@ -206,6 +215,130 @@ def test_carried_configurations_are_minimal():
         for (i, cfg), w in sol.weights.items():
             assert 0 < w <= 1
             assert is_minimal(cfg.jobs, T, inst.sizes())
+
+
+def plain_bisection_T(inst):
+    """The unbracketed search: bisect [1, total size] with one LP per probe."""
+    if solve_clp_feasibility(inst, F(1)) is None:
+        return 0
+    lo, hi = 1, inst.total_size()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if solve_clp_feasibility(inst, F(mid)) is not None:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def bracket_shapes(rng):
+    """One small instance of each benchmark workload's shape, plus a random
+    sparse one that often leaves a machine with an empty pool."""
+    yield generate_random(
+        m=rng.randint(2, 4), n=rng.randint(4, 9), max_size=20, density=F(1, 2),
+        seed=rng.getrandbits(32),
+    )
+
+    def coin():
+        return frozenset(i for i in range(3) if rng.randrange(4) < 3)
+
+    jobs = [JobSpec(size=18 + rng.randrange(6), eligible=coin()) for _ in range(2)]
+    jobs += [JobSpec(size=1, eligible=coin()) for _ in range(rng.randint(4, 9))]
+    yield Instance(machine_count=3, jobs=tuple(jobs))
+    m = rng.randint(2, 3)
+    jobs = [
+        JobSpec(size=1, eligible=frozenset([i]))
+        for i in range(m)
+        for _ in range(rng.randint(0, 5))
+    ]
+    jobs += [JobSpec(size=1, eligible=frozenset(range(m))) for _ in range(rng.randrange(4))]
+    yield Instance(machine_count=m, jobs=tuple(jobs))
+    yield generate_random(
+        m=3, n=rng.randint(2, 6), max_size=6, density=F(1, 3), seed=rng.getrandbits(32)
+    )
+
+
+def test_bracketed_find_T_matches_plain_bisection():
+    from random import Random
+
+    rng = Random(2024)
+    checked = empty_pool = greedy_zero = closed = 0
+    while checked < 220:
+        for inst in bracket_shapes(rng):
+            counters = {}
+            T, _ = find_T_with_seeds(inst, counters)
+            assert T == plain_bisection_T(inst), inst
+            lo, hi = counters["t_search_lower"], counters["t_search_upper"]
+            assert lo <= T <= hi
+            checked += 1
+            empty_pool += any(not p for p in machine_pools(inst).values())
+            greedy_zero += lo == 0 < hi
+            closed += lo == hi
+    # the corner cases the bracket must get right all occur
+    assert min(empty_pool, greedy_zero, closed) >= 10, (empty_pool, greedy_zero, closed)
+
+
+def test_bracket_contains_optimum_and_T():
+    for seed in range(40):
+        inst = generate_random(m=3, n=7, max_size=12, density=F(2, 3), seed=seed)
+        counters = {}
+        T = find_T(inst, counters)
+        lo, hi = counters["t_search_lower"], counters["t_search_upper"]
+        assert lo <= exact_optimum(inst) <= T <= hi, seed
+
+
+def test_greedy_allocation_is_largest_first_least_loaded():
+    inst = tiny_instance([(2, [0, 1]), (5, [0, 1]), (3, [0, 1]), (4, []), (3, [1])], machines=2)
+    # 5 -> 0; 3 (job 2) -> 1; 3 (job 4) -> 1; 2 -> 0; job 3 has no machine
+    assert greedy_allocation(inst) == {1: 0, 2: 1, 4: 1, 0: 0}
+
+
+def test_closed_bracket_makes_no_probe_and_certifies():
+    jobs = [(1, [i]) for i in range(3) for _ in range(5)] + [(1, [0, 1, 2])] * 3
+    inst = tiny_instance(jobs, machines=3)
+    report = solve(inst)
+    c = report.counters
+    assert c["clp_solves"] == 0
+    assert c["t_search_lower"] == c["t_search_upper"] == report.T == 6
+    assert report.allocation.min_value >= report.T / 12
+    assert verify_allocation(inst, report.allocation) == report.allocation.min_value
+    # an uncoverable machine closes the bracket at 0, still with the counter
+    trivial = solve(tiny_instance([(5, [0])], machines=2))
+    assert trivial.branch == "trivial"
+    assert trivial.counters == {"clp_solves": 0, "t_search_lower": 0, "t_search_upper": 0}
+
+
+def test_inverted_bracket_raises_under_python_O():
+    # the bracket check must not be a bare assert: under -O a greedy load the
+    # verifier "confirms" above the trivial upper bound still has to stop the
+    # search with a named error
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+from fractions import Fraction
+import santaclaus.configlp as clp
+from santaclaus.instances import generate_random
+assert sys.flags.optimize, "not running under -O"
+clp.verify_allocation = lambda inst, alloc: Fraction(10**6)
+inst = generate_random(m=3, n=6, max_size=9, density=Fraction(2, 3), seed=1)
+try:
+    clp.find_T(inst)
+except clp.CoverLpError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the inverted bracket went unnoticed")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: T search bracket is inverted: greedy 1000000 > upper bound" in proc.stdout
 
 
 # ------------------------------------------------------------- clp -> alp

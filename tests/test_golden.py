@@ -1,10 +1,11 @@
 """Golden bytes: fixed instances must keep their exact solve reports.
 
-A change meant only to make the solver faster (a different LP engine, a
-different master, a different pivot arithmetic) must not move a single byte of
-``canonical_json``: the same T, the same allocation and the same counters,
-master solves included.  The strings below were recorded from the solver and
-are compared verbatim.
+A change meant only to make the solver faster must not move the answer: the
+same T, branch, allocation, minimum value and ratio bound, byte for byte.
+The counters count the work done (T-search probes, master solves, the
+search's bracket), so a change to the search may move them, and nothing
+else.  The strings below were recorded from the solver and are compared
+verbatim.
 """
 
 from fractions import Fraction
@@ -36,8 +37,9 @@ GOLDEN = [
         '{"T":"33/1","branch":"clustered","strategy":"matching","seed":0,'
         '"branch_detail":"perfect bundle matching","min_value":"13/1",'
         '"certified_ratio_bound":"33/13","owner":{"0":1,"1":3,"2":2,"7":0},'
-        '"counters":{"clp_solves":9,"composites":0,"master_solves":35,'
-        '"matching_steps":0,"saturated":4,"supers":0}}',
+        '"counters":{"clp_solves":3,"composites":0,"master_solves":14,'
+        '"matching_steps":0,"saturated":4,"supers":0,'
+        '"t_search_lower":26,"t_search_upper":39}}',
     ),
     (
         "random-3",
@@ -45,8 +47,9 @@ GOLDEN = [
         '{"T":"23/1","branch":"clustered","strategy":"matching","seed":0,'
         '"branch_detail":"perfect bundle matching","min_value":"5/1",'
         '"certified_ratio_bound":"23/5","owner":{"0":3,"1":0,"3":2,"6":1},'
-        '"counters":{"clp_solves":8,"composites":0,"master_solves":27,'
-        '"matching_steps":0,"saturated":4,"supers":0}}',
+        '"counters":{"clp_solves":0,"composites":0,"master_solves":1,'
+        '"matching_steps":0,"saturated":4,"supers":0,'
+        '"t_search_lower":23,"t_search_upper":23}}',
     ),
     (
         "random-4",
@@ -54,8 +57,9 @@ GOLDEN = [
         '{"T":"31/1","branch":"clustered","strategy":"matching","seed":0,'
         '"branch_detail":"perfect bundle matching","min_value":"5/1",'
         '"certified_ratio_bound":"31/5","owner":{"0":1,"1":0,"2":2,"3":3},'
-        '"counters":{"clp_solves":8,"composites":0,"master_solves":31,'
-        '"matching_steps":0,"saturated":4,"supers":0}}',
+        '"counters":{"clp_solves":2,"composites":0,"master_solves":11,'
+        '"matching_steps":0,"saturated":4,"supers":0,'
+        '"t_search_lower":31,"t_search_upper":35}}',
     ),
     (
         "random-10",
@@ -63,8 +67,9 @@ GOLDEN = [
         '{"T":"31/1","branch":"clustered","strategy":"matching","seed":0,'
         '"branch_detail":"perfect bundle matching","min_value":"6/1",'
         '"certified_ratio_bound":"31/6","owner":{"0":3,"3":0,"5":2,"7":1},'
-        '"counters":{"clp_solves":9,"composites":0,"master_solves":27,'
-        '"matching_steps":0,"saturated":4,"supers":0}}',
+        '"counters":{"clp_solves":2,"composites":0,"master_solves":5,'
+        '"matching_steps":0,"saturated":4,"supers":0,'
+        '"t_search_lower":28,"t_search_upper":31}}',
     ),
     (
         "mixed-composite",
@@ -72,8 +77,9 @@ GOLDEN = [
         '{"T":"14/1","branch":"clustered","strategy":"matching","seed":0,'
         '"branch_detail":"perfect bundle matching","min_value":"3/1",'
         '"certified_ratio_bound":"14/3","owner":{"0":1,"1":2,"2":0,"3":0,"4":0},'
-        '"counters":{"clp_solves":7,"composites":1,"master_solves":34,'
-        '"matching_steps":1,"saturated":2,"supers":0}}',
+        '"counters":{"clp_solves":3,"composites":1,"master_solves":4,'
+        '"matching_steps":1,"saturated":2,"supers":0,'
+        '"t_search_lower":11,"t_search_upper":19}}',
     ),
     (
         "all-unit-no-upper",
@@ -83,7 +89,9 @@ GOLDEN = [
         '"certified_ratio_bound":"15/7","owner":{"1":0,"2":0,"3":0,"4":0,"5":0,'
         '"6":0,"7":0,"14":1,"15":1,"16":1,"17":1,"18":1,"19":1,"20":1,"32":2,'
         '"33":2,"34":2,"35":2,"36":2,"37":2,"38":2},'
-        '"counters":{"clp_solves":6,"master_solves":14,"small_rounded_jobs":21}}',
+        '"counters":{"clp_solves":0,"master_solves":3,'
+        '"small_rounded_jobs":21,"t_search_lower":15,'
+        '"t_search_upper":15}}',
     ),
 ]
 

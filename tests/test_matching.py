@@ -157,3 +157,57 @@ def test_matched_bundles_disjoint_and_sized(composite_rich):
             used.update(e.bundle)
             total = sum(inst.jobs[j].size for j in e.bundle)
             assert F(T, 6) <= total < F(T, 6) + F(T, 12)
+
+
+def test_tree_invariant_survives_python_O():
+    # the alternating-tree invariants must not be bare asserts: under -O a
+    # tree whose newest add edge loses its blockers (a trace hook empties the
+    # set right after the edge joins) still has to stop the search with a
+    # named error.  Machine 1 first wants the bundle composite 0 holds, so
+    # the search takes one blocked step.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+from fractions import Fraction
+import santaclaus.matching as mt
+from santaclaus.clustering import ClusterSet, Composite
+from santaclaus.configlp import ClpSolution, Configuration
+from santaclaus.gapclasses import build_gap_instance, classify_jobs
+from santaclaus.instances import Instance, JobSpec
+assert sys.flags.optimize, "not running under -O"
+
+class Sabotage(list):
+    def append(self, line):
+        super().append(line)
+        if line.startswith("add:"):
+            sys._getframe(1).f_locals["blockers"][-1].clear()
+
+T = Fraction(13)
+inst = Instance(machine_count=2, jobs=(JobSpec(1, frozenset([0, 1])),) * 6)
+gap = build_gap_instance(inst, T)
+low, high = Configuration(jobs=(0, 1, 2), total_size=3), Configuration(jobs=(3, 4, 5), total_size=3)
+xstar = ClpSolution(tau=T, weights={(0, low): Fraction(1), (1, low): Fraction(1, 2),
+                                    (1, high): Fraction(1, 2)}, cover_rhs=Fraction(1))
+clusters = ClusterSet(supers=(), saturated=(), xstar=xstar, gap=gap,
+                      composites=(Composite(machines=(0,), kind="middle"),
+                                  Composite(machines=(1,), kind="middle")),
+                      job_classes=classify_jobs(gap), machine_classes=None)
+trace = Sabotage()
+try:
+    mt.find_perfect_matching(clusters, T, trace=trace)
+except mt.MatchingError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the emptied blocker set went unnoticed: " + repr(trace))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: an add edge lost all blockers without promotion" in proc.stdout
