@@ -8,16 +8,21 @@ requirement while no job is used more than once in total.
 
 Solving works by column generation over one restricted master per cover LP
 call.  The master is an exact, fraction-free simplex tableau
-(`ratlp.Tableau`) kept for the whole call: pricing's improving columns enter
-it as B^-1 a, a job's row enters with the first column that uses the job,
-and each round re-optimises from the previous optimal basis.  Pricing is a
+(`ratlp.Tableau`) kept for the whole call: pricing's improving columns are
+appended to it as B^-1 a at their place in the master's logical column
+order, a job's row enters with the first column that uses the job, and each
+round re-optimises from the previous optimal basis.  Pricing is a
 minimum-knapsack dynamic program over the master's dual values: a column
 prices in exactly when its jobs' dual cost is below the machine's cover
-dual.  The duals are rationals; pricing scales them by their common
-denominator and runs the table over integers, which keeps every comparison
-and so every priced column the same.  With exact arithmetic, pricing
-convergence with a positive shortfall objective is a proof of infeasibility,
-not a numeric judgement call.
+dual.  The master hands out its duals as integers, scaled by its basis
+determinant; pricing runs the table on them as they are and compares
+reduced costs over integers, which keeps every comparison and so every
+priced column the same as over the rationals.  Every job dual is
+non-negative at an optimal basis (its slack prices at <= 0, and this is
+checked), so a machine whose cover dual is 0 has no improving column and is
+not priced.  With exact arithmetic, pricing convergence with a positive
+shortfall objective is a proof of infeasibility, not a numeric judgement
+call.
 
 The same engine serves two covers, both with one cover row per machine: the
 configuration LP (cover >= 1) that the T search probes and the gap instance
@@ -34,7 +39,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
@@ -100,11 +104,14 @@ def prune_to_minimal(
 def price_min_knapsack(
     pool: Sequence[int],
     sizes: Sequence[int],
-    costs: Mapping[int, Fraction],
+    costs: Mapping[int, int],
     tau: Fraction,
 ) -> Configuration | None:
     """Cheapest subset of ``pool`` with total size >= tau, pruned to minimality.
 
+    ``costs`` (job -> cost, 0 when absent) must be non-negative; they may be
+    integers or rationals, and scaling them all by one positive factor
+    returns the same configuration, since the table only compares costs.
     Dynamic program over integer size totals capped at ceil(tau); returns
     None when even the whole pool falls short.  Skipping is preferred on cost
     ties during reconstruction, so the raw cover leans on low job indices
@@ -116,56 +123,50 @@ def price_min_knapsack(
     cap = ceil_frac(tau)
     if sum(sizes[j] for j in pool) < cap:
         return None
-    # Scaling every cost by their common denominator keeps every < and ==
-    # the table makes, so the DP runs over int with the same outcome.
-    raw = [costs.get(j, 0) for j in pool]
-    scale = lcm(*[c.denominator for c in raw])  # a list: see ratlp.Tableau.optimise
-    icost = [c.numerator * (scale // c.denominator) for c in raw]
-    K = len(pool)
-    NO = None
-    dp = [[NO] * (cap + 1) for _ in range(K + 1)]
-    dp[0][0] = 0
-    for k in range(1, K + 1):
-        c = icost[k - 1]
-        w = sizes[pool[k - 1]]
-        prev = dp[k - 1]
-        cur = dp[k]
-        for s in range(cap + 1):
-            base = prev[s]
-            if base is None:
-                continue
-            if cur[s] is None or base < cur[s]:
-                cur[s] = base
-            s2 = s + w
-            if s2 > cap:
-                s2 = cap
-            cand = base + c
-            if cur[s2] is None or cand < cur[s2]:
-                cur[s2] = cand
-    if dp[K][cap] is None:
+    cost = [costs.get(j, 0) for j in pool]
+    if any(c < 0 for c in cost):
+        raise ValueError("pricing costs must be non-negative")
+    # Every reachable total costs at most sum(cost) < NO, and an unreachable
+    # entry plus a non-negative cost stays >= NO.
+    NO = sum(cost) + 1
+    # dp[k][s]: cheapest cost of the first k jobs reaching total s (capped).
+    dp = [[0] + [NO] * cap]
+    for j, c in zip(pool, cost):
+        w = sizes[j]
+        prev = dp[-1]
+        if w < cap:
+            dp.append(
+                prev[:w]
+                + [a if a <= (t := b + c) else t for a, b in zip(prev[w:cap], prev)]
+                + [min(prev[cap], min(prev[cap - w:]) + c)]
+            )
+        else:
+            dp.append(prev[:cap] + [min(prev[cap], min(prev) + c)])
+    if dp[-1][cap] >= NO:
         return None
     # Reconstruct, preferring "skip" whenever it explains the table entry.
+    # Taking job k reaches s < cap only from s - w, and reaches cap from the
+    # first matching total in [cap - w, cap].
     chosen = []
     s = cap
-    for k in range(K, 0, -1):
-        if dp[k - 1][s] is not None and dp[k - 1][s] == dp[k][s]:
+    for k in range(len(pool), 0, -1):
+        target = dp[k][s]
+        prev = dp[k - 1]
+        if prev[s] == target:
             continue
         j = pool[k - 1]
-        c = icost[k - 1]
+        c = cost[k - 1]
         w = sizes[j]
-        pre = None
-        for s_pre in range(cap + 1):
-            if min(cap, s_pre + w) != s:
-                continue
-            base = dp[k - 1][s_pre]
-            if base is not None and base + c == dp[k][s]:
-                pre = s_pre
-                break
-        if pre is None:
+        if s < cap:
+            pre = s - w if s >= w and prev[s - w] + c == target else -1
+        else:
+            lo = max(cap - w, 0)
+            pre = next((t for t in range(lo, cap + 1) if prev[t] + c == target), -1)
+        if pre < 0:
             raise CoverLpError("knapsack reconstruction failed")
         chosen.append(j)
         s = pre
-    return prune_to_minimal(chosen, tau, sizes, dict(zip(pool, icost)))
+    return prune_to_minimal(chosen, tau, sizes, costs)
 
 
 @dataclass
@@ -244,17 +245,16 @@ def solve_cover_lp(
     cover_row = {i: r for r, i in enumerate(machines)}
 
     # The master keeps one tableau for the whole call.  Its columns are, in
-    # order: shortfall a_i, excess e_i, the configurations in creation order,
-    # then job slacks s_j by job id.  Every row is an equality whose own a_i
-    # or s_j is a unit column, so the master starts on that identity basis
-    # (feasible, no phase 1) and the tableau columns of a_i and s_j always
-    # hold B^-1: a priced column enters as B^-1 a at its place in the order,
-    # and the row of a job seen for the first time touches only new,
-    # nonbasic columns, so it enters as written with s_j basic.  Each round
-    # then re-optimises from the previous optimal basis.  Pivot tie-breaks
-    # read column indices, so columns are inserted in this order, not
-    # appended: each solve then pivots exactly as a solve of the same master
-    # written out from scratch on that basis would.
+    # logical order: shortfall a_i, excess e_i, the configurations in
+    # creation order, then job slacks s_j by job id.  Every row is an
+    # equality whose own a_i or s_j is a unit column, so the master starts on
+    # that identity basis (feasible, no phase 1) and the tableau columns of
+    # a_i and s_j always hold B^-1: a priced column enters as B^-1 a, and the
+    # row of a job seen for the first time touches only new, nonbasic
+    # columns, so it enters as written with s_j basic.  Each round then
+    # re-optimises from the previous optimal basis.  Pivot tie-breaks read
+    # the logical order, so each solve pivots exactly as a solve of the same
+    # master written out from scratch in that order, on that basis, would.
     master = Tableau()
     nrows = len(machines)
     base = 2 * nrows
@@ -263,27 +263,22 @@ def solve_cover_lp(
     for r in range(nrows):
         master.add_row({r: 1, nrows + r: -1}, cover_rhs, basic=r)
 
-    columns: list[tuple[int, Configuration]] = []
-    colset: set[tuple[int, Configuration]] = set()
+    column_of: dict[tuple[int, Configuration], int] = {}  # in creation order
     job_rows: list[int] = []  # jobs with a row, sorted
     row_of: dict[int, int] = {}
 
     def add_column(i: int, cfg: Configuration) -> bool:
         key = (i, cfg)
-        if key in colset:
+        if key in column_of:
             return False
-        colset.add(key)
-        col = base + len(columns)
-        columns.append(key)
         entries = {row_of[j]: 1 for j in cfg.jobs if j in row_of}
         entries[cover_row[i]] = 1
-        master.insert_column(col, entries)
+        col = column_of[key] = master.insert_column(base + len(column_of), entries)
         for j in cfg.jobs:
             if j not in row_of:
                 k = bisect_left(job_rows, j)
                 job_rows.insert(k, j)
-                slack = base + len(columns) + k
-                master.insert_column(slack, {})
+                slack = master.insert_column(base + len(column_of) + k, {})
                 row_of[j] = master.add_row({col: 1, slack: 1}, 1, basic=slack)
         return True
 
@@ -311,32 +306,34 @@ def solve_cover_lp(
         if not sol.is_optimal:
             raise CoverLpError("shortfall master is always feasible and bounded")
 
-        duals = sol.dual_values
-        lam = {i: -duals[r] for i, r in cover_row.items()}
-        mu = {j: duals[r] for j, r in row_of.items()}
+        # Duals times the master's det, so every sign below is exact.
+        ys = sol.ys
+        mu = {j: ys[r] for j, r in row_of.items()}
+        if any(v < 0 for v in mu.values()):
+            raise CoverLpError("negative job dual at an optimal master basis")
 
         improved = False
         for i in machines:
-            pool = pools[i]
-            if not pool:
+            lam = -ys[cover_row[i]]
+            # Job duals are >= 0, so no column prices in where lam is 0.
+            if lam <= 0 or not pools[i]:
                 continue
-            cfg = price_min_knapsack(pool, sizes, mu, tau)
+            cfg = price_min_knapsack(pools[i], sizes, mu, tau)
             if cfg is None:
                 continue
-            reduced = lam[i] - sum((mu.get(j, ZERO) for j in cfg.jobs), ZERO)
-            if reduced > 0:
+            if lam - sum(mu.get(j, 0) for j in cfg.jobs) > 0:
                 if not add_column(i, cfg):
                     raise CoverLpError("an improving column was already in the master")
                 improved = True
         if improved:
             continue
 
-        shortfall = -sol.objective_value
-        if shortfall != 0:
+        if sol.objective != 0:  # a positive shortfall
             return None
+        values = sol.values
         weights = {}
-        for c, key in enumerate(columns):
-            w = sol.values[base + c]
+        for key, col in column_of.items():
+            w = values[col]
             if w != 0:
                 weights[key] = w
         result = ClpSolution(tau=tau, weights=weights, cover_rhs=Fraction(cover_rhs))
@@ -348,7 +345,7 @@ def solve_cover_lp(
 
 def machine_pools(inst: Instance, job_pool: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
     allowed = set(range(inst.job_count)) if job_pool is None else set(job_pool)
-    # tuple(list), not tuple(generator): see ratlp.Tableau.optimise.
+    # tuple(list), not tuple(generator): see ratlp.LpSolution.
     return {
         i: tuple([j for j in inst.eligible_jobs(i) if j in allowed])
         for i in range(inst.machine_count)

@@ -184,18 +184,13 @@ def _alp_at_target(inst, small, machines: list[int], target: Fraction):
     lp = LinearProgram(len(pairs))
     jobs_present = sorted({j for _, j in pairs})
     for j in jobs_present:
-        row = {index[(i, jj)]: ONE for (i, jj) in pairs if jj == j}
-        lp.add_constraint(row, "<=", ONE)
+        row = {index[(i, jj)]: 1 for (i, jj) in pairs if jj == j}
+        lp.add_constraint(row, "<=", 1)
     for i in machines:
-        row = {
-            index[(ii, j)]: Fraction(inst.jobs[j].size)
-            for (ii, j) in pairs
-            if ii == i
-        }
+        row = {index[(ii, j)]: inst.jobs[j].size for (ii, j) in pairs if ii == i}
         lp.add_constraint(row, ">=", target)
     sol = solve_feasibility(lp)
     if not sol.is_optimal:
         return None
-    return {
-        pair: sol.values[c] for pair, c in index.items() if sol.values[c] != 0
-    }
+    values = sol.values
+    return {pair: values[c] for pair, c in index.items() if values[c] != 0}

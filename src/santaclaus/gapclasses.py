@@ -54,7 +54,7 @@ def build_gap_instance(inst: Instance, T: Fraction) -> GapInstance:
         raise ValueError("T must be an integer (the T search returns integers)")
     threshold = T / ALPHA
     t_int = T.numerator
-    # tuple(list), not tuple(generator): see ratlp.Tableau.optimise.
+    # tuple(list), not tuple(generator): see ratlp.LpSolution.
     gap = tuple([job.size if job.size < threshold else t_int for job in inst.jobs])
     return GapInstance(base=inst, tau=T, gap_size=gap)
 

@@ -63,7 +63,7 @@ class Instance:
     def job_count(self) -> int:
         return len(self.jobs)
 
-    # tuple(list), not tuple(generator): see ratlp.Tableau.optimise.
+    # tuple(list), not tuple(generator): see ratlp.LpSolution.
     def sizes(self) -> tuple[int, ...]:
         return tuple([job.size for job in self.jobs])
 

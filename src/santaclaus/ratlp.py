@@ -18,11 +18,21 @@ side, and each pivot divides exactly by the previous determinant.  Every
 reduced-cost sign and ratio-test comparison reads the same as over the
 rationals ``B^-1 [A | b]``, so pivoting is deterministic and identical to an
 exact-rational simplex (Dantzig entering, falling back to Bland's
-anti-cycling rule).  Only the returned primal and dual values are
-`fractions.Fraction`.  Dual values drive column-generation pricing, so every
-optimal solve checks the original rows exactly and checks strong duality,
-and raises `LpError` (not an ``assert``, which ``python -O`` strips) when
-either fails.
+anti-cycling rule).
+
+Columns are appended to the tableau in the order they arrive, so adding one
+costs an append per row and never renumbers the basis.  The caller names
+each column's place in a logical order, and every tie-break (Dantzig's and
+Bland's entering column, the ratio test's smallest basic variable, the first
+column that can expel an artificial) reads that order: a kept master pivots
+exactly as the same LP written out in logical order would.
+
+An optimal `LpSolution` carries integers: ``x * det * bden`` and
+``y * det``.  Column-generation pricing compares signs on those directly;
+the `fractions.Fraction` values are built only when read.  Dual values drive
+pricing, so every optimal solve checks the original rows exactly and checks
+strong duality, over integers, and raises `LpError` (not an ``assert``,
+which ``python -O`` strips) when either fails.
 
 The tableau is dense; the LPs this package builds stay small (tens of rows,
 at most a few hundred columns), which keeps exact arithmetic affordable.
@@ -31,6 +41,7 @@ at most a few hundred columns), which keeps exact arithmetic affordable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Mapping
@@ -91,40 +102,84 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solve's outcome; an optimal one holds integers over a common scale.
+
+    ``xs`` holds ``x * det * bden`` per column and ``objective`` holds
+    ``c.x * det * bden``; ``ys`` holds ``y * det`` per row.  The rational
+    `values`, `objective_value` and `dual_values` are built on first read,
+    so a caller that only compares signs never makes a `Fraction`.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
-    values: tuple[Fraction, ...] | None = None
-    objective_value: Fraction | None = None
-    dual_values: tuple[Fraction, ...] | None = None
+    xs: tuple[int, ...] | None = None
+    objective: int | None = None
+    ys: tuple[int, ...] | None = None
+    det: int = 1
+    bden: int = 1
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
 
+    # tuple(list), not tuple(generator): CPython builds the latter at a
+    # guessed size and resizes it, so it skips the per-size tuple free lists
+    # on the way in but joins them on the way out.  Only a full garbage
+    # collection empties those lists, and an integer tableau allocates too
+    # few tracked objects to trigger one often, so peak memory would grow
+    # with every solve.
+    @cached_property
+    def values(self) -> tuple[Fraction, ...] | None:
+        if self.xs is None:
+            return None
+        scale = self.det * self.bden
+        return tuple([Fraction(v, scale) if v else ZERO for v in self.xs])
+
+    @cached_property
+    def objective_value(self) -> Fraction | None:
+        if self.objective is None:
+            return None
+        return Fraction(self.objective, self.det * self.bden)
+
+    @cached_property
+    def dual_values(self) -> tuple[Fraction, ...] | None:
+        if self.ys is None:
+            return None
+        return tuple([Fraction(y, self.det) for y in self.ys])
+
 
 class Tableau:
     """``maximize cost.x  s.t.  A x = b, x >= 0``, kept in basic form.
 
-    ``rows`` hold the integers ``det * B^-1 [A | b * bden]``, rhs last, with
-    ``det = |det B| > 0`` and ``bden`` the common denominator of ``b``.
-    Every row owns a unit column: one whose original column is the unit
-    vector of that row.  Its tableau column is therefore ``det`` times the
-    row's column of B^-1, which brings a column inserted later into basic
-    form (B^-1 a) and reads the row's dual off the reduced costs.  Columns
-    are inserted at the position the caller names, so their order, which
-    every pivot tie-break reads, does not depend on when they arrived; rows
-    are appended, since no pivot rule reads row order.  Banned columns
-    (artificials) never enter.
+    ``rows`` hold the integers ``det * B^-1 A`` and ``xb`` the integers
+    ``det * B^-1 b * bden``, with ``det = |det B| > 0`` and ``bden`` the
+    common denominator of ``b``.  Every row owns a unit column: one whose
+    original column is the unit vector of that row.  Its tableau column is
+    therefore ``det`` times the row's column of B^-1, which brings a column
+    inserted later into basic form (B^-1 a) and reads the row's dual off the
+    reduced costs.
+
+    A column is known by its id, the order it arrived in: ``columns``,
+    ``cost`` and every row are indexed by id, and a new column is appended,
+    so ``basis``, ``unit`` and ``banned`` never shift.  The caller still
+    names each column's position in a logical order, kept in ``order`` (ids,
+    logically first to last), and every pivot tie-break reads that order, so
+    pivots do not depend on when a column arrived.  Rows are appended, since
+    no pivot rule reads row order.  Banned columns (artificials) never
+    enter.
     """
 
     def __init__(self) -> None:
-        self.rows: list[list[int]] = []  # det * B^-1 [A | b * bden]
+        self.rows: list[list[int]] = []  # det * B^-1 A, by column id
+        self.xb: list[int] = []  # per row, det * B^-1 b * bden
         self.det = 1  # |det B|
         self.bden = 1  # common denominator of the rhs
         self.basis: list[int] = []  # per row, the column basic there
+        self.basic: set[int] = set()  # the same columns, as a set
         self.unit: list[int] = []  # per row, its unit column
         self.rhs: list[Fraction] = []  # per row, the original b
         self.columns: list[dict[int, int]] = []  # original A, row -> a
         self.cost: list[int] = []
+        self.order: list[int] = []  # column ids in logical order
         self.banned: set[int] = set()
 
     @property
@@ -133,17 +188,17 @@ class Tableau:
 
     @property
     def constraints(self) -> list[tuple[dict[int, int], str, Fraction]]:
-        """The original rows, as equalities over every column."""
+        """The original rows, as equalities over every column id."""
         rows: list[dict[int, int]] = [{} for _ in self.rhs]
         for c, col in enumerate(self.columns):
             for r, a in col.items():
                 rows[r][c] = a
         return [(row, "=", b) for row, b in zip(rows, self.rhs)]
 
-    def insert_column(self, pos: int, coeffs: Mapping[int, int], cost=0) -> None:
-        """Insert the column with original integer entries ``coeffs``
-        (row -> a) and integer ``cost`` at ``pos``, entering the tableau as
-        B^-1 a; it starts nonbasic."""
+    def insert_column(self, pos: int, coeffs: Mapping[int, int], cost=0) -> int:
+        """Add the column with original integer entries ``coeffs`` (row -> a)
+        and integer ``cost`` at logical position ``pos``, entering the
+        tableau as B^-1 a; it starts nonbasic.  Returns its id."""
         coeffs = {r: _integer(a, "coefficient") for r, a in coeffs.items()}
         cost = _integer(cost, "cost")
         units = [(self.unit[r], a) for r, a in coeffs.items()]
@@ -151,16 +206,16 @@ class Tableau:
             entry = 0
             for u, a in units:
                 entry += a * row[u]
-            row.insert(pos, entry)
-        self.basis = [c + (c >= pos) for c in self.basis]
-        self.unit = [c + (c >= pos) for c in self.unit]
-        self.banned = {c + (c >= pos) for c in self.banned}
-        self.columns.insert(pos, coeffs)
-        self.cost.insert(pos, cost)
+            row.append(entry)
+        c = len(self.columns)
+        self.columns.append(coeffs)
+        self.cost.append(cost)
+        self.order.insert(pos, c)
+        return c
 
     def add_row(self, coeffs: Mapping[int, int], rhs, basic: int) -> int:
-        """Append the row ``coeffs . x = rhs`` with ``basic`` basic in it and
-        return its index.
+        """Append the row ``coeffs . x = rhs`` (column id -> a) with column
+        ``basic`` basic in it and return the row's index.
 
         ``basic`` must be a column with coefficient 1 here and no entry in
         any other row, and no other basic column may appear: then the row is
@@ -171,23 +226,23 @@ class Tableau:
         if rhs < 0:
             raise ValueError("right-hand side must be non-negative")
         coeffs = {c: _integer(a, "coefficient") for c, a in coeffs.items()}
-        if coeffs.get(basic) != 1 or self.columns[basic] or basic in self.basis:
+        if coeffs.get(basic) != 1 or self.columns[basic] or basic in self.basic:
             raise ValueError("the basic column must be a fresh unit column of the row")
-        basic_cols = set(self.basis)
-        if any(c in basic_cols for c in coeffs):
+        if any(c in self.basic for c in coeffs):
             raise ValueError("a new row may touch no basic column but its own")
         scale = rhs.denominator // gcd(rhs.denominator, self.bden)
         if scale != 1:
             self.bden *= scale
-            for row in self.rows:
-                row[-1] *= scale
+            self.xb = [v * scale for v in self.xb]
         r = len(self.rows)
-        row = [0] * len(self.cost) + [self.det * rhs.numerator * (self.bden // rhs.denominator)]
+        row = [0] * len(self.cost)
         for c, a in coeffs.items():
             row[c] = self.det * a
             self.columns[c][r] = a
         self.rows.append(row)
+        self.xb.append(self.det * rhs.numerator * (self.bden // rhs.denominator))
         self.basis.append(basic)
+        self.basic.add(basic)
         self.unit.append(basic)
         self.rhs.append(rhs)
         return r
@@ -198,27 +253,26 @@ class Tableau:
         if not any(c in self.banned for c in self.basis):
             return True
         cost1 = [-1 if c in self.banned else 0 for c in range(len(self.cost))]
-        status, _, self.det = _run_simplex(self.rows, self.basis, cost1, self.det, banned=set())
-        if status != "optimal":
+        if self._simplex(cost1, banned=set())[0] != "optimal":
             raise LpError("phase 1 came out unbounded, although its objective is bounded by 0")
-        if any(row[-1] != 0 for row, c in zip(self.rows, self.basis) if c in self.banned):
+        if any(v != 0 for v, c in zip(self.xb, self.basis) if c in self.banned):
             return False
-        self.det = _expel_artificials(self.rows, self.basis, self.det, self.banned)
+        self._expel_artificials()
         return True
 
     def optimise(self, reported: int | None = None) -> LpSolution:
         """Phase 2 from the current basis, which must be primal feasible.
 
-        ``reported`` limits the returned values to the leading columns.
+        ``reported`` limits the returned values to the leading column ids.
         """
-        status, z, self.det = _run_simplex(self.rows, self.basis, self.cost, self.det, self.banned)
+        status, z = self._simplex(self.cost, self.banned)
         if status == "unbounded":
             return LpSolution(status="unbounded")
         det, bden = self.det, self.bden
         # x = xs / (det * bden), exactly.
         xs = [0] * len(self.cost)
-        for row, c in zip(self.rows, self.basis):
-            xs[c] = row[-1]
+        for v, c in zip(self.xb, self.basis):
+            xs[c] = v
         b_scaled = [b.numerator * (bden // b.denominator) for b in self.rhs]  # b * bden
 
         # Exact feasibility of every original row, with artificials at zero.
@@ -239,19 +293,102 @@ class Tableau:
         objective = sum(c * v for c, v in zip(self.cost, xs) if v)  # * det * bden
         if sum(y * b for y, b in zip(ys, b_scaled)) != objective:
             raise LpError("duality gap at optimum; simplex bug")
-        scale = det * bden
-        # tuple(list), not tuple(generator): CPython builds the latter at a
-        # guessed size and resizes it, so it skips the per-size tuple free
-        # lists on the way in but joins them on the way out.  Only a full
-        # garbage collection empties those lists, and an integer tableau
-        # allocates too few tracked objects to trigger one often, so peak
-        # memory would grow with every solve.
+        # tuple(list), not tuple(generator): see LpSolution.
         return LpSolution(
             status="optimal",
-            values=tuple([Fraction(v, scale) if v else ZERO for v in xs[:reported]]),
-            objective_value=Fraction(objective, scale),
-            dual_values=tuple([Fraction(y, det) for y in ys]),
+            xs=tuple(xs[:reported]),
+            objective=objective,
+            ys=tuple(ys),
+            det=det,
+            bden=bden,
         )
+
+    def _rank(self) -> list[int]:
+        """Per column id, its logical position."""
+        rank = [0] * len(self.order)
+        for k, c in enumerate(self.order):
+            rank[c] = k
+        return rank
+
+    def _simplex(self, cost, banned):
+        """Primal simplex from the current basic form; returns the status and
+        the final reduced-cost row, and leaves the final basis and ``det``.
+
+        The reduced-cost row ``z`` holds ``det * (cost - cost_B B^-1 A)``, so
+        its signs and order are those of the rational reduced costs.
+        Dantzig entering (largest reduced cost, logically first on ties)
+        until DANTZIG_PIVOT_LIMIT, then Bland's rule (logically first
+        improving column); the ratio test cross-multiplies, and leaving rows
+        break ratio ties on the logically smallest basic variable, completing
+        Bland's anti-cycling guarantee.
+        """
+        rows, xb, basis, order = self.rows, self.xb, self.basis, self.order
+        det = self.det
+        z = [det * c for c in cost]
+        for row, b in zip(rows, basis):
+            cb = cost[b]
+            if cb:
+                z = [zj - cb * a for zj, a in zip(z, row)]
+        rank = None
+        pivots = 0
+        while True:
+            enter = -1
+            if pivots < DANTZIG_PIVOT_LIMIT:
+                best = 0
+                for j in order:
+                    if z[j] > best and j not in banned:
+                        best = z[j]
+                        enter = j
+            else:
+                for j in order:
+                    if z[j] > 0 and j not in banned:
+                        enter = j
+                        break
+            if enter < 0:
+                status = "optimal"
+                break
+            pivots += 1
+            # Ratio test xb/a, compared as cross products (every a > 0); ties
+            # resolved by the logically smallest basic variable.
+            leave = -1
+            for r, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    if leave < 0:
+                        leave, num, den = r, xb[r], a
+                        continue
+                    lhs = xb[r] * den
+                    rhs = num * a
+                    if lhs < rhs:
+                        leave, num, den = r, xb[r], a
+                    elif lhs == rhs:
+                        if rank is None:
+                            rank = self._rank()
+                        if rank[basis[r]] < rank[basis[leave]]:
+                            leave, num, den = r, xb[r], a
+            if leave < 0:
+                status = "unbounded"
+                break
+            self.det = det = _pivot(rows, xb, z, basis, det, leave, enter)
+        self.basic = set(basis)
+        return status, z
+
+    def _expel_artificials(self) -> None:
+        """Pivot zero-valued artificials out of the basis where possible,
+        each on its row's logically first nonzero allowed column.
+
+        A row whose artificial cannot leave is redundant; the artificial stays
+        basic at zero and the banned set keeps it from ever re-entering.
+        """
+        rows, banned = self.rows, self.banned
+        for r in range(len(rows)):
+            if self.basis[r] not in banned:
+                continue
+            row = rows[r]
+            enter = next((j for j in self.order if j not in banned and row[j] != 0), -1)
+            if enter >= 0:
+                self.det = _pivot(rows, self.xb, [0] * len(row), self.basis, self.det, r, enter)
+        self.basic = set(self.basis)
 
 
 def solve_feasibility(lp: LinearProgram) -> LpSolution:
@@ -305,81 +442,34 @@ def _standard_form(lp: LinearProgram) -> Tableau:
     return tableau
 
 
-def _run_simplex(rows, basis, cost, det, banned):
-    """Primal simplex on a fraction-free tableau already in basic form;
-    returns the status, the final reduced-cost row and the final ``det``.
-
-    The reduced-cost row ``z`` holds ``det * (cost - cost_B B^-1 A)``, so its
-    signs and order are those of the rational reduced costs.  Dantzig
-    entering (largest reduced cost, lowest index on ties) until
-    DANTZIG_PIVOT_LIMIT, then Bland's rule; the ratio test cross-multiplies,
-    and leaving rows break ratio ties on the smallest basic variable,
-    completing Bland's anti-cycling guarantee.
-    """
-    ncols = len(cost)
-    z = [det * c for c in cost] + [0]
-    for row, b in zip(rows, basis):
-        cb = cost[b]
-        if cb:
-            z = [zj - cb * a for zj, a in zip(z, row)]
-    pivots = 0
-    while True:
-        enter = -1
-        if pivots < DANTZIG_PIVOT_LIMIT:
-            best = 0
-            for j in range(ncols):
-                if z[j] > best and j not in banned:
-                    best = z[j]
-                    enter = j
-        else:
-            for j in range(ncols):
-                if z[j] > 0 and j not in banned:
-                    enter = j
-                    break
-        if enter < 0:
-            return "optimal", z, det
-        pivots += 1
-        # Ratio test rhs/a, compared as cross products (every a > 0); ties
-        # resolved by smallest basis variable (Bland).
-        leave = -1
-        for r, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                if leave < 0:
-                    leave, num, den = r, row[ncols], a
-                    continue
-                lhs = row[ncols] * den
-                rhs = num * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave, num, den = r, row[ncols], a
-        if leave < 0:
-            return "unbounded", z, det
-        det = _pivot(rows, z, basis, det, leave, enter)
-
-
-def _pivot(rows, z, basis, det, r, c) -> int:
+def _pivot(rows, xb, z, basis, det, r, c) -> int:
     """Bareiss pivot on entry (r, c); returns the new ``det``.
 
-    The new determinant is the pivot entry p; every other row (the
-    reduced-cost row ``z`` too) becomes ``(p * row - f * w) / det``, where w
-    is the pivot row and f the row's entry in column c, and the division is
-    exact.  A negative pivot (only `_expel_artificials` takes one) negates
-    the pivot row first, which negates the whole new tableau and keeps
-    ``det`` positive; the pivot row itself is otherwise unchanged.
+    The new determinant is the pivot entry p; every other row (with its
+    ``xb`` entry, and the reduced-cost row ``z`` too) becomes
+    ``(p * row - f * w) / det``, where w is the pivot row and f the row's
+    entry in column c, and the division is exact.  A negative pivot (only
+    `Tableau._expel_artificials` takes one) negates the pivot row first,
+    which negates the whole new tableau and keeps ``det`` positive; the
+    pivot row itself is otherwise unchanged.
     """
     w = rows[r]
     p = w[c]
     if p < 0:
         p = -p
         rows[r] = w = [-a for a in w]
+        xb[r] = -xb[r]
+    wb = xb[r]
     for k, other in enumerate(rows):
         if k == r:
             continue
         f = other[c]
         if f:
             rows[k] = [(p * a - f * b) // det for a, b in zip(other, w)]
+            xb[k] = (p * xb[k] - f * wb) // det
         elif p != det:
             rows[k] = [p * a // det for a in other]
+            xb[k] = p * xb[k] // det
     f = z[c]
     if f:
         z[:] = [(p * a - f * b) // det for a, b in zip(z, w)]
@@ -387,27 +477,3 @@ def _pivot(rows, z, basis, det, r, c) -> int:
         z[:] = [p * a // det for a in z]
     basis[r] = c
     return p
-
-
-def _expel_artificials(rows, basis, det, banned) -> int:
-    """Pivot zero-valued artificials out of the basis where possible and
-    return the final ``det``.
-
-    A row whose artificial cannot leave is redundant; the artificial stays
-    basic at zero and the banned set keeps it from ever re-entering.
-    """
-    for r in range(len(rows)):
-        if basis[r] not in banned:
-            continue
-        row = rows[r]
-        enter = -1
-        for j in range(len(row) - 1):
-            if j in banned:
-                continue
-            if row[j] != 0:
-                enter = j
-                break
-        if enter < 0:
-            continue
-        det = _pivot(rows, [0] * len(row), basis, det, r, enter)
-    return det

@@ -22,7 +22,6 @@ from .configlp import FractionalAssignment
 from .ratlp import LinearProgram, solve_feasibility
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class RoundingError(ValueError):
@@ -106,15 +105,16 @@ def _vertex_on_support(fa, pairs, machines, jobs, value, sizes):
     index = {pair: c for c, pair in enumerate(pairs)}
     lp = LinearProgram(len(pairs))
     for j in jobs:
-        row = {index[(i, jj)]: ONE for (i, jj) in pairs if jj == j}
-        lp.add_constraint(row, "<=", ONE)
+        row = {index[(i, jj)]: 1 for (i, jj) in pairs if jj == j}
+        lp.add_constraint(row, "<=", 1)
     for i in machines:
-        row = {index[(ii, j)]: Fraction(sizes[j]) for (ii, j) in pairs if ii == i}
+        row = {index[(ii, j)]: sizes[j] for (ii, j) in pairs if ii == i}
         lp.add_constraint(row, ">=", value[i])
     sol = solve_feasibility(lp)
     if not sol.is_optimal:
         raise RoundingError("support LP infeasible, although the input point satisfies it")
-    return {pair: sol.values[c] for pair, c in index.items()}
+    values = sol.values
+    return {pair: values[c] for pair, c in index.items()}
 
 
 def _assert_forest(edges) -> None:

@@ -416,3 +416,26 @@ def test_determinism(tmp_path):
             mismatches.append(label)
     verdict("determinism (byte-identical reports modulo wall-clock timings)", not mismatches)
     assert not mismatches, mismatches
+
+
+def test_python_m_cli_runs_the_command(tmp_path):
+    # `python -m santaclaus.cli` is documented as the console script's twin:
+    # the module must run main() when executed, not only define it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    out = tmp_path / "inst.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "santaclaus.cli", "gen", "--machines", "3", "--jobs", "7",
+            "--max-size", "9", "--density", "2/3", "--seed", "5", "--out", str(out),
+        ],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    inst = generate_random(m=3, n=7, max_size=9, density=F(2, 3), seed=5)
+    assert out.read_text() == serialize_instance(inst) + "\n"

@@ -73,9 +73,9 @@ def test_pricing_randomized_against_oracle():
 
 
 def test_pricing_with_mixed_denominators_matches_brute_force():
-    # the DP runs over costs scaled by their common denominator; the
-    # configuration it returns must still cost the true minimum over every
-    # subset of the pool that reaches tau, and be minimal at tau
+    # the DP compares rational costs as they are; the configuration it
+    # returns must cost the true minimum over every subset of the pool that
+    # reaches tau, and be minimal at tau
     from random import Random
 
     rng = Random(5)
@@ -95,6 +95,89 @@ def test_pricing_with_mixed_denominators_matches_brute_force():
         got = sum((costs.get(j, F(0)) for j in cfg.jobs), F(0))
         assert got == best, f"trial {trial}"
         assert is_minimal(cfg.jobs, tau, sizes), f"trial {trial}"
+
+def reference_min_knapsack(pool, sizes, costs, tau):
+    """The pricing DP as first written: costs scaled by their common
+    denominator, a table of None for unreachable totals, and reconstruction
+    by scanning every earlier total for one that explains the entry."""
+    from math import lcm
+
+    from santaclaus.rat import ceil_frac
+
+    pool = sorted(pool)
+    cap = ceil_frac(tau)
+    if sum(sizes[j] for j in pool) < cap:
+        return None
+    raw = [F(costs.get(j, 0)) for j in pool]
+    scale = lcm(*[c.denominator for c in raw])
+    icost = [c.numerator * (scale // c.denominator) for c in raw]
+    K = len(pool)
+    dp = [[None] * (cap + 1) for _ in range(K + 1)]
+    dp[0][0] = 0
+    for k in range(1, K + 1):
+        c = icost[k - 1]
+        w = sizes[pool[k - 1]]
+        prev, cur = dp[k - 1], dp[k]
+        for s in range(cap + 1):
+            base = prev[s]
+            if base is None:
+                continue
+            if cur[s] is None or base < cur[s]:
+                cur[s] = base
+            s2 = min(s + w, cap)
+            if cur[s2] is None or base + c < cur[s2]:
+                cur[s2] = base + c
+    if dp[K][cap] is None:
+        return None
+    chosen = []
+    s = cap
+    for k in range(K, 0, -1):
+        if dp[k - 1][s] is not None and dp[k - 1][s] == dp[k][s]:
+            continue
+        j, c = pool[k - 1], icost[k - 1]
+        pre = None
+        for s_pre in range(cap + 1):
+            base = dp[k - 1][s_pre]
+            if min(cap, s_pre + sizes[j]) == s and base is not None and base + c == dp[k][s]:
+                pre = s_pre
+                break
+        assert pre is not None
+        chosen.append(j)
+        s = pre
+    return prune_to_minimal(chosen, tau, sizes, dict(zip(pool, icost)))
+
+
+def test_pricing_matches_reference_dp():
+    # the list-built table with an integer sentinel and the direct
+    # predecessor read must return the very configuration the original
+    # None-table-and-scan DP returns; integer costs and the same costs over
+    # a common denominator must price alike
+    from random import Random
+
+    rng = Random(17)
+    zero = big = short = scaled = 0
+    for trial in range(600):
+        n = rng.randint(1, 9)
+        sizes = [rng.randint(1, 12) for _ in range(n)]
+        pool = sorted(rng.sample(range(n), rng.randint(1, n)))
+        tau = F(rng.randint(1, 30), rng.choice([1, 1, 2, 3]))
+        kind = trial % 3
+        if kind == 0:
+            costs = {j: 0 for j in pool if rng.random() < 0.5}  # zero or absent
+        else:
+            costs = {j: rng.choice([0, 0, rng.randint(1, 9)]) for j in pool}
+        expected = reference_min_knapsack(pool, sizes, costs, tau)
+        assert price_min_knapsack(pool, sizes, costs, tau) == expected, f"trial {trial}"
+        if kind == 2:
+            den = rng.randint(2, 9)
+            costs_over = {j: F(c, den) for j, c in costs.items()}
+            assert price_min_knapsack(pool, sizes, costs_over, tau) == expected, f"trial {trial}"
+            scaled += 1
+        zero += not any(costs.values())
+        big += any(sizes[j] >= tau for j in pool)
+        short += expected is None
+    assert min(zero, big, short, scaled) >= 20, (zero, big, short, scaled)
+
 
 def test_prune_drops_largest_cost_first():
     sizes = [4, 4, 4]
@@ -449,3 +532,43 @@ else:
     )
     assert proc.returncode == 0, proc.stderr
     assert "raised: cover LP postcondition violated: sabotaged" in proc.stdout
+
+
+def test_negative_job_dual_raises_under_python_O():
+    # every job dual is >= 0 at an optimal master basis, which is what lets
+    # pricing skip a machine whose cover dual is 0; under -O a sabotaged
+    # optimise that hands out a negative job dual must stop the cover LP
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import dataclasses
+import sys
+import santaclaus.configlp as clp
+import santaclaus.ratlp as ratlp
+assert sys.flags.optimize, "not running under -O"
+real_optimise = ratlp.Tableau.optimise
+
+def sabotaged(self, reported=None):
+    sol = real_optimise(self, reported)
+    ys = list(sol.ys)
+    ys[-1] = -1  # the newest job row
+    return dataclasses.replace(sol, ys=tuple(ys))
+
+ratlp.Tableau.optimise = sabotaged
+try:
+    clp.solve_cover_lp(pools={0: (0, 1, 2), 1: (1, 2)}, sizes=[2, 2, 3], tau=3)
+except clp.CoverLpError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the negative job dual went unnoticed")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: negative job dual at an optimal master basis" in proc.stdout

@@ -125,3 +125,50 @@ for _, make, _ in GOLDEN:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [expected for _, _, expected in GOLDEN]
+
+
+def digest_batch():
+    """About 40 seeded instances across the benchmark's three shapes: the
+    package's random generator at m=4, n=14; three machines with two big
+    jobs of size 18-23 and unit jobs on 3/4 eligibility coins; and unit
+    jobs only, 14-18 private per machine plus 0-3 shared."""
+    from random import Random
+
+    rng = Random("golden-digest")
+    out = []
+    for k in range(14):
+        out.append(random_instance(100 + k))
+
+        def coin():
+            return frozenset(i for i in range(3) if rng.randrange(4) < 3)
+
+        jobs = [JobSpec(size=18 + rng.randrange(6), eligible=coin()) for _ in range(2)]
+        jobs += [JobSpec(size=1, eligible=coin()) for _ in range(18)]
+        out.append(Instance(machine_count=3, jobs=tuple(jobs)))
+        if k < 12:
+            m = 3 + k % 2
+            jobs = [
+                JobSpec(size=1, eligible=frozenset([i]))
+                for i in range(m)
+                for _ in range(14 + rng.randrange(5))
+            ]
+            jobs += [JobSpec(size=1, eligible=frozenset(range(m))) for _ in range(rng.randrange(4))]
+            out.append(Instance(machine_count=m, jobs=tuple(jobs)))
+    return out
+
+
+# sha256 over the batch's canonical_json lines, each followed by "\n".
+BATCH_DIGEST = "db45ce2976b91f3014a293022921fbf087ed16a139584988efd48bae16a35aa8"
+
+
+def test_canonical_json_digest_over_generated_batch():
+    # one hash over 40 reports pins a speed change to the same bytes on far
+    # more instances than the six strings above
+    import hashlib
+
+    batch = digest_batch()
+    assert len(batch) == 40
+    digest = hashlib.sha256()
+    for inst in batch:
+        digest.update(solve(inst).canonical_json().encode() + b"\n")
+    assert digest.hexdigest() == BATCH_DIGEST

@@ -170,7 +170,8 @@ def _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs):
     """Grow a kept master the way column generation does and yield it after
     every round: cover rows first, configurations inserted before the job
     slacks in creation order, a job's row added with the first column that
-    uses it."""
+    uses it.  Positions are logical; rows name columns by the id
+    `Tableau.insert_column` returns."""
     master = Tableau()
     base = ngroups if exact_cover else 2 * ngroups
     for g in range(ngroups):
@@ -192,13 +193,12 @@ def _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs):
             configs.add((g, jobs))
             entries = {row_of[j]: F(1) for j in jobs if j in row_of}
             entries[g] = F(1)
-            master.insert_column(col, entries)
+            col = master.insert_column(col, entries)
             for j in jobs:
                 if j not in row_of:
                     job_rows.append(j)
                     job_rows.sort()
-                    slack = base + len(configs) + job_rows.index(j)
-                    master.insert_column(slack, {})
+                    slack = master.insert_column(base + len(configs) + job_rows.index(j), {})
                     row_of[j] = master.add_row({col: F(1), slack: F(1)}, F(1), basic=slack)
         yield master
 
@@ -232,6 +232,113 @@ def test_kept_master_matches_fresh_solves():
                 assert reduced <= 0, f"trial {trial}: column {c} prices in"
 
 
+def _growth_rounds(rng, ngroups, njobs):
+    """Rounds of cover-master growth as operations that name columns by
+    arrival index: ("column", pos, entries, cost) places a column at logical
+    position ``pos``, anywhere in the order; ("row", coeffs, rhs, basic)
+    appends a row in basic form on its fresh unit column ``basic``."""
+    first = [("column", g, {}, -1) for g in range(ngroups)]
+    first += [("column", ngroups + g, {}, 0) for g in range(ngroups)]
+    first += [("row", {g: 1, ngroups + g: -1}, F(1, rng.randint(1, 2)), g) for g in range(ngroups)]
+    rounds = [first]
+    ncols, nrows = 2 * ngroups, ngroups
+    configs, row_of = set(), {}
+    for _ in range(rng.randint(2, 6)):
+        ops = []
+        for _ in range(rng.randint(1, 4)):
+            g = rng.randrange(ngroups)
+            jobs = tuple(sorted(rng.sample(range(njobs), rng.randint(1, 3))))
+            if (g, jobs) in configs:
+                continue
+            configs.add((g, jobs))
+            entries = {row_of[j]: 1 for j in jobs if j in row_of}
+            entries[g] = 1
+            col = ncols
+            ops.append(("column", rng.randint(0, ncols), entries, 0))
+            ncols += 1
+            for j in jobs:
+                if j not in row_of:
+                    ops.append(("column", rng.randint(0, ncols), {}, 0))
+                    ops.append(("row", {col: 1, ncols: 1}, F(1), ncols))
+                    row_of[j] = nrows
+                    ncols += 1
+                    nrows += 1
+        rounds.append(ops)
+    return rounds
+
+
+def _in_logical_order(t):
+    """A copy of tableau ``t`` laid out as if every column had been appended
+    in logical order: column ids are logical positions."""
+    u = Tableau()
+    at = {c: k for k, c in enumerate(t.order)}
+    u.rows = [[row[c] for c in t.order] for row in t.rows]
+    u.xb = list(t.xb)
+    u.det, u.bden = t.det, t.bden
+    u.basis = [at[c] for c in t.basis]
+    u.basic = set(u.basis)
+    u.unit = [at[c] for c in t.unit]
+    u.rhs = list(t.rhs)
+    u.columns = [dict(t.columns[c]) for c in t.order]
+    u.cost = [t.cost[c] for c in t.order]
+    u.order = list(range(len(t.order)))
+    u.banned = {at[c] for c in t.banned}
+    return u
+
+
+def test_inserted_columns_pivot_as_if_appended_in_logical_order(monkeypatch):
+    # a master that places columns anywhere in its logical order, while its
+    # tableau only appends them, must take the same pivots and reach the same
+    # logical basis, det, values and duals as a master whose columns sit in
+    # logical order, after every round of re-optimisation
+    from random import Random
+
+    import santaclaus.ratlp as ratlp
+
+    pivots = []
+    solving = []
+    real_pivot = ratlp._pivot
+
+    def recording(rows, xb, z, basis, det, r, c):
+        pivots.append((r, solving[-1].order.index(c)))
+        return real_pivot(rows, xb, z, basis, det, r, c)
+
+    monkeypatch.setattr(ratlp, "_pivot", recording)
+    rng = Random(31)
+    total = 0
+    for trial in range(80):
+        kept, ordered = Tableau(), Tableau()
+        for ops in _growth_rounds(rng, rng.randint(1, 3), njobs=7):
+            for op in ops:
+                if op[0] == "column":
+                    _, pos, entries, cost = op
+                    assert kept.insert_column(pos, entries, cost) == kept.variable_count - 1
+                    ordered.insert_column(pos, entries, cost)
+                    ordered = _in_logical_order(ordered)
+                else:
+                    _, coeffs, rhs, basic = op
+                    at = {c: k for k, c in enumerate(kept.order)}
+                    kept.add_row(coeffs, rhs, basic)
+                    ordered.add_row({at[c]: a for c, a in coeffs.items()}, rhs, at[basic])
+            solving.append(kept)
+            a = solve_lp(kept)
+            kept_pivots, pivots[:] = list(pivots), []
+            solving.append(ordered)
+            b = solve_lp(ordered)
+            assert kept_pivots == pivots, f"trial {trial}"
+            total += len(pivots)
+            pivots.clear()
+            assert a.status == b.status == "optimal", f"trial {trial}"
+            view = _in_logical_order(kept)
+            assert view.basis == ordered.basis, f"trial {trial}"
+            assert view.rows == ordered.rows and view.xb == ordered.xb, f"trial {trial}"
+            assert kept.det == ordered.det, f"trial {trial}"
+            assert [a.values[c] for c in kept.order] == list(b.values), f"trial {trial}"
+            assert a.dual_values == b.dual_values, f"trial {trial}"
+            assert a.objective_value == b.objective_value, f"trial {trial}"
+    assert total > 200  # the masters really pivot
+
+
 def test_kept_master_rejects_rows_out_of_basic_form():
     master = Tableau()
     master.insert_column(0, {}, F(-1))
@@ -244,14 +351,13 @@ def test_kept_master_rejects_rows_out_of_basic_form():
 
 
 def _basis_inverse_times(master):
-    """|det B| and B^-1 [A | b] for the master's basis, by Fraction
-    Gauss-Jordan elimination over the original columns, independent of the
-    tableau's own arithmetic."""
+    """|det B| and B^-1 [A | b], columns in logical order, for the master's
+    basis, by Fraction Gauss-Jordan elimination over the original columns,
+    independent of the tableau's own arithmetic."""
     n = len(master.rhs)
-    ncols = master.variable_count
     mat = [
         [F(master.columns[c].get(r, 0)) for c in master.basis]
-        + [F(master.columns[c].get(r, 0)) for c in range(ncols)]
+        + [F(master.columns[c].get(r, 0)) for c in master.order]
         + [master.rhs[r]]
         for r in range(n)
     ]
@@ -273,7 +379,8 @@ def _basis_inverse_times(master):
 
 def test_kept_master_tableau_is_integer_over_basis_determinant():
     # after every solve of a master grown round by round, each tableau entry
-    # is an int and the tableau is exactly |det B| * B^-1 [A | b * bden]
+    # is an int and the tableau, read in logical column order through
+    # master.order, is exactly |det B| * B^-1 [A | b * bden]
     from random import Random
 
     rng = Random(11)
@@ -283,11 +390,17 @@ def test_kept_master_tableau_is_integer_over_basis_determinant():
         for master in _random_master_rounds(rng, ngroups, False, cover_rhs, njobs=6):
             assert solve_lp(master).is_optimal, f"trial {trial}"
             assert all(type(a) is int for row in master.rows for a in row), f"trial {trial}"
+            assert all(type(a) is int for a in master.xb), f"trial {trial}"
+            assert sorted(master.order) == list(range(master.variable_count))
             det, inverse = _basis_inverse_times(master)
             assert master.det == det, f"trial {trial}"
             scale = [det] * master.variable_count + [det * master.bden]
             expected = [[a * s for a, s in zip(row, scale)] for row in inverse]
-            assert master.rows == expected, f"trial {trial}"
+            logical = [
+                [row[c] for c in master.order] + [xb]
+                for row, xb in zip(master.rows, master.xb)
+            ]
+            assert logical == expected, f"trial {trial}"
 
 
 def test_non_integer_coefficient_or_cost_rejected():
@@ -328,9 +441,9 @@ import santaclaus.ratlp as ratlp
 assert sys.flags.optimize, "not running under -O"
 real_pivot = ratlp._pivot
 
-def sabotaged(rows, z, basis, det, r, c):
-    det = real_pivot(rows, z, basis, det, r, c)
-    rows[r][-1] += 1
+def sabotaged(rows, xb, z, basis, det, r, c):
+    det = real_pivot(rows, xb, z, basis, det, r, c)
+    xb[r] += 1
     return det
 
 ratlp._pivot = sabotaged
