@@ -17,7 +17,7 @@ from .instances import (
 )
 from .configlp import find_T, solve_clp_feasibility
 from .pipeline import PipelineError, SolveReport, solve
-from .ratlp import LinearProgram, LpSolution, solve_feasibility, solve_lp
+from .ratlp import LinearProgram, LpSolution, solve_feasibility
 
 __all__ = [
     "PipelineError",
@@ -40,6 +40,5 @@ __all__ = [
     "serialize_allocation",
     "serialize_instance",
     "solve_feasibility",
-    "solve_lp",
     "verify_allocation",
 ]

@@ -58,7 +58,7 @@ def member_value(sol: EapSolution, clusters: ClusterSet, machine: int) -> Fracti
 
 
 def check_eap(sol: EapSolution, clusters: ClusterSet, T: Fraction) -> tuple[bool, str | None]:
-    """Exact verification of every constraint group; first violation reported."""
+    """Exact verification of every constraint group; returns the first violation."""
     small = clusters.job_classes.small
     t6 = Fraction(T) / 6
     for (i, j), share in sol.u.items():

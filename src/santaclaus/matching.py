@@ -13,7 +13,7 @@ unblocked edge is swapped into the matching, re-matching displaced
 composites and promoting any add edge it unblocks; a blocked edge joins the
 tree together with its blockers.  When the composite cover condition holds
 (every composite carries small weight >= 1/2) the tree always has an edge to
-take, so a stall is reported as an upstream defect rather than papered over.
+take, so a stall is raised as an upstream defect rather than papered over.
 The local search may take superpolynomially many steps in principle; a step
 budget turns pathological blowup into an error instead of a hang.
 

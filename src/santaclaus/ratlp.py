@@ -2,14 +2,18 @@
 
 Every LP in the package reads ``maximize c.x  s.t.  rows, x >= 0`` with
 integer coefficients and costs and a non-negative rational right-hand side
-on every row.  `solve_lp` accepts two forms:
+on every row, and is solved as a `Tableau`: an equality-form LP kept in
+basic form, which starts on an identity basis of unit columns and so never
+needs a phase 1.  It comes from one of two places:
 
-* a `LinearProgram` (rows ``<=``, ``>=`` or ``=``) is put in standard form
-  with slack, surplus and artificial columns and solved by two-phase simplex;
-* a `Tableau` is an equality-form LP that its caller keeps between solves.
-  Column generation adds each priced column to its master as B^-1 a and each
-  new row in basic form, and `solve_lp` re-optimises from the basis the
-  previous solve left, with no rebuild and no phase 1.
+* column generation keeps its cover master as a `Tableau` between solves,
+  adding each priced column as B^-1 a and each new row in basic form, and
+  `solve_lp` re-optimises from the basis the previous solve left;
+* `solve_feasibility` takes a `LinearProgram` of ``<=`` and ``>=`` rows and
+  builds the same kind of tableau: a slack or surplus column per row and a
+  shortfall column of cost -1 per ``>=`` row, each row basic on its slack or
+  its shortfall.  The rows are feasible exactly when the least total
+  shortfall, the optimum, is 0.
 
 The tableau is fraction-free (Edmonds/Bareiss integer-preserving
 Gauss-Jordan): it holds the integers ``det * B^-1 [A | b * bden]``, where
@@ -23,9 +27,9 @@ anti-cycling rule).
 Columns are appended to the tableau in the order they arrive, so adding one
 costs an append per row and never renumbers the basis.  The caller names
 each column's place in a logical order, and every tie-break (Dantzig's and
-Bland's entering column, the ratio test's smallest basic variable, the first
-column that can expel an artificial) reads that order: a kept master pivots
-exactly as the same LP written out in logical order would.
+Bland's entering column, the ratio test's smallest basic variable) reads
+that order: a kept master pivots exactly as the same LP written out in
+logical order would.
 
 An optimal `LpSolution` carries integers: ``x * det * bden`` and
 ``y * det``.  Column-generation pricing compares signs on those directly;
@@ -48,7 +52,7 @@ from typing import Mapping
 
 ZERO = Fraction(0)
 
-RELATIONS = ("<=", ">=", "=")
+RELATIONS = ("<=", ">=")
 
 # Steepest-coefficient (Dantzig) entering keeps pivot counts low; after this
 # many pivots the rule degrades to Bland's, whose anti-cycling property
@@ -73,15 +77,14 @@ def _integer(a, what: str) -> int:
 
 @dataclass
 class LinearProgram:
-    """``maximize c.x  s.t.  rows, x >= 0`` with every right-hand side >= 0.
+    """The rows ``<=`` or ``>=``, x >= 0, with every right-hand side >= 0: a
+    system that `solve_feasibility` finds a vertex of.
 
-    ``objective`` and constraint rows are sparse maps from variable index to
-    an integer coefficient; right-hand sides may be any non-negative
-    rational.
+    Constraint rows are sparse maps from variable index to an integer
+    coefficient; right-hand sides may be any non-negative rational.
     """
 
     variable_count: int
-    objective: dict[int, int] = field(default_factory=dict)
     constraints: list[tuple[dict[int, int], str, Fraction]] = field(default_factory=list)
 
     def add_constraint(self, coeffs: Mapping[int, int], relation: str, rhs) -> None:
@@ -160,12 +163,11 @@ class Tableau:
 
     A column is known by its id, the order it arrived in: ``columns``,
     ``cost`` and every row are indexed by id, and a new column is appended,
-    so ``basis``, ``unit`` and ``banned`` never shift.  The caller still
-    names each column's position in a logical order, kept in ``order`` (ids,
-    logically first to last), and every pivot tie-break reads that order, so
-    pivots do not depend on when a column arrived.  Rows are appended, since
-    no pivot rule reads row order.  Banned columns (artificials) never
-    enter.
+    so ``basis`` and ``unit`` never shift.  The caller still names each
+    column's position in a logical order, kept in ``order`` (ids, logically
+    first to last), and every pivot tie-break reads that order, so pivots do
+    not depend on when a column arrived.  Rows are appended, since no pivot
+    rule reads row order.
     """
 
     def __init__(self) -> None:
@@ -180,7 +182,6 @@ class Tableau:
         self.columns: list[dict[int, int]] = []  # original A, row -> a
         self.cost: list[int] = []
         self.order: list[int] = []  # column ids in logical order
-        self.banned: set[int] = set()
 
     @property
     def variable_count(self) -> int:
@@ -247,25 +248,9 @@ class Tableau:
         self.rhs.append(rhs)
         return r
 
-    def phase_one(self) -> bool:
-        """Drive the artificials out of the basis; False if the rows are
-        infeasible.  Redundant rows keep their artificial basic at zero."""
-        if not any(c in self.banned for c in self.basis):
-            return True
-        cost1 = [-1 if c in self.banned else 0 for c in range(len(self.cost))]
-        if self._simplex(cost1, banned=set())[0] != "optimal":
-            raise LpError("phase 1 came out unbounded, although its objective is bounded by 0")
-        if any(v != 0 for v, c in zip(self.xb, self.basis) if c in self.banned):
-            return False
-        self._expel_artificials()
-        return True
-
-    def optimise(self, reported: int | None = None) -> LpSolution:
-        """Phase 2 from the current basis, which must be primal feasible.
-
-        ``reported`` limits the returned values to the leading column ids.
-        """
-        status, z = self._simplex(self.cost, self.banned)
+    def optimise(self) -> LpSolution:
+        """Re-optimise from the current basis, which must be primal feasible."""
+        status, z = self._simplex()
         if status == "unbounded":
             return LpSolution(status="unbounded")
         det, bden = self.det, self.bden
@@ -275,17 +260,13 @@ class Tableau:
             xs[c] = v
         b_scaled = [b.numerator * (bden // b.denominator) for b in self.rhs]  # b * bden
 
-        # Exact feasibility of every original row, with artificials at zero.
+        # Exact feasibility of every original row.
         activity = [0] * len(self.rhs)
         for col, v in zip(self.columns, xs):
             if v:
                 for r, a in col.items():
                     activity[r] += a * v
-        if (
-            activity != [det * b for b in b_scaled]
-            or any(v < 0 for v in xs)
-            or any(xs[c] != 0 for c in self.banned)
-        ):
+        if activity != [det * b for b in b_scaled] or any(v < 0 for v in xs):
             raise LpError("optimal solution violates a constraint; simplex bug")
 
         # Row r's unit column u prices at z[u] / det = cost[u] - y_r.
@@ -296,7 +277,7 @@ class Tableau:
         # tuple(list), not tuple(generator): see LpSolution.
         return LpSolution(
             status="optimal",
-            xs=tuple(xs[:reported]),
+            xs=tuple(xs),
             objective=objective,
             ys=tuple(ys),
             det=det,
@@ -310,7 +291,7 @@ class Tableau:
             rank[c] = k
         return rank
 
-    def _simplex(self, cost, banned):
+    def _simplex(self):
         """Primal simplex from the current basic form; returns the status and
         the final reduced-cost row, and leaves the final basis and ``det``.
 
@@ -322,7 +303,7 @@ class Tableau:
         break ratio ties on the logically smallest basic variable, completing
         Bland's anti-cycling guarantee.
         """
-        rows, xb, basis, order = self.rows, self.xb, self.basis, self.order
+        rows, xb, basis, order, cost = self.rows, self.xb, self.basis, self.order, self.cost
         det = self.det
         z = [det * c for c in cost]
         for row, b in zip(rows, basis):
@@ -336,12 +317,12 @@ class Tableau:
             if pivots < DANTZIG_PIVOT_LIMIT:
                 best = 0
                 for j in order:
-                    if z[j] > best and j not in banned:
+                    if z[j] > best:
                         best = z[j]
                         enter = j
             else:
                 for j in order:
-                    if z[j] > 0 and j not in banned:
+                    if z[j] > 0:
                         enter = j
                         break
             if enter < 0:
@@ -373,73 +354,41 @@ class Tableau:
         self.basic = set(basis)
         return status, z
 
-    def _expel_artificials(self) -> None:
-        """Pivot zero-valued artificials out of the basis where possible,
-        each on its row's logically first nonzero allowed column.
-
-        A row whose artificial cannot leave is redundant; the artificial stays
-        basic at zero and the banned set keeps it from ever re-entering.
-        """
-        rows, banned = self.rows, self.banned
-        for r in range(len(rows)):
-            if self.basis[r] not in banned:
-                continue
-            row = rows[r]
-            enter = next((j for j in self.order if j not in banned and row[j] != 0), -1)
-            if enter >= 0:
-                self.det = _pivot(rows, self.xb, [0] * len(row), self.basis, self.det, r, enter)
-        self.basic = set(self.basis)
-
 
 def solve_feasibility(lp: LinearProgram) -> LpSolution:
-    """Solve with a zero objective: any feasible vertex, or infeasible."""
-    probe = LinearProgram(
-        variable_count=lp.variable_count,
-        objective={},
-        constraints=lp.constraints,
-    )
-    return solve_lp(probe)
+    """A vertex of the rows of ``lp``, or "infeasible".
 
-
-def solve_lp(lp: LinearProgram | Tableau) -> LpSolution:
-    """Solve the LP.  A `Tableau` re-optimises from its kept basis (and keeps
-    the final one); a `LinearProgram` is solved from scratch."""
-    if isinstance(lp, Tableau):
-        return lp.optimise()
-    tableau = _standard_form(lp)
-    if not tableau.phase_one():
-        return LpSolution(status="infeasible")
-    return tableau.optimise(reported=lp.variable_count)
-
-
-def _standard_form(lp: LinearProgram) -> Tableau:
-    """Columns: structural | slack or surplus per inequality | artificial per
-    ``>=`` or ``=`` row.  Each row starts basic on its slack (``<=``) or its
-    artificial, which is also the row's unit column."""
-    relations = [relation for _, relation, _ in lp.constraints]
-    slack_of: dict[int, int] = {}
-    art_of: dict[int, int] = {}
-    ncols = lp.variable_count
-    for r, relation in enumerate(relations):
-        if relation != "=":
-            slack_of[r] = ncols
-            ncols += 1
-    for r, relation in enumerate(relations):
-        if relation != "<=":
-            art_of[r] = ncols
-            ncols += 1
+    The tableau's columns, in logical order, are the structural ones, one
+    per row (a slack, +1, on a ``<=`` row; a surplus, -1, on a ``>=`` row)
+    and a shortfall (+1, cost -1) per ``>=`` row.  Each row starts basic on
+    its slack or its shortfall, and the solve maximises minus the total
+    shortfall, which is 0 exactly when the rows are feasible.  The solution
+    holds the structural columns' values and no duals.
+    """
+    n, rows = lp.variable_count, lp.constraints
+    first = n + len(rows)  # the first shortfall column
+    ge = [r for r, (_, relation, _) in enumerate(rows) if relation == ">="]
+    shortfall = {r: first + k for k, r in enumerate(ge)}
     tableau = Tableau()
-    for c in range(ncols):
-        tableau.insert_column(c, {}, lp.objective.get(c, 0) if c < lp.variable_count else 0)
-    for r, (row, relation, b) in enumerate(lp.constraints):
+    for c in range(first + len(ge)):
+        tableau.insert_column(c, {}, -1 if c >= first else 0)
+    for r, (row, relation, b) in enumerate(rows):
         coeffs = dict(row)
-        if r in slack_of:
-            coeffs[slack_of[r]] = 1 if relation == "<=" else -1
-        if r in art_of:
-            coeffs[art_of[r]] = 1
-        tableau.add_row(coeffs, b, basic=art_of.get(r, slack_of.get(r)))
-    tableau.banned = set(art_of.values())
-    return tableau
+        coeffs[n + r] = 1 if relation == "<=" else -1
+        if r in shortfall:
+            coeffs[shortfall[r]] = 1
+        tableau.add_row(coeffs, b, basic=shortfall.get(r, n + r))
+    sol = solve_lp(tableau)
+    if not sol.is_optimal:
+        raise LpError("the shortfall LP came out unbounded, although its objective is bounded by 0")
+    if sol.objective:
+        return LpSolution(status="infeasible")
+    return LpSolution(status="optimal", xs=sol.xs[:n], objective=0, det=sol.det, bden=sol.bden)
+
+
+def solve_lp(tableau: Tableau) -> LpSolution:
+    """Re-optimise ``tableau`` from its kept basis, and keep the final one."""
+    return tableau.optimise()
 
 
 def _pivot(rows, xb, z, basis, det, r, c) -> int:
@@ -448,17 +397,12 @@ def _pivot(rows, xb, z, basis, det, r, c) -> int:
     The new determinant is the pivot entry p; every other row (with its
     ``xb`` entry, and the reduced-cost row ``z`` too) becomes
     ``(p * row - f * w) / det``, where w is the pivot row and f the row's
-    entry in column c, and the division is exact.  A negative pivot (only
-    `Tableau._expel_artificials` takes one) negates the pivot row first,
-    which negates the whole new tableau and keeps ``det`` positive; the
-    pivot row itself is otherwise unchanged.
+    entry in column c, and the division is exact; the pivot row itself is
+    unchanged.  The ratio test pivots only on p > 0, so ``det`` stays
+    positive.
     """
     w = rows[r]
     p = w[c]
-    if p < 0:
-        p = -p
-        rows[r] = w = [-a for a in w]
-        xb[r] = -xb[r]
     wb = xb[r]
     for k, other in enumerate(rows):
         if k == r:

@@ -439,3 +439,21 @@ def test_python_m_cli_runs_the_command(tmp_path):
     assert proc.returncode == 0, proc.stderr
     inst = generate_random(m=3, n=7, max_size=9, density=F(2, 3), seed=5)
     assert out.read_text() == serialize_instance(inst) + "\n"
+
+
+def test_package_has_no_bare_assert():
+    # python -O strips assert statements, so a load-bearing check in the
+    # package must raise instead; this keeps src/ free of them
+    import ast
+    from pathlib import Path
+
+    package = Path(__file__).resolve().parent.parent / "src" / "santaclaus"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"bare assert in the package: {found}"

@@ -551,8 +551,8 @@ import santaclaus.ratlp as ratlp
 assert sys.flags.optimize, "not running under -O"
 real_optimise = ratlp.Tableau.optimise
 
-def sabotaged(self, reported=None):
-    sol = real_optimise(self, reported)
+def sabotaged(self):
+    sol = real_optimise(self)
     ys = list(sol.ys)
     ys[-1] = -1  # the newest job row
     return dataclasses.replace(sol, ys=tuple(ys))

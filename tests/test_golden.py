@@ -159,16 +159,30 @@ def digest_batch():
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
 BATCH_DIGEST = "db45ce2976b91f3014a293022921fbf087ed16a139584988efd48bae16a35aa8"
+# The same over the batch solved with strategy="enumeration", whose clustered
+# solves test selections with eap's assignment LP at T/6: 28 of those LP
+# solves and 40 roundings, each a vertex of rounding's support LP.
+ENUMERATION_DIGEST = "b19643a5d8bea15b450916ba21b373d543952eea0f216ecc61e32d1b4d7eac69"
 
 
-def test_canonical_json_digest_over_generated_batch():
-    # one hash over 40 reports pins a speed change to the same bytes on far
-    # more instances than the six strings above
+def batch_digest(strategy):
     import hashlib
 
     batch = digest_batch()
     assert len(batch) == 40
     digest = hashlib.sha256()
     for inst in batch:
-        digest.update(solve(inst).canonical_json().encode() + b"\n")
-    assert digest.hexdigest() == BATCH_DIGEST
+        digest.update(solve(inst, strategy=strategy).canonical_json().encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_canonical_json_digest_over_generated_batch():
+    # one hash over 40 reports pins a speed change to the same bytes on far
+    # more instances than the six strings above
+    assert batch_digest("matching") == BATCH_DIGEST
+
+
+def test_canonical_json_digest_over_generated_batch_by_enumeration():
+    # the only pin on the vertices that rounding's and eap's feasibility LPs
+    # return: a change to their column order or pivot rule moves these bytes
+    assert batch_digest("enumeration") == ENUMERATION_DIGEST

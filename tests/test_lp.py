@@ -8,13 +8,24 @@ from conftest import enumerate_lp_vertices
 F = Fraction
 
 
+def _slack_tableau(objective, rows, nvars):
+    """``maximize objective.x  s.t.  rows, x >= 0`` for ``<=`` rows as a
+    `Tableau` on its slack basis: the structural columns, then one slack per
+    row, each row basic on its slack."""
+    t = Tableau()
+    for c in range(nvars + len(rows)):
+        t.insert_column(c, {}, objective.get(c, 0))
+    for r, (coeffs, relation, rhs) in enumerate(rows):
+        assert relation == "<="
+        t.add_row({**coeffs, nvars + r: 1}, rhs, basic=nvars + r)
+    return t
+
+
 def test_single_constraint():
-    lp = LinearProgram(1, objective={0: F(1)})
-    lp.add_constraint({0: F(1)}, "<=", F(10))
-    lp.add_constraint({0: F(1)}, "<=", F(3))
-    sol = solve_lp(lp)
+    rows = [({0: F(1)}, "<=", F(10)), ({0: F(1)}, "<=", F(3))]
+    sol = solve_lp(_slack_tableau({0: F(1)}, rows, 1))
     assert sol.status == "optimal"
-    assert sol.values == (F(3),)
+    assert sol.values[:1] == (F(3),)
     assert sol.objective_value == 3
 
 
@@ -22,25 +33,21 @@ def test_contradictory_bounds_infeasible():
     lp = LinearProgram(1)
     lp.add_constraint({0: F(1)}, ">=", F(1))
     lp.add_constraint({0: F(1)}, "<=", F(0))
-    assert solve_lp(lp).status == "infeasible"
+    assert solve_feasibility(lp).status == "infeasible"
 
 
 def test_two_variable_optimum_matches_vertex_enumeration():
     objective = {0: F(1), 1: F(1)}
     rows = [({0: F(1), 1: F(1)}, "<=", F(5, 2))]
-    lp = LinearProgram(2, objective=dict(objective))
-    for coeffs, rel, rhs in rows:
-        lp.add_constraint(coeffs, rel, rhs)
-    sol = solve_lp(lp)
+    sol = solve_lp(_slack_tableau(objective, rows, 2))
     best, _ = enumerate_lp_vertices(objective, rows, 2)
     assert sol.status == "optimal"
     assert sol.objective_value == best == F(5, 2)
 
 
 def test_unbounded():
-    lp = LinearProgram(1, objective={0: F(1)})
-    lp.add_constraint({0: F(-1)}, "<=", F(1))
-    assert solve_lp(lp).status == "unbounded"
+    sol = solve_lp(_slack_tableau({0: F(1)}, [({0: F(-1)}, "<=", F(1))], 1))
+    assert sol.status == "unbounded"
 
 
 def test_negative_rhs_rejected():
@@ -52,17 +59,13 @@ def test_negative_rhs_rejected():
     assert lp.constraints == []
 
 
-def test_shifted_and_upper_bounded_variables():
-    # max x + 2y with 1 <= x <= 4, y <= 2, x + y <= 5; the bounds are rows
-    lp = LinearProgram(2, objective={0: F(1), 1: F(2)})
-    lp.add_constraint({0: F(1)}, ">=", F(1))
-    lp.add_constraint({0: F(1)}, "<=", F(4))
-    lp.add_constraint({1: F(1)}, "<=", F(2))
-    lp.add_constraint({0: F(1), 1: F(1)}, "<=", F(5))
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.values == (F(3), F(2))
-    assert sol.objective_value == 7
+def test_equality_rows_rejected():
+    # a feasibility LP has only <= and >= rows: each starts basic on its
+    # slack or its shortfall
+    lp = LinearProgram(1)
+    with pytest.raises(ValueError):
+        lp.add_constraint({0: F(1)}, "=", F(1))
+    assert lp.constraints == []
 
 
 def test_feasibility_forced_assignment():
@@ -89,10 +92,8 @@ def test_feasibility_disjoint_cover():
 
 def test_duals_certify_optimum():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6
-    lp = LinearProgram(2, objective={0: F(3), 1: F(2)})
-    lp.add_constraint({0: F(1), 1: F(1)}, "<=", F(4))
-    lp.add_constraint({0: F(1), 1: F(3)}, "<=", F(6))
-    sol = solve_lp(lp)
+    rows = [({0: F(1), 1: F(1)}, "<=", F(4)), ({0: F(1), 1: F(3)}, "<=", F(6))]
+    sol = solve_lp(_slack_tableau({0: F(3), 1: F(2)}, rows, 2))
     assert sol.status == "optimal"
     y = sol.dual_values
     # dual feasibility for a maximization with <= rows: y >= 0, A^T y >= c
@@ -111,50 +112,70 @@ def test_duals_certify_optimum():
 
 def test_determinism_identical_bytes():
     def run():
-        lp = LinearProgram(3, objective={0: F(2), 1: F(1), 2: F(1)})
-        lp.add_constraint({0: F(1), 1: F(1)}, "<=", F(3))
-        lp.add_constraint({1: F(1), 2: F(1)}, "<=", F(2))
-        lp.add_constraint({0: F(1), 2: F(1)}, "<=", F(4))
-        return solve_lp(lp)
+        rows = [
+            ({0: F(1), 1: F(1)}, "<=", F(3)),
+            ({1: F(1), 2: F(1)}, "<=", F(2)),
+            ({0: F(1), 2: F(1)}, "<=", F(4)),
+        ]
+        return solve_lp(_slack_tableau({0: F(2), 1: F(1), 2: F(1)}, rows, 3))
 
     a, b = run(), run()
     assert a == b
 
 
 def _check_random_lps(seed, make_rhs):
-    """Small random maximization problems, equality rows included, against
-    the exhaustive vertex oracle; ``make_rhs(rng)`` draws each row's rhs."""
+    """Small random LPs against the exhaustive vertex oracle; ``make_rhs(rng)``
+    draws each row's rhs.  Each trial checks a random ``<=``/``>=`` system
+    through `solve_feasibility` (same status, and a returned point is one of
+    the oracle's vertices and meets every row exactly) and a random
+    maximisation over ``<=`` rows on a `Tableau` (the oracle's optimum, with
+    duals that certify it)."""
     from random import Random
 
     rng = Random(seed)
     for trial in range(120):
         nvars = rng.choice([1, 2, 3])
-        nrows = rng.choice([1, 2, 3])
-        objective = {v: F(rng.randint(-3, 4)) for v in range(nvars)}
-        rows = []
-        for _ in range(nrows):
-            coeffs = {v: F(rng.randint(-2, 3)) for v in range(nvars)}
-            coeffs = {v: a for v, a in coeffs.items() if a != 0}
-            rel = rng.choice(["<=", ">=", "<=", "="])
-            rows.append((coeffs, rel, make_rhs(rng)))
         # keep the region bounded so the oracle's vertex scan is conclusive
-        for v in range(nvars):
-            rows.append(({v: F(1)}, "<=", F(10)))
-        lp = LinearProgram(nvars, objective=dict(objective))
+        bounds = [({v: F(1)}, "<=", F(10)) for v in range(nvars)]
+
+        def random_rows(relations):
+            rows = []
+            for _ in range(rng.choice([1, 2, 3])):
+                coeffs = {v: F(rng.randint(-2, 3)) for v in range(nvars)}
+                coeffs = {v: a for v, a in coeffs.items() if a != 0}
+                rows.append((coeffs, rng.choice(relations), make_rhs(rng)))
+            return rows + bounds
+
+        rows = random_rows(["<=", ">="])
+        lp = LinearProgram(nvars)
         for coeffs, rel, rhs in rows:
             lp.add_constraint(coeffs, rel, rhs)
-        sol = solve_lp(lp)
-        oracle = enumerate_lp_vertices(objective, rows, nvars)
+        sol = solve_feasibility(lp)
+        oracle = enumerate_lp_vertices({}, rows, nvars)
         if oracle is None:
             assert sol.status == "infeasible", f"trial {trial}"
         else:
             assert sol.status == "optimal", f"trial {trial}"
-            assert sol.objective_value == oracle[0], f"trial {trial}"
-            # duals certify the optimum exactly
-            dual_obj = sum(
-                (y * rhs for y, (_, _, rhs) in zip(sol.dual_values, rows)), F(0)
-            )
-            assert dual_obj == sol.objective_value, f"trial {trial}"
+            x = sol.values
+            assert len(x) == nvars and list(x) in oracle[1], f"trial {trial}"
+            for coeffs, rel, rhs in rows:
+                lhs = sum((a * x[v] for v, a in coeffs.items()), F(0))
+                assert lhs <= rhs if rel == "<=" else lhs >= rhs, f"trial {trial}"
+
+        objective = {v: F(rng.randint(-3, 4)) for v in range(nvars)}
+        rows = random_rows(["<="])
+        sol = solve_lp(_slack_tableau(objective, rows, nvars))
+        best, _ = enumerate_lp_vertices(objective, rows, nvars)
+        assert sol.status == "optimal", f"trial {trial}"
+        assert sol.objective_value == best, f"trial {trial}"
+        # duals certify the optimum exactly: y >= 0, A^T y >= c, y.b = c.x
+        y = sol.dual_values
+        assert all(v >= 0 for v in y), f"trial {trial}"
+        for v in range(nvars):
+            priced = sum((y[r] * coeffs.get(v, 0) for r, (coeffs, _, _) in enumerate(rows)), F(0))
+            assert priced >= objective[v], f"trial {trial}"
+        dual_obj = sum((a * rhs for a, (_, _, rhs) in zip(y, rows)), F(0))
+        assert dual_obj == sol.objective_value, f"trial {trial}"
 
 
 def test_random_lps_agree_with_vertex_enumeration():
@@ -203,10 +224,23 @@ def _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs):
         yield master
 
 
+def _fresh_in_logical_order(master):
+    """The master's rows and columns written out from scratch, column ids in
+    logical order, on the identity basis of its rows' unit columns."""
+    at = {c: k for k, c in enumerate(master.order)}
+    fresh = Tableau()
+    for k, c in enumerate(master.order):
+        fresh.insert_column(k, {}, master.cost[c])
+    for (row, _, rhs), u in zip(master.constraints, master.unit):
+        fresh.add_row({at[c]: a for c, a in row.items()}, rhs, basic=at[u])
+    return fresh
+
+
 def test_kept_master_matches_fresh_solves():
     # after every round the kept tableau re-optimises from its old basis; a
-    # fresh two-phase solve over the same rows and columns must agree, and
-    # the kept duals must certify the optimum on every present column
+    # fresh solve over the same rows and columns, from the identity basis,
+    # must agree, and the kept duals must certify the optimum on every
+    # present column
     from random import Random
 
     rng = Random(7)
@@ -216,13 +250,7 @@ def test_kept_master_matches_fresh_solves():
         cover_rhs = rng.choice([F(1), F(1, 2)])
         for master in _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs=6):
             kept = solve_lp(master)
-            fresh_lp = LinearProgram(
-                master.variable_count,
-                objective={c: a for c, a in enumerate(master.cost) if a != 0},
-            )
-            for row, relation, rhs in master.constraints:
-                fresh_lp.add_constraint(row, relation, rhs)
-            fresh = solve_lp(fresh_lp)
+            fresh = solve_lp(_fresh_in_logical_order(master))
             assert kept.status == fresh.status == "optimal", f"trial {trial}"
             assert kept.objective_value == fresh.objective_value, f"trial {trial}"
             y = kept.dual_values
@@ -282,7 +310,6 @@ def _in_logical_order(t):
     u.columns = [dict(t.columns[c]) for c in t.order]
     u.cost = [t.cost[c] for c in t.order]
     u.order = list(range(len(t.order)))
-    u.banned = {at[c] for c in t.banned}
     return u
 
 
@@ -408,8 +435,6 @@ def test_non_integer_coefficient_or_cost_rejected():
     with pytest.raises(ValueError):
         lp.add_constraint({0: F(1, 2)}, "<=", F(1))
     assert lp.constraints == []
-    with pytest.raises(ValueError):
-        solve_lp(LinearProgram(1, objective={0: F(1, 3)}))
 
     master = Tableau()
     master.insert_column(0, {}, F(-1))  # an integral Fraction is fine
@@ -428,7 +453,8 @@ def test_non_integer_coefficient_or_cost_rejected():
 def test_simplex_checks_survive_python_O():
     # the exact row-feasibility and duality checks are the only guard on the
     # tableau arithmetic: under -O a _pivot that leaves one entry off by one
-    # must still stop the solve with LpError
+    # must still stop a feasibility solve, whose >= row makes it pivot, with
+    # LpError
     import os
     import subprocess
     import sys
@@ -447,11 +473,11 @@ def sabotaged(rows, xb, z, basis, det, r, c):
     return det
 
 ratlp._pivot = sabotaged
-lp = ratlp.LinearProgram(2, objective={0: 3, 1: 2})
-lp.add_constraint({0: 1, 1: 1}, "<=", 4)
+lp = ratlp.LinearProgram(2)
+lp.add_constraint({0: 1, 1: 1}, ">=", 4)
 lp.add_constraint({0: 1, 1: 3}, "<=", 6)
 try:
-    ratlp.solve_lp(lp)
+    ratlp.solve_feasibility(lp)
 except ratlp.LpError as exc:
     print("raised:", exc)
 else:
