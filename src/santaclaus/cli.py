@@ -14,7 +14,9 @@ import time
 from pathlib import Path
 
 from .clustering import ClusteringError
+from .configlp import CoverLpError
 from .eap import EapError
+from .gapclasses import GapClassError
 from .instances import (
     InstanceFormatError,
     OracleBudgetError,
@@ -29,9 +31,13 @@ from .instances import (
 from .matching import MatchingError
 from .pipeline import PipelineError, solve
 from .rat import rat_from_str, rat_to_str
+from .ratlp import LpError
 
 SOLVE_ERRORS = (
     PipelineError,
+    LpError,
+    CoverLpError,
+    GapClassError,
     ClusteringError,
     MatchingError,
     EapError,

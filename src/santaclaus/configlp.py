@@ -8,10 +8,11 @@ requirement while no job is used more than once in total.
 
 Solving works by column generation over one restricted master per cover LP
 call.  The master is an exact, fraction-free simplex tableau
-(`ratlp.Tableau`) kept for the whole call: pricing's improving columns are
-appended to it as B^-1 a at their place in the master's logical column
-order, a job's row enters with the first column that uses the job, and each
-round re-optimises from the previous optimal basis.  Pricing is a
+(`ratlp.Tableau`), written in one pass from the warm-start columns and kept
+for the whole call: pricing's improving columns are appended to it as
+B^-1 a at their place in the master's logical column order, a job's row
+enters with the first column that uses the job, and each round
+re-optimises from the previous optimal basis.  Pricing is a
 minimum-knapsack dynamic program over the master's dual values: a column
 prices in exactly when its jobs' dual cost is below the machine's cover
 dual.  The master hands out its duals as integers, scaled by its basis
@@ -255,35 +256,12 @@ def solve_cover_lp(
     # re-optimises from the previous optimal basis.  Pivot tie-breaks read
     # the logical order, so each solve pivots exactly as a solve of the same
     # master written out from scratch in that order, on that basis, would.
-    master = Tableau()
     nrows = len(machines)
     base = 2 * nrows
-    for c in range(base):
-        master.insert_column(c, {}, -1 if c < nrows else 0)
-    for r in range(nrows):
-        master.add_row({r: 1, nrows + r: -1}, cover_rhs, basic=r)
-
-    column_of: dict[tuple[int, Configuration], int] = {}  # in creation order
-    job_rows: list[int] = []  # jobs with a row, sorted
-    row_of: dict[int, int] = {}
-
-    def add_column(i: int, cfg: Configuration) -> bool:
-        key = (i, cfg)
-        if key in column_of:
-            return False
-        entries = {row_of[j]: 1 for j in cfg.jobs if j in row_of}
-        entries[cover_row[i]] = 1
-        col = column_of[key] = master.insert_column(base + len(column_of), entries)
-        for j in cfg.jobs:
-            if j not in row_of:
-                k = bisect_left(job_rows, j)
-                job_rows.insert(k, j)
-                slack = master.insert_column(base + len(column_of) + k, {})
-                row_of[j] = master.add_row({col: 1, slack: 1}, 1, basic=slack)
-        return True
 
     # Warm start: seeds first, then one greedy column per machine whose pool
-    # reaches tau at all.
+    # reaches tau at all, in creation order without repeats.
+    start: dict[tuple[int, Configuration], None] = {}
     if seeds:
         for i in sorted(seeds):
             if i not in cover_row:
@@ -293,11 +271,37 @@ def solve_cover_lp(
                 if not set(jobs) <= pool:
                     continue
                 if sum(sizes[j] for j in jobs) >= tau:
-                    add_column(i, prune_to_minimal(jobs, tau, sizes))
+                    start[(i, prune_to_minimal(jobs, tau, sizes))] = None
     for i in machines:
         pool = sorted(pools[i])
         if pool and sum(sizes[j] for j in pool) >= tau:
-            add_column(i, prune_to_minimal(pool, tau, sizes))
+            start[(i, prune_to_minimal(pool, tau, sizes))] = None
+
+    # The warm-start master in one pass: cover rows in machine order, then
+    # one row per job some start column uses, by job id.
+    job_rows = sorted({j for _, cfg in start for j in cfg.jobs})  # jobs with a row
+    row_of = {j: nrows + k for k, j in enumerate(job_rows)}
+    first_slack = base + len(start)
+    rows = [({r: 1, nrows + r: -1}, cover_rhs, r) for r in range(nrows)]
+    rows += [({first_slack + k: 1}, ONE, first_slack + k) for k in range(len(job_rows))]
+    column_of: dict[tuple[int, Configuration], int] = {}  # in creation order
+    for col, (i, cfg) in enumerate(start, base):
+        column_of[(i, cfg)] = col
+        rows[cover_row[i]][0][col] = 1
+        for j in cfg.jobs:
+            rows[row_of[j]][0][col] = 1
+    master = Tableau.from_rows([-1] * nrows + [0] * (nrows + len(start) + len(job_rows)), rows)
+
+    def add_column(i: int, cfg: Configuration) -> None:
+        entries = {row_of[j]: 1 for j in cfg.jobs if j in row_of}
+        entries[cover_row[i]] = 1
+        col = column_of[(i, cfg)] = master.insert_column(base + len(column_of), entries)
+        for j in cfg.jobs:
+            if j not in row_of:
+                k = bisect_left(job_rows, j)
+                job_rows.insert(k, j)
+                slack = master.insert_column(base + len(column_of) + k, {})
+                row_of[j] = master.add_row({col: 1, slack: 1}, ONE, basic=slack)
 
     while True:
         if counters is not None:
@@ -322,8 +326,9 @@ def solve_cover_lp(
             if cfg is None:
                 continue
             if lam - sum(mu.get(j, 0) for j in cfg.jobs) > 0:
-                if not add_column(i, cfg):
+                if (i, cfg) in column_of:
                     raise CoverLpError("an improving column was already in the master")
+                add_column(i, cfg)
                 improved = True
         if improved:
             continue

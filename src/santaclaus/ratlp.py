@@ -1,4 +1,4 @@
-"""Exact linear programming: dense primal simplex on kept fraction-free tableaus.
+"""Exact linear programming: primal simplex on kept fraction-free tableaus.
 
 Every LP in the package reads ``maximize c.x  s.t.  rows, x >= 0`` with
 integer coefficients and costs and a non-negative rational right-hand side
@@ -6,14 +6,15 @@ on every row, and is solved as a `Tableau`: an equality-form LP kept in
 basic form, which starts on an identity basis of unit columns and so never
 needs a phase 1.  It comes from one of two places:
 
-* column generation keeps its cover master as a `Tableau` between solves,
-  adding each priced column as B^-1 a and each new row in basic form, and
-  `solve_lp` re-optimises from the basis the previous solve left;
+* column generation builds its cover master with `Tableau.from_rows` and
+  keeps it between solves, adding each priced column as B^-1 a and each new
+  row in basic form, and `solve_lp` re-optimises from the basis the previous
+  solve left;
 * `solve_feasibility` takes a `LinearProgram` of ``<=`` and ``>=`` rows and
-  builds the same kind of tableau: a slack or surplus column per row and a
-  shortfall column of cost -1 per ``>=`` row, each row basic on its slack or
-  its shortfall.  The rows are feasible exactly when the least total
-  shortfall, the optimum, is 0.
+  builds the same kind of tableau with `Tableau.from_rows`: a slack or
+  surplus column per row and a shortfall column of cost -1 per ``>=`` row,
+  each row basic on its slack or its shortfall.  The rows are feasible
+  exactly when the least total shortfall, the optimum, is 0.
 
 The tableau is fraction-free (Edmonds/Bareiss integer-preserving
 Gauss-Jordan): it holds the integers ``det * B^-1 [A | b * bden]``, where
@@ -38,8 +39,14 @@ pricing, so every optimal solve checks the original rows exactly and checks
 strong duality, over integers, and raises `LpError` (not an ``assert``,
 which ``python -O`` strips) when either fails.
 
-The tableau is dense; the LPs this package builds stay small (tens of rows,
-at most a few hundred columns), which keeps exact arithmetic affordable.
+The tableau's rows are stored dense, but the work follows the nonzeros:
+`Tableau.from_rows` writes each row of A once, a column added later with
+no entries appends one 0 per row, and a pivot whose entry equals ``det``
+(every pivot while ``det`` is 1, and most pivots of the cover masters)
+updates only the pivot row's nonzero columns of the rows it touches.  A
+pivot that changes ``det`` rescales every row.  The LPs this package
+builds stay small (tens of rows, at most a few hundred columns), which
+keeps exact arithmetic affordable.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping
 
 ZERO = Fraction(0)
@@ -75,6 +82,14 @@ def _integer(a, what: str) -> int:
     return f.numerator
 
 
+def _rhs(b) -> Fraction:
+    if type(b) is not Fraction:
+        b = Fraction(b)
+    if b.numerator < 0:
+        raise ValueError("right-hand side must be non-negative")
+    return b
+
+
 @dataclass
 class LinearProgram:
     """The rows ``<=`` or ``>=``, x >= 0, with every right-hand side >= 0: a
@@ -90,9 +105,7 @@ class LinearProgram:
     def add_constraint(self, coeffs: Mapping[int, int], relation: str, rhs) -> None:
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            raise ValueError("right-hand side must be non-negative")
+        rhs = _rhs(rhs)
         row = {}
         for v, a in coeffs.items():
             if v < 0 or v >= self.variable_count:
@@ -168,6 +181,10 @@ class Tableau:
     first to last), and every pivot tie-break reads that order, so pivots do
     not depend on when a column arrived.  Rows are appended, since no pivot
     rule reads row order.
+
+    `from_rows` builds a tableau on the identity basis in one pass;
+    `insert_column` and `add_row` serve the columns and rows that arrive
+    after it.
     """
 
     def __init__(self) -> None:
@@ -182,6 +199,40 @@ class Tableau:
         self.columns: list[dict[int, int]] = []  # original A, row -> a
         self.cost: list[int] = []
         self.order: list[int] = []  # column ids in logical order
+
+    @classmethod
+    def from_rows(cls, cost, rows) -> "Tableau":
+        """The tableau of ``maximize cost.x  s.t.  rows, x >= 0`` on the
+        identity basis of its rows' basic columns.
+
+        ``cost`` lists the integer column costs in logical order, so column
+        ids are logical positions.  Each row is a triple ``(coeffs, rhs,
+        basic)``: integer coefficients by column id, a right-hand side >= 0,
+        and the column basic in the row, which must have coefficient 1 there
+        and no entry in any other row.  Then B = I and ``det`` is 1, so the
+        tableau rows are the rows of A and ``xb`` is ``b * bden``, written
+        in one pass.
+        """
+        t = cls()
+        n = len(cost)
+        t.cost = [_integer(c, "cost") for c in cost]
+        t.order = list(range(n))
+        t.columns = columns = [{} for _ in range(n)]
+        for r, (coeffs, rhs, basic) in enumerate(rows):
+            t.rhs.append(_rhs(rhs))
+            row = [0] * n
+            for c, a in coeffs.items():
+                row[c] = columns[c][r] = _integer(a, "coefficient")
+            t.rows.append(row)
+            t.basis.append(basic)
+        for r, basic in enumerate(t.basis):
+            if columns[basic] != {r: 1}:
+                raise ValueError("a row's basic column must be a unit column of that row only")
+        t.bden = bden = lcm(*[b.denominator for b in t.rhs])
+        t.xb = [b.numerator * (bden // b.denominator) for b in t.rhs]
+        t.basic = set(t.basis)
+        t.unit = list(t.basis)
+        return t
 
     @property
     def variable_count(self) -> int:
@@ -203,11 +254,15 @@ class Tableau:
         coeffs = {r: _integer(a, "coefficient") for r, a in coeffs.items()}
         cost = _integer(cost, "cost")
         units = [(self.unit[r], a) for r, a in coeffs.items()]
-        for row in self.rows:
-            entry = 0
-            for u, a in units:
-                entry += a * row[u]
-            row.append(entry)
+        if units:
+            for row in self.rows:
+                entry = 0
+                for u, a in units:
+                    entry += a * row[u]
+                row.append(entry)
+        else:
+            for row in self.rows:
+                row.append(0)
         c = len(self.columns)
         self.columns.append(coeffs)
         self.cost.append(cost)
@@ -223,9 +278,7 @@ class Tableau:
         already in basic form, ``det`` does not change, and the basis stays
         primal feasible.
         """
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            raise ValueError("right-hand side must be non-negative")
+        rhs = _rhs(rhs)
         coeffs = {c: _integer(a, "coefficient") for c, a in coeffs.items()}
         if coeffs.get(basic) != 1 or self.columns[basic] or basic in self.basic:
             raise ValueError("the basic column must be a fresh unit column of the row")
@@ -369,16 +422,14 @@ def solve_feasibility(lp: LinearProgram) -> LpSolution:
     first = n + len(rows)  # the first shortfall column
     ge = [r for r, (_, relation, _) in enumerate(rows) if relation == ">="]
     shortfall = {r: first + k for k, r in enumerate(ge)}
-    tableau = Tableau()
-    for c in range(first + len(ge)):
-        tableau.insert_column(c, {}, -1 if c >= first else 0)
+    tableau_rows = []
     for r, (row, relation, b) in enumerate(rows):
         coeffs = dict(row)
         coeffs[n + r] = 1 if relation == "<=" else -1
         if r in shortfall:
             coeffs[shortfall[r]] = 1
-        tableau.add_row(coeffs, b, basic=shortfall.get(r, n + r))
-    sol = solve_lp(tableau)
+        tableau_rows.append((coeffs, b, shortfall.get(r, n + r)))
+    sol = solve_lp(Tableau.from_rows([0] * first + [-1] * len(ge), tableau_rows))
     if not sol.is_optimal:
         raise LpError("the shortfall LP came out unbounded, although its objective is bounded by 0")
     if sol.objective:
@@ -400,10 +451,30 @@ def _pivot(rows, xb, z, basis, det, r, c) -> int:
     entry in column c, and the division is exact; the pivot row itself is
     unchanged.  The ratio test pivots only on p > 0, so ``det`` stays
     positive.
+
+    When p equals ``det`` an entry becomes ``a - f * b / det``: only the
+    pivot row's nonzero columns move, each ``f * b`` is itself a multiple of
+    ``det`` (since ``det * a`` is), and a row with f = 0 keeps every entry.
+    Those entries are updated in place.  Otherwise every entry of every row
+    is rescaled.
     """
     w = rows[r]
     p = w[c]
     wb = xb[r]
+    if p == det:
+        nonzero = [(j, b) for j, b in enumerate(w) if b]
+        for k, other in enumerate(rows):
+            f = other[c]
+            if f and k != r:
+                for j, b in nonzero:
+                    other[j] -= f * b // det
+                xb[k] -= f * wb // det
+        f = z[c]
+        if f:
+            for j, b in nonzero:
+                z[j] -= f * b // det
+        basis[r] = c
+        return p
     for k, other in enumerate(rows):
         if k == r:
             continue
@@ -411,13 +482,13 @@ def _pivot(rows, xb, z, basis, det, r, c) -> int:
         if f:
             rows[k] = [(p * a - f * b) // det for a, b in zip(other, w)]
             xb[k] = (p * xb[k] - f * wb) // det
-        elif p != det:
+        else:
             rows[k] = [p * a // det for a in other]
             xb[k] = p * xb[k] // det
     f = z[c]
     if f:
         z[:] = [(p * a - f * b) // det for a, b in zip(z, w)]
-    elif p != det:
+    else:
         z[:] = [p * a // det for a in z]
     basis[r] = c
     return p

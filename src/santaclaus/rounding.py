@@ -33,15 +33,16 @@ def round_assignment(fa: FractionalAssignment, sizes) -> dict[int, int]:
     """Integral job -> machine map with per-machine loss at most max support size."""
     _validate(fa)
     pairs = sorted(fa.y)
-    machines = sorted({i for i, _ in pairs})
-    jobs = sorted({j for _, j in pairs})
-    support_of = {i: [j for ii, j in pairs if ii == i] for i in machines}
+    support_of: dict[int, list[int]] = {}
+    for i, j in pairs:
+        support_of.setdefault(i, []).append(j)
+    machines = list(support_of)  # sorted, as pairs are
     value = {
         i: sum((fa.y[(i, j)] * sizes[j] for j in support_of[i]), ZERO) for i in machines
     }
     max_size = {i: max(sizes[j] for j in support_of[i]) for i in machines}
 
-    vertex = _vertex_on_support(fa, pairs, machines, jobs, value, sizes)
+    vertex = _vertex_on_support(fa, pairs, value, sizes)
 
     owner: dict[int, int] = {}
     positive = [(i, j) for (i, j) in pairs if vertex[(i, j)] > 0]
@@ -101,20 +102,25 @@ def _validate(fa: FractionalAssignment) -> None:
             raise RoundingError(f"job {j} carries fractional mass {mass} > 1")
 
 
-def _vertex_on_support(fa, pairs, machines, jobs, value, sizes):
-    index = {pair: c for c, pair in enumerate(pairs)}
+def _vertex_on_support(fa, pairs, value, sizes):
+    """A vertex of {y >= 0 on ``pairs``: each job's mass <= 1, each machine's
+    value >= ``value[i]``}; rows are the jobs by id, then the machines by id,
+    each over the support's columns in pair order."""
+    job_rows: dict[int, dict[int, int]] = {}
+    machine_rows: dict[int, dict[int, int]] = {}
+    for c, (i, j) in enumerate(pairs):
+        job_rows.setdefault(j, {})[c] = 1
+        machine_rows.setdefault(i, {})[c] = sizes[j]
     lp = LinearProgram(len(pairs))
-    for j in jobs:
-        row = {index[(i, jj)]: 1 for (i, jj) in pairs if jj == j}
-        lp.add_constraint(row, "<=", 1)
-    for i in machines:
-        row = {index[(ii, j)]: sizes[j] for (ii, j) in pairs if ii == i}
+    for j in sorted(job_rows):
+        lp.add_constraint(job_rows[j], "<=", 1)
+    for i, row in machine_rows.items():
         lp.add_constraint(row, ">=", value[i])
     sol = solve_feasibility(lp)
     if not sol.is_optimal:
         raise RoundingError("support LP infeasible, although the input point satisfies it")
     values = sol.values
-    return {pair: values[c] for pair, c in index.items()}
+    return {pair: values[c] for c, pair in enumerate(pairs)}
 
 
 def _assert_forest(edges) -> None:

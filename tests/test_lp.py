@@ -225,15 +225,15 @@ def _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs):
 
 
 def _fresh_in_logical_order(master):
-    """The master's rows and columns written out from scratch, column ids in
-    logical order, on the identity basis of its rows' unit columns."""
+    """The master's rows and columns written out from scratch by
+    `Tableau.from_rows`, column ids in logical order, on the identity basis
+    of its rows' unit columns."""
     at = {c: k for k, c in enumerate(master.order)}
-    fresh = Tableau()
-    for k, c in enumerate(master.order):
-        fresh.insert_column(k, {}, master.cost[c])
-    for (row, _, rhs), u in zip(master.constraints, master.unit):
-        fresh.add_row({at[c]: a for c, a in row.items()}, rhs, basic=at[u])
-    return fresh
+    rows = [
+        ({at[c]: a for c, a in row.items()}, rhs, at[u])
+        for (row, _, rhs), u in zip(master.constraints, master.unit)
+    ]
+    return Tableau.from_rows([master.cost[c] for c in master.order], rows)
 
 
 def test_kept_master_matches_fresh_solves():
@@ -313,13 +313,10 @@ def _in_logical_order(t):
     return u
 
 
-def test_inserted_columns_pivot_as_if_appended_in_logical_order(monkeypatch):
-    # a master that places columns anywhere in its logical order, while its
-    # tableau only appends them, must take the same pivots and reach the same
-    # logical basis, det, values and duals as a master whose columns sit in
-    # logical order, after every round of re-optimisation
-    from random import Random
-
+def _record_pivots(monkeypatch):
+    """Make every pivot append (row, logical position of the entering
+    column) to the returned ``pivots``, for the tableau last appended to the
+    returned ``solving``."""
     import santaclaus.ratlp as ratlp
 
     pivots = []
@@ -331,6 +328,17 @@ def test_inserted_columns_pivot_as_if_appended_in_logical_order(monkeypatch):
         return real_pivot(rows, xb, z, basis, det, r, c)
 
     monkeypatch.setattr(ratlp, "_pivot", recording)
+    return pivots, solving
+
+
+def test_inserted_columns_pivot_as_if_appended_in_logical_order(monkeypatch):
+    # a master that places columns anywhere in its logical order, while its
+    # tableau only appends them, must take the same pivots and reach the same
+    # logical basis, det, values and duals as a master whose columns sit in
+    # logical order, after every round of re-optimisation
+    from random import Random
+
+    pivots, solving = _record_pivots(monkeypatch)
     rng = Random(31)
     total = 0
     for trial in range(80):
@@ -375,6 +383,126 @@ def test_kept_master_rejects_rows_out_of_basic_form():
         master.add_row({0: F(1), 1: F(1)}, F(1), basic=1)  # touches basic column 0
     with pytest.raises(ValueError):
         master.add_row({1: F(1)}, F(-1), basic=1)
+
+
+def _tableau_state(t):
+    return (t.rows, t.xb, t.det, t.bden, t.basis, t.basic, t.unit, t.rhs, t.columns, t.cost, t.order)
+
+
+def test_from_rows_builds_the_incremental_tableau_in_one_pass(monkeypatch):
+    # a master grown column by column and row by row, columns placed
+    # anywhere in the logical order, and the same LP written out by
+    # from_rows in logical order must be the same tableau cell for cell and
+    # take the same pivots to the same solution
+    from random import Random
+
+    pivots, solving = _record_pivots(monkeypatch)
+    rng = Random(53)
+    total = 0
+    for trial in range(60):
+        grown = Tableau()
+        for ops in _growth_rounds(rng, rng.randint(1, 3), njobs=7):
+            for op in ops:
+                if op[0] == "column":
+                    grown.insert_column(*op[1:])
+                else:
+                    grown.add_row(*op[1:])
+        built = _fresh_in_logical_order(grown)
+        assert _tableau_state(built) == _tableau_state(_in_logical_order(grown)), f"trial {trial}"
+        solving.append(grown)
+        a = solve_lp(grown)
+        grown_pivots, pivots[:] = list(pivots), []
+        solving.append(built)
+        b = solve_lp(built)
+        assert grown_pivots == pivots, f"trial {trial}"
+        total += len(pivots)
+        pivots.clear()
+        assert a.is_optimal and b.is_optimal, f"trial {trial}"
+        assert _tableau_state(built) == _tableau_state(_in_logical_order(grown)), f"trial {trial}"
+        assert [a.values[c] for c in grown.order] == list(b.values), f"trial {trial}"
+        assert a.dual_values == b.dual_values, f"trial {trial}"
+    assert total > 100  # the tableaus really pivot
+
+
+def test_from_rows_rejects_rows_out_of_basic_form():
+    Tableau.from_rows([-1, 0], [({0: 1, 1: -1}, F(1, 2), 0)])  # well formed
+    with pytest.raises(ValueError):
+        Tableau.from_rows([-1, 0], [({0: 1, 1: -1}, F(-1, 2), 0)])  # negative rhs
+    with pytest.raises(ValueError):
+        Tableau.from_rows([-1, 0], [({0: 1, 1: F(3, 2)}, 1, 0)])  # non-integer coefficient
+    with pytest.raises(ValueError):
+        Tableau.from_rows([F(1, 2), 0], [({0: 1, 1: 1}, 1, 0)])  # non-integer cost
+    with pytest.raises(ValueError):
+        Tableau.from_rows([0, 0], [({0: 2, 1: 1}, 1, 0)])  # basic coefficient 2
+    with pytest.raises(ValueError):
+        # the basic column of row 0 has an entry in row 1 too
+        Tableau.from_rows([0, 0, 0], [({0: 1}, 1, 0), ({0: 1, 1: 1}, 1, 1)])
+    with pytest.raises(ValueError):
+        Tableau.from_rows([0, 0], [({0: 1, 1: 1}, 1, 0), ({0: 1, 1: 1}, 1, 0)])  # one basic column, two rows
+
+
+def _dense_bareiss(rows, xb, z, det, r, c):
+    """The textbook Bareiss step on entry (r, c), every cell rewritten as
+    ``(p * a - f * b) / det`` with the division checked exact."""
+    w, p, wb = rows[r], rows[r][c], xb[r]
+
+    def exact(num):
+        q, rest = divmod(num, det)
+        assert rest == 0
+        return q
+
+    new_rows = [
+        list(w) if k == r else [exact(p * a - row[c] * b) for a, b in zip(row, w)]
+        for k, row in enumerate(rows)
+    ]
+    new_xb = [wb if k == r else exact(p * v - rows[k][c] * wb) for k, v in enumerate(xb)]
+    new_z = [exact(p * a - z[c] * b) for a, b in zip(z, w)]
+    return new_rows, new_xb, new_z, p
+
+
+def test_sparse_pivot_matches_dense_bareiss():
+    # random integer tableaus pivoted at random on positive entries, on an
+    # entry equal to det about half the time: every step of _pivot leaves
+    # rows, xb, z, basis and det as the dense Bareiss update does, including
+    # the steps with p == det > 1, where the sparse path must still divide
+    from random import Random
+
+    from santaclaus.ratlp import _pivot
+
+    rng = Random(97)
+    kept_det = kept_det_above_1 = changed_det = 0
+    for trial in range(150):
+        nrows, ncols = rng.randint(2, 6), rng.randint(3, 9)
+        rows = [
+            [rng.choice([0, 0, 0, 1, 2, -1, 3, -2]) for _ in range(ncols)] + [int(r == k) for k in range(nrows)]
+            for r in range(nrows)
+        ]
+        basis = [ncols + r for r in range(nrows)]
+        xb = [rng.randint(0, 9) for _ in range(nrows)]
+        z = [rng.randint(-4, 4) for _ in range(ncols + nrows)]
+        det = 1
+        for _ in range(rng.randint(1, 8)):
+            entries = [
+                (r, c)
+                for r in range(nrows)
+                for c in range(ncols + nrows)
+                if c not in basis and rows[r][c] > 0
+            ]
+            if not entries:
+                break
+            at_det = [(r, c) for r, c in entries if rows[r][c] == det]
+            r, c = rng.choice(at_det if at_det and rng.random() < 0.5 else entries)
+            expected = _dense_bareiss(rows, xb, z, det, r, c)
+            p = rows[r][c]
+            if p == det:
+                kept_det += 1
+                kept_det_above_1 += det > 1
+            else:
+                changed_det += 1
+            det = _pivot(rows, xb, z, basis, det, r, c)
+            assert (rows, xb, z, det) == expected, f"trial {trial}"
+            assert basis[r] == c
+    assert kept_det > 300 and kept_det_above_1 > 100 and changed_det > 200
 
 
 def _basis_inverse_times(master):

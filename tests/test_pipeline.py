@@ -167,6 +167,34 @@ def test_cli_bench_writes_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("santaclaus.ratlp", "LpError"),
+        ("santaclaus.configlp", "CoverLpError"),
+        ("santaclaus.gapclasses", "GapClassError"),
+    ],
+)
+def test_cli_solve_reports_solver_check_failures(tmp_path, capsys, monkeypatch, module, name):
+    # a solver check that fires inside `solve` ends the command with a
+    # one-line error and exit code 1, not a traceback
+    import importlib
+
+    import santaclaus.cli as cli
+
+    error = getattr(importlib.import_module(module), name)
+
+    def failing(*args, **kwargs):
+        raise error("sabotaged check")
+
+    monkeypatch.setattr(cli, "solve", failing)
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(serialize_instance(tiny_instance([(3, [0])], machines=1)))
+    argv = ["solve", "--input", str(inst_file), "--out", str(tmp_path / "alloc.json")]
+    assert cli.run_cli(argv) == 1
+    assert capsys.readouterr().err == "error: sabotaged check\n"
+
+
 def test_cli_usage_error_exit_code():
     from santaclaus.cli import run_cli
 
