@@ -24,6 +24,7 @@ raised as a defect, never silently accepted.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,23 +171,24 @@ def _find_cycle(weights: dict[tuple[int, int], Fraction]) -> list[tuple[int, int
     return None
 
 
-def eliminate_cycles(
-    graph: BigGraph, x: ClpSolution, gap: GapInstance
-) -> tuple[BigGraph, ClpSolution]:
-    """Rotate weight around cycles until the support is a forest.
+def cancel_cycles(
+    weights: dict[tuple[int, int], Fraction], size: Callable[[int], int]
+) -> dict[tuple[int, int], Fraction]:
+    """Cancel cycles in a bipartite machine-job support until it is a forest.
 
-    Around an (even) cycle the rotation alternates -eps/+eps starting from
-    the lexicographically smallest edge, with eps the smallest decremented
-    weight, so at least one edge vanishes per rotation while every machine
-    and job total is untouched.  The covering solution is updated in step so
-    the big-singleton weights always mirror the graph.
+    Around an (even) cycle, starting from its lexicographically smallest
+    edge, the edges alternately lose and gain delta / size(j), j the edge's
+    job, with delta the least size-weighted decremented weight.  The two
+    cycle edges at a job move by the same amount in opposite directions, and
+    the two at a machine by delta in size-weighted terms, so every job total
+    and every machine's sum of weight times size stays exact; at least one
+    edge reaches 0 and is deleted per rotation.  Returns a new dict.
     """
-    weights = dict(graph.weights)
-    t_int = gap.tau.numerator
+    weights = dict(weights)
     while True:
         cycle = _find_cycle(weights)
         if cycle is None:
-            break
+            return weights
         if len(cycle) % 2:
             raise ClusteringError(f"odd cycle {cycle} in a bipartite support graph")
         start = cycle.index(min(cycle))
@@ -197,32 +199,40 @@ def eliminate_cycles(
             cycle = [cycle[0]] + list(reversed(cycle[1:]))
         if cycle[1][1] != cycle[0][1]:
             raise ClusteringError(f"cycle {cycle} does not start on a shared job")
-        eps = min(weights[e] for e in cycle[0::2])
-        if eps <= 0:
+        delta = min(weights[(i, j)] * size(j) for i, j in cycle[0::2])
+        if delta <= 0:
             raise ClusteringError(f"cycle {cycle} carries a non-positive weight")
-        for pos, e in enumerate(cycle):
-            weights[e] = weights[e] - eps if pos % 2 == 0 else weights[e] + eps
+        for pos, (i, j) in enumerate(cycle):
+            step = delta / size(j)
+            weights[(i, j)] += -step if pos % 2 == 0 else step
         for e in cycle[0::2]:
             if weights[e] == 0:
                 del weights[e]
 
-    new_weights = dict(x.weights)
-    for (i, cfg) in list(new_weights):
-        if len(cfg.jobs) == 1 and cfg.jobs[0] in _graph_jobs(graph):
-            if i in _graph_machines(graph):
-                new_weights.pop((i, cfg))
+
+def eliminate_cycles(
+    graph: BigGraph, x: ClpSolution, gap: GapInstance
+) -> tuple[BigGraph, ClpSolution]:
+    """Make the big-job support a forest with `cancel_cycles` at unit sizes.
+
+    A big singleton counts 1 toward its machine's cover whatever the job's
+    size, so every cycle edge moves by the same amount and each machine's and
+    each job's total weight is kept.  The covering solution is updated in
+    step so the big-singleton weights always mirror the graph.
+    """
+    weights = cancel_cycles(graph.weights, lambda j: 1)
+    t_int = gap.tau.numerator
+    machines = {i for i, _ in graph.weights}
+    jobs = {j for _, j in graph.weights}
+    new_weights = {
+        (i, cfg): w
+        for (i, cfg), w in x.weights.items()
+        if not (len(cfg.jobs) == 1 and cfg.jobs[0] in jobs and i in machines)
+    }
     for (i, j), w in weights.items():
         new_weights[(i, Configuration(jobs=(j,), total_size=t_int))] = w
     xstar = ClpSolution(tau=x.tau, weights=new_weights, cover_rhs=x.cover_rhs)
     return BigGraph(weights=weights), xstar
-
-
-def _graph_machines(graph: BigGraph) -> set[int]:
-    return {i for i, _ in graph.weights}
-
-
-def _graph_jobs(graph: BigGraph) -> set[int]:
-    return {j for _, j in graph.weights}
 
 
 def small_mass_by_machine(xstar: ClpSolution, job_classes: JobClasses) -> dict[int, Fraction]:

@@ -183,13 +183,6 @@ class ClpSolution:
             (w for (i, _), w in self.weights.items() if i == machine), ZERO
         )
 
-    def job_usage(self) -> dict[int, Fraction]:
-        usage: dict[int, Fraction] = {}
-        for (_, cfg), w in self.weights.items():
-            for j in cfg.jobs:
-                usage[j] = usage.get(j, ZERO) + w
-        return usage
-
     def carried(self, machine: int) -> list[tuple[Configuration, Fraction]]:
         out = [(cfg, w) for (i, cfg), w in self.weights.items() if i == machine]
         out.sort(key=lambda t: t[0])
@@ -205,6 +198,8 @@ def check_cover_solution(
 
     Every machine in ``pools`` must reach ``sol.cover_rhs``.
     """
+    cover: dict[int, Fraction] = {}
+    usage: dict[int, Fraction] = {}
     for (i, cfg), w in sol.weights.items():
         if w < 0 or w > 1:
             return False, f"weight out of [0,1] on machine {i}"
@@ -213,11 +208,14 @@ def check_cover_solution(
             return False, f"machine {i} carries a job outside its pool"
         if not is_minimal(cfg.jobs, sol.tau, sizes):
             return False, f"machine {i} carries a non-minimal configuration {cfg.jobs}"
+        cover[i] = cover.get(i, ZERO) + w
+        for j in cfg.jobs:
+            usage[j] = usage.get(j, ZERO) + w
     for i in sorted(pools):
-        cover = sol.machine_cover(i)
-        if cover < sol.cover_rhs:
-            return False, f"machine {i} cover {cover} < {sol.cover_rhs}"
-    for j, used in sorted(sol.job_usage().items()):
+        covered = cover.get(i, ZERO)
+        if covered < sol.cover_rhs:
+            return False, f"machine {i} cover {covered} < {sol.cover_rhs}"
+    for j, used in sorted(usage.items()):
         if used > 1:
             return False, f"job {j} used {used} > 1"
     return True, None

@@ -2,24 +2,29 @@
 
 Takes a fractional machine-job assignment in which every machine reaches
 some value and returns an integral assignment in which every machine loses
-at most its largest fractionally-held job size.  The route is classic: poke
-the LP over the assignment's own support once more to land on a vertex, at
-which the strictly positive entries form a forest (in the restricted setting
-a cycle always admits a telescoping perturbation, so a basic solution cannot
-carry one).  Whole entries are assigned outright; in each tree of the
-remaining strictly fractional edges, rooted at its lowest job, every machine
-claims its child jobs largest-first until the claimed total covers what the
-loss bound demands.  Child jobs belong to exactly one machine each, so the
-claims never collide, and the machine's children always suffice: its parent
-edge is the only mass the bound lets it drop.
+at most its largest fractionally-held job size.  First each support job's
+mass is raised to exactly 1 on its lowest-id support machine, which can only
+raise machine values.  Then the cycles of the support are cancelled: in the
+restricted setting a cycle admits a telescoping perturbation (the edge at job
+j moves by +-delta / p_j), which keeps every job mass and every machine value
+exact and empties at least one edge, so the support ends a forest
+(`clustering.cancel_cycles`).  Whole entries are assigned outright; each tree
+of the remaining strictly fractional edges hangs from its lowest job, and
+every machine claims its child jobs largest-first until the claimed total
+covers what the loss bound demands.  Child jobs belong to exactly one machine
+each, so the claims never collide, and the machine's children always
+suffice: its parent edge is the only mass the bound lets it drop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .clustering import cancel_cycles
 from .configlp import FractionalAssignment
-from .ratlp import LinearProgram, solve_feasibility
+
+# Unused here: perfbench/layertrace.py's hook patches this binding by name.
+from .ratlp import solve_feasibility  # noqa: F401
 
 ZERO = Fraction(0)
 
@@ -31,55 +36,70 @@ class RoundingError(ValueError):
 
 def round_assignment(fa: FractionalAssignment, sizes) -> dict[int, int]:
     """Integral job -> machine map with per-machine loss at most max support size."""
-    _validate(fa)
-    pairs = sorted(fa.y)
-    support_of: dict[int, list[int]] = {}
-    for i, j in pairs:
-        support_of.setdefault(i, []).append(j)
-    machines = list(support_of)  # sorted, as pairs are
-    value = {
-        i: sum((fa.y[(i, j)] * sizes[j] for j in support_of[i]), ZERO) for i in machines
-    }
-    max_size = {i: max(sizes[j] for j in support_of[i]) for i in machines}
+    mass = _validate(fa)
+    y: dict[tuple[int, int], Fraction] = {}
+    lowest: dict[int, int] = {}
+    for (i, j), v in sorted(fa.y.items()):
+        if v > 0:
+            y[(i, j)] = v
+            lowest.setdefault(j, i)
+    for j, i in lowest.items():
+        y[(i, j)] += 1 - mass[j]
+    machines = sorted({i for i, _ in y})
+    value = {i: ZERO for i in machines}
+    max_size = {i: 0 for i in machines}
+    for (i, j), v in y.items():
+        value[i] += v * sizes[j]
+        max_size[i] = max(max_size[i], sizes[j])
 
-    vertex = _vertex_on_support(fa, pairs, value, sizes)
+    forest = cancel_cycles(y, lambda j: sizes[j])
+    edges = sorted(forest)
+    _assert_forest(edges)
 
     owner: dict[int, int] = {}
-    positive = [(i, j) for (i, j) in pairs if vertex[(i, j)] > 0]
-    _assert_forest(positive)
-
-    outright_value = {i: ZERO for i in machines}
-    fractional = []
-    for i, j in positive:
-        if vertex[(i, j)] == 1:
+    outright_value = {i: 0 for i in machines}
+    jobs_of: dict[int, list[int]] = {}
+    machines_of: dict[int, list[int]] = {}
+    for i, j in edges:
+        if forest[(i, j)] == 1:
             if j in owner:
                 raise RoundingError(f"job {j} assigned outright twice")
             owner[j] = i
             outright_value[i] += sizes[j]
         else:
-            fractional.append((i, j))
+            jobs_of.setdefault(i, []).append(j)
+            machines_of.setdefault(j, []).append(i)
 
-    for tree in _trees(fractional):
-        tree_jobs = sorted({j for _, j in tree})
-        root = tree_jobs[0]
-        children = _orient_from(root, tree)
-        for i in sorted({m for m, _ in tree}):
-            need = value[i] - outright_value[i] - max_size[i]
-            if need <= 0:
-                continue
-            got = ZERO
-            kids = sorted(children.get(i, ()), key=lambda j: (-sizes[j], j))
-            for j in kids:
-                if got >= need:
-                    break
-                if j in owner:
-                    raise RoundingError(f"child job {j} claimed twice")
-                owner[j] = i
-                got += sizes[j]
-            if got < need:
-                raise RoundingError(f"machine {i}: child jobs fell short of the loss bound")
+    # Jobs in id order: each job not yet reached is the lowest of its tree.
+    seen_jobs: set[int] = set()
+    seen_machines: set[int] = set()
+    for root in sorted(machines_of):
+        if root in seen_jobs:
+            continue
+        seen_jobs.add(root)
+        stack = [root]
+        while stack:
+            parent = stack.pop()
+            for i in machines_of[parent]:
+                if i in seen_machines:
+                    continue
+                seen_machines.add(i)
+                kids = [j for j in jobs_of[i] if j not in seen_jobs]
+                seen_jobs.update(kids)
+                stack.extend(kids)
+                need = value[i] - outright_value[i] - max_size[i]
+                got = 0
+                for j in sorted(kids, key=lambda j: (-sizes[j], j)):
+                    if got >= need:
+                        break
+                    if j in owner:
+                        raise RoundingError(f"child job {j} claimed twice")
+                    owner[j] = i
+                    got += sizes[j]
+                if got < need:
+                    raise RoundingError(f"machine {i}: child jobs fell short of the loss bound")
 
-    integral = {i: ZERO for i in machines}
+    integral = {i: 0 for i in machines}
     for j, i in owner.items():
         integral[i] += sizes[j]
     for i in machines:
@@ -91,7 +111,8 @@ def round_assignment(fa: FractionalAssignment, sizes) -> dict[int, int]:
     return owner
 
 
-def _validate(fa: FractionalAssignment) -> None:
+def _validate(fa: FractionalAssignment) -> dict[int, Fraction]:
+    """Each job's total mass, after checking every entry and total is in [0, 1]."""
     per_job: dict[int, Fraction] = {}
     for (i, j), v in fa.y.items():
         if v < 0 or v > 1:
@@ -100,27 +121,7 @@ def _validate(fa: FractionalAssignment) -> None:
     for j, mass in sorted(per_job.items()):
         if mass > 1:
             raise RoundingError(f"job {j} carries fractional mass {mass} > 1")
-
-
-def _vertex_on_support(fa, pairs, value, sizes):
-    """A vertex of {y >= 0 on ``pairs``: each job's mass <= 1, each machine's
-    value >= ``value[i]``}; rows are the jobs by id, then the machines by id,
-    each over the support's columns in pair order."""
-    job_rows: dict[int, dict[int, int]] = {}
-    machine_rows: dict[int, dict[int, int]] = {}
-    for c, (i, j) in enumerate(pairs):
-        job_rows.setdefault(j, {})[c] = 1
-        machine_rows.setdefault(i, {})[c] = sizes[j]
-    lp = LinearProgram(len(pairs))
-    for j in sorted(job_rows):
-        lp.add_constraint(job_rows[j], "<=", 1)
-    for i, row in machine_rows.items():
-        lp.add_constraint(row, ">=", value[i])
-    sol = solve_feasibility(lp)
-    if not sol.is_optimal:
-        raise RoundingError("support LP infeasible, although the input point satisfies it")
-    values = sol.values
-    return {pair: values[c] for c, pair in enumerate(pairs)}
+    return per_job
 
 
 def _assert_forest(edges) -> None:
@@ -138,66 +139,5 @@ def _assert_forest(edges) -> None:
             parent.setdefault(v, v)
         ra, rb = find(a), find(b)
         if ra == rb:
-            raise RoundingError("positive support contains a cycle; not a vertex")
+            raise RoundingError("positive support contains a cycle after cycle cancelling")
         parent[ra] = rb
-
-
-def _trees(edges):
-    if not edges:
-        return []
-    neigh: dict = {}
-    for i, j in edges:
-        neigh.setdefault(("m", i), []).append(("j", j))
-        neigh.setdefault(("j", j), []).append(("m", i))
-    seen = set()
-    out = []
-    for start in sorted(neigh):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        comp_vertices = {start}
-        while stack:
-            v = stack.pop()
-            for u in neigh[v]:
-                if u not in comp_vertices:
-                    comp_vertices.add(u)
-                    seen.add(u)
-                    stack.append(u)
-        comp = [
-            (i, j)
-            for i, j in edges
-            if ("m", i) in comp_vertices
-        ]
-        out.append(comp)
-    return out
-
-
-def _orient_from(root_job: int, tree_edges) -> dict[int, list[int]]:
-    """Children jobs per machine when the tree hangs from ``root_job``."""
-    neigh_m: dict[int, list[int]] = {}
-    neigh_j: dict[int, list[int]] = {}
-    for i, j in tree_edges:
-        neigh_m.setdefault(i, []).append(j)
-        neigh_j.setdefault(j, []).append(i)
-    children: dict[int, list[int]] = {}
-    seen_jobs = {root_job}
-    seen_machines: set[int] = set()
-    frontier_jobs = [root_job]
-    while frontier_jobs:
-        next_machines = []
-        for j in frontier_jobs:
-            for i in sorted(neigh_j.get(j, ())):
-                if i in seen_machines:
-                    continue
-                seen_machines.add(i)
-                next_machines.append(i)
-        frontier_jobs = []
-        for i in next_machines:
-            kids = [j for j in sorted(neigh_m.get(i, ())) if j not in seen_jobs]
-            children[i] = kids
-            for j in kids:
-                seen_jobs.add(j)
-                frontier_jobs.append(j)
-    return children

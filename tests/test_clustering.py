@@ -6,6 +6,7 @@ from santaclaus.clustering import (
     ClusterSet,
     bipartite_match,
     build_big_graph,
+    cancel_cycles,
     check_cluster_properties,
     eliminate_cycles,
     extract_clusters,
@@ -138,6 +139,64 @@ def test_eliminate_cycles_two_disjoint_cycles():
         assert forest.machine_total(i) == 1
     for j in range(4):
         assert forest.job_total(j) == 1
+
+
+def assert_cycles_cancelled(before, after, size):
+    # a forest, every entry in [0, 1], job totals and each machine's
+    # size-weighted total exactly as before
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for i, j in after:
+        a, b = find(("m", i)), find(("j", j))
+        assert a != b, f"cycle through edge {(i, j)}"
+        parent[a] = b
+    assert all(0 <= v <= 1 for v in after.values())
+
+    def totals(weights):
+        jobs, machines = {}, {}
+        for (i, j), v in weights.items():
+            jobs[j] = jobs.get(j, 0) + v
+            machines[i] = machines.get(i, 0) + v * size(j)
+        return jobs, machines
+
+    assert totals(after) == totals(before)
+
+
+def test_cancel_cycles_two_by_two_with_unequal_sizes():
+    # sizes 3 and 5: delta = min(1/2 * 3, 1/2 * 5) = 3/2, so the job-0 edges
+    # move by 1/2 and the job-1 edges by 3/10, and each machine's value stays 4
+    sizes = [3, 5]
+    half = F(1, 2)
+    before = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
+    after = cancel_cycles(before, lambda j: sizes[j])
+    assert after == {(0, 1): F(4, 5), (1, 0): F(1), (1, 1): F(1, 5)}
+    assert_cycles_cancelled(before, after, lambda j: sizes[j])
+
+
+def test_cancel_cycles_random_supports_with_unequal_sizes():
+    from random import Random
+
+    cancelled = 0
+    for seed in range(60):
+        rng = Random(seed)
+        m, n = rng.randint(2, 4), rng.randint(2, 6)
+        sizes = [rng.randint(1, 9) for _ in range(n)]
+        before = {}
+        for j in range(n):
+            holders = rng.sample(range(m), rng.randint(1, m))
+            parts = [rng.randint(1, 5) for _ in holders]
+            denominator = sum(parts) + rng.randint(0, 3)
+            for i, part in zip(holders, parts):
+                before[(i, j)] = F(part, denominator)
+        after = cancel_cycles(before, lambda j: sizes[j])
+        assert_cycles_cancelled(before, after, lambda j: sizes[j])
+        cancelled += len(after) < len(before)
+    assert cancelled >= 30
 
 
 # ------------------------------------------------------------- extraction

@@ -85,12 +85,14 @@ GOLDEN = [
         "all-unit-no-upper",
         all_unit_instance,
         '{"T":"15/1","branch":"no-upper","strategy":"matching","seed":0,'
-        '"branch_detail":"resolved small-only cover at rhs 1/2","min_value":"7/1",'
-        '"certified_ratio_bound":"15/7","owner":{"1":0,"2":0,"3":0,"4":0,"5":0,'
-        '"6":0,"7":0,"14":1,"15":1,"16":1,"17":1,"18":1,"19":1,"20":1,"32":2,'
-        '"33":2,"34":2,"35":2,"36":2,"37":2,"38":2},'
+        '"branch_detail":"resolved small-only cover at rhs 1/2","min_value":"14/1",'
+        '"certified_ratio_bound":"15/14","owner":{"1":0,"2":0,"3":0,"4":0,"5":0,'
+        '"6":0,"7":0,"8":0,"9":0,"10":0,"11":0,"12":0,"13":0,"14":1,"15":1,'
+        '"16":1,"17":1,"18":1,"19":1,"20":1,"21":1,"22":1,"23":1,"24":1,"25":1,'
+        '"26":1,"27":1,"28":1,"32":2,"33":2,"34":2,"35":2,"36":2,"37":2,"38":2,'
+        '"39":2,"40":2,"41":2,"42":2,"43":2,"44":2,"45":2,"46":0},'
         '"counters":{"clp_solves":0,"master_solves":3,'
-        '"small_rounded_jobs":21,"t_search_lower":15,'
+        '"small_rounded_jobs":43,"t_search_lower":15,'
         '"t_search_upper":15}}',
     ),
 ]
@@ -158,11 +160,11 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "db45ce2976b91f3014a293022921fbf087ed16a139584988efd48bae16a35aa8"
+BATCH_DIGEST = "476402f8e756d4d26e1268c8712726d1a5f30f75ae282d0f56113fba6b0e7637"
 # The same over the batch solved with strategy="enumeration", whose clustered
 # solves test selections with eap's assignment LP at T/6: 28 of those LP
-# solves and 40 roundings, each a vertex of rounding's support LP.
-ENUMERATION_DIGEST = "b19643a5d8bea15b450916ba21b373d543952eea0f216ecc61e32d1b4d7eac69"
+# solves and 40 roundings, each on the forest that cycle cancelling leaves.
+ENUMERATION_DIGEST = "ceab0e1283f9fedfd7a6d03859eb9869d764648187a5ebd05d496338f430ac49"
 
 
 def batch_digest(strategy):
@@ -183,6 +185,7 @@ def test_canonical_json_digest_over_generated_batch():
 
 
 def test_canonical_json_digest_over_generated_batch_by_enumeration():
-    # the only pin on the vertices that rounding's and eap's feasibility LPs
-    # return: a change to their column order or pivot rule moves these bytes
+    # the only pin on the vertex that eap's feasibility LP returns: a change
+    # to its column order or pivot rule moves these bytes; a change to the
+    # order in which rounding cancels cycles moves both digests
     assert batch_digest("enumeration") == ENUMERATION_DIGEST

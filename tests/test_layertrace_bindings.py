@@ -31,9 +31,9 @@ def test_every_traced_binding_resolves():
 
 
 def test_feasibility_bindings_are_reached():
-    # rounding and eap each call solve_feasibility through the name the
-    # tracer patches, and solve_feasibility calls solve_lp through ratlp's
-    # own: every LP solve shows up in the trace, none bypasses it
+    # eap calls solve_feasibility through the name the tracer patches, and
+    # solve_feasibility calls solve_lp through ratlp's own: every LP solve
+    # shows up in the trace, none bypasses it.  Rounding builds no LP.
     from fractions import Fraction
 
     from santaclaus import Instance, JobSpec, generate_random, solve
@@ -53,7 +53,7 @@ def test_feasibility_bindings_are_reached():
         assert tracer.calls("rounding.round_assignment") == 1
         assert tracer.calls("ratlp.solve_lp") == report.counters["master_solves"] + feasibility
         if branch == "no-upper":
-            assert feasibility == 1
+            assert feasibility == 0
         else:
-            # eap's assignment LP runs besides rounding's support LP
-            assert feasibility > 1
+            # eap's assignment LPs alone
+            assert feasibility >= 1

@@ -83,8 +83,8 @@ def test_loss_bound_on_generated_assignments():
 
 def test_forest_postcondition_survives_python_O():
     # the rounding postconditions must not be bare asserts: under -O a
-    # sabotaged vertex step that hands back a support with a cycle still has
-    # to stop the rounding with a named error
+    # sabotaged cycle-cancelling step that hands back a support with a cycle
+    # still has to stop the rounding with a named error
     import os
     import subprocess
     import sys
@@ -96,7 +96,7 @@ from fractions import Fraction
 import santaclaus.rounding as rnd
 from santaclaus.configlp import FractionalAssignment
 assert sys.flags.optimize, "not running under -O"
-rnd._vertex_on_support = lambda fa, *rest: dict(fa.y)
+rnd.cancel_cycles = lambda weights, size: dict(weights)
 half = Fraction(1, 2)
 cycle = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
 try:
@@ -112,4 +112,4 @@ else:
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert "raised: positive support contains a cycle; not a vertex" in proc.stdout
+    assert "raised: positive support contains a cycle after cycle cancelling" in proc.stdout
