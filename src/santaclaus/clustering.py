@@ -24,15 +24,17 @@ raised as a defect, never silently accepted.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TypeVar
 
 from .configlp import ClpSolution, Configuration
 from .gapclasses import GapInstance, JobClasses, MachineClasses
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+
+W = TypeVar("W", int, Fraction)
 
 
 class ClusteringError(RuntimeError):
@@ -171,18 +173,17 @@ def _find_cycle(weights: dict[tuple[int, int], Fraction]) -> list[tuple[int, int
     return None
 
 
-def cancel_cycles(
-    weights: dict[tuple[int, int], Fraction], size: Callable[[int], int]
-) -> dict[tuple[int, int], Fraction]:
+def cancel_cycles(weights: dict[tuple[int, int], W]) -> dict[tuple[int, int], W]:
     """Cancel cycles in a bipartite machine-job support until it is a forest.
 
     Around an (even) cycle, starting from its lexicographically smallest
-    edge, the edges alternately lose and gain delta / size(j), j the edge's
-    job, with delta the least size-weighted decremented weight.  The two
-    cycle edges at a job move by the same amount in opposite directions, and
-    the two at a machine by delta in size-weighted terms, so every job total
-    and every machine's sum of weight times size stays exact; at least one
-    edge reaches 0 and is deleted per rotation.  Returns a new dict.
+    edge, the edges alternately lose and gain delta, the least decremented
+    weight, so every machine total and every job total stays exact and at
+    least one edge reaches 0 and is deleted per rotation.  Weights may be
+    rationals or integers (integers stay integers).  A caller that must keep
+    totals of ``y * size(j)`` at machines and of ``y`` at jobs passes the
+    size-weighted ``y * size(j)``: each cycle edge then moves y by
+    +-delta / size(j), the same at both edges of a job.  Returns a new dict.
     """
     weights = dict(weights)
     while True:
@@ -199,12 +200,11 @@ def cancel_cycles(
             cycle = [cycle[0]] + list(reversed(cycle[1:]))
         if cycle[1][1] != cycle[0][1]:
             raise ClusteringError(f"cycle {cycle} does not start on a shared job")
-        delta = min(weights[(i, j)] * size(j) for i, j in cycle[0::2])
+        delta = min(weights[e] for e in cycle[0::2])
         if delta <= 0:
             raise ClusteringError(f"cycle {cycle} carries a non-positive weight")
-        for pos, (i, j) in enumerate(cycle):
-            step = delta / size(j)
-            weights[(i, j)] += -step if pos % 2 == 0 else step
+        for pos, e in enumerate(cycle):
+            weights[e] += -delta if pos % 2 == 0 else delta
         for e in cycle[0::2]:
             if weights[e] == 0:
                 del weights[e]
@@ -213,14 +213,14 @@ def cancel_cycles(
 def eliminate_cycles(
     graph: BigGraph, x: ClpSolution, gap: GapInstance
 ) -> tuple[BigGraph, ClpSolution]:
-    """Make the big-job support a forest with `cancel_cycles` at unit sizes.
+    """Make the big-job support a forest with `cancel_cycles`.
 
     A big singleton counts 1 toward its machine's cover whatever the job's
-    size, so every cycle edge moves by the same amount and each machine's and
-    each job's total weight is kept.  The covering solution is updated in
-    step so the big-singleton weights always mirror the graph.
+    size, so the weights are cancelled as they are: each machine's and each
+    job's total weight is kept.  The covering solution is updated in step so
+    the big-singleton weights always mirror the graph.
     """
-    weights = cancel_cycles(graph.weights, lambda j: 1)
+    weights = cancel_cycles(graph.weights)
     t_int = gap.tau.numerator
     machines = {i for i, _ in graph.weights}
     jobs = {j for _, j in graph.weights}
@@ -231,7 +231,7 @@ def eliminate_cycles(
     }
     for (i, j), w in weights.items():
         new_weights[(i, Configuration(jobs=(j,), total_size=t_int))] = w
-    xstar = ClpSolution(tau=x.tau, weights=new_weights, cover_rhs=x.cover_rhs)
+    xstar = ClpSolution.from_weights(tau=x.tau, weights=new_weights, cover_rhs=x.cover_rhs)
     return BigGraph(weights=weights), xstar
 
 

@@ -25,6 +25,15 @@ not priced.  With exact arithmetic, pricing convergence with a positive
 shortfall objective is a proof of infeasibility, not a numeric judgement
 call.
 
+A solution leaves the master as it holds it: integer counts over one scale,
+the master's ``det * bden`` (`ClpSolution`).  Its postcondition
+(`check_cover_solution`), the collapse to a job-level assignment
+(`clp_to_alp`, whose `FractionalAssignment` keeps the same scale) and the
+T search's seed harvest read the counts, comparing integer sums against
+thresholds multiplied by the scale; rational weights are built only when
+the clustered branch reads them.  Bundle totals are integers too, so every
+minimality test compares them with ceil(tau), computed once per cover LP.
+
 The same engine serves two covers, both with one cover row per machine: the
 configuration LP (cover >= 1) that the T search probes and the gap instance
 is classified by, and the small-jobs-only variant with cover >= 1/2 used by
@@ -40,10 +49,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
-from .rat import ceil_frac
+from .rat import ceil_frac, to_counts
 from .ratlp import Tableau, solve_lp
 
 ZERO = Fraction(0)
@@ -63,27 +73,30 @@ class Configuration:
     total_size: int
 
 
-def is_minimal(jobs: Iterable[int], tau: Fraction, sizes: Sequence[int]) -> bool:
+def is_minimal(jobs: Iterable[int], need: int, sizes: Sequence[int]) -> bool:
+    """Whether the bundle reaches ``need`` and no member can be dropped.
+
+    Totals are integers, so ``need`` = ceil(tau) decides the same as tau;
+    a rational tau is accepted too.
+    """
     tup = tuple(set(jobs))
     total = sum(sizes[j] for j in tup)
-    if total < tau:
+    if total < need:
         return False
-    return all(total - sizes[j] < tau for j in tup)
+    return all(total - sizes[j] < need for j in tup)
 
 
 def prune_to_minimal(
     jobs: Iterable[int],
-    tau: Fraction,
+    need: int,
     sizes: Sequence[int],
     costs: Mapping[int, Fraction] | None = None,
 ) -> Configuration:
     """Drop removable jobs, largest cost first (ties: smallest index).
 
     Without costs the job size stands in for the cost, so seeds reuse the
-    same deterministic rule.  Totals are integers, so they are compared
-    with ceil(tau).
+    same deterministic rule.  ``need`` is ceil(tau), as in `is_minimal`.
     """
-    need = ceil_frac(tau)
     chosen = sorted(set(jobs))
     total = sum(sizes[j] for j in chosen)
     if total < need:
@@ -167,21 +180,34 @@ def price_min_knapsack(
             raise CoverLpError("knapsack reconstruction failed")
         chosen.append(j)
         s = pre
-    return prune_to_minimal(chosen, tau, sizes, costs)
+    return prune_to_minimal(chosen, cap, sizes, costs)
 
 
 @dataclass
 class ClpSolution:
-    """Feasible point of a covering LP: (machine, configuration) -> weight."""
+    """Feasible point of a covering LP: (machine, configuration) -> weight.
+
+    Weight ``counts[key] / scale``: integer counts over one positive scale,
+    the master's ``det * bden``, so the no-upper branch checks, collapses
+    and rounds them without building a `Fraction`.  The rational `weights`
+    are built on first read, for the clustered branch.
+    """
 
     tau: Fraction
-    weights: dict[tuple[int, Configuration], Fraction]
+    counts: dict[tuple[int, Configuration], int]
+    scale: int
     cover_rhs: Fraction
 
-    def machine_cover(self, machine: int) -> Fraction:
-        return sum(
-            (w for (i, _), w in self.weights.items() if i == machine), ZERO
-        )
+    @classmethod
+    def from_weights(
+        cls, tau: Fraction, weights: Mapping[tuple[int, Configuration], Fraction], cover_rhs: Fraction
+    ) -> ClpSolution:
+        counts, scale = to_counts(weights)
+        return cls(tau=Fraction(tau), counts=counts, scale=scale, cover_rhs=Fraction(cover_rhs))
+
+    @cached_property
+    def weights(self) -> dict[tuple[int, Configuration], Fraction]:
+        return {key: Fraction(c, self.scale) for key, c in self.counts.items()}
 
     def carried(self, machine: int) -> list[tuple[Configuration, Fraction]]:
         out = [(cfg, w) for (i, cfg), w in self.weights.items() if i == machine]
@@ -196,28 +222,32 @@ def check_cover_solution(
 ) -> tuple[bool, str | None]:
     """Exact feasibility check: cover, job usage, minimality, eligibility.
 
-    Every machine in ``pools`` must reach ``sol.cover_rhs``.
+    Every machine in ``pools`` must reach ``sol.cover_rhs``.  Sums and
+    thresholds are integers over ``sol.scale``.
     """
-    cover: dict[int, Fraction] = {}
-    usage: dict[int, Fraction] = {}
-    for (i, cfg), w in sol.weights.items():
-        if w < 0 or w > 1:
+    scale = sol.scale
+    need = ceil_frac(sol.tau)
+    cover: dict[int, int] = {}
+    usage: dict[int, int] = {}
+    for (i, cfg), c in sol.counts.items():
+        if c < 0 or c > scale:
             return False, f"weight out of [0,1] on machine {i}"
         pool = set(pools.get(i, ()))
         if not set(cfg.jobs) <= pool:
             return False, f"machine {i} carries a job outside its pool"
-        if not is_minimal(cfg.jobs, sol.tau, sizes):
+        if not is_minimal(cfg.jobs, need, sizes):
             return False, f"machine {i} carries a non-minimal configuration {cfg.jobs}"
-        cover[i] = cover.get(i, ZERO) + w
+        cover[i] = cover.get(i, 0) + c
         for j in cfg.jobs:
-            usage[j] = usage.get(j, ZERO) + w
+            usage[j] = usage.get(j, 0) + c
+    rhs = sol.cover_rhs
     for i in sorted(pools):
-        covered = cover.get(i, ZERO)
-        if covered < sol.cover_rhs:
-            return False, f"machine {i} cover {covered} < {sol.cover_rhs}"
+        covered = cover.get(i, 0)
+        if covered * rhs.denominator < rhs.numerator * scale:
+            return False, f"machine {i} cover {Fraction(covered, scale)} < {rhs}"
     for j, used in sorted(usage.items()):
-        if used > 1:
-            return False, f"job {j} used {used} > 1"
+        if used > scale:
+            return False, f"job {j} used {Fraction(used, scale)} > 1"
     return True, None
 
 
@@ -240,6 +270,7 @@ def solve_cover_lp(
     tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
+    need = ceil_frac(tau)
     machines = sorted(pools)
     cover_row = {i: r for r, i in enumerate(machines)}
 
@@ -268,12 +299,12 @@ def solve_cover_lp(
             for jobs in sorted(set(tuple(sorted(js)) for js in seeds[i])):
                 if not set(jobs) <= pool:
                     continue
-                if sum(sizes[j] for j in jobs) >= tau:
-                    start[(i, prune_to_minimal(jobs, tau, sizes))] = None
+                if sum(sizes[j] for j in jobs) >= need:
+                    start[(i, prune_to_minimal(jobs, need, sizes))] = None
     for i in machines:
         pool = sorted(pools[i])
-        if pool and sum(sizes[j] for j in pool) >= tau:
-            start[(i, prune_to_minimal(pool, tau, sizes))] = None
+        if pool and sum(sizes[j] for j in pool) >= need:
+            start[(i, prune_to_minimal(pool, need, sizes))] = None
 
     # The warm-start master in one pass: cover rows in machine order, then
     # one row per job some start column uses, by job id.
@@ -333,13 +364,11 @@ def solve_cover_lp(
 
         if sol.objective != 0:  # a positive shortfall
             return None
-        values = sol.values
-        weights = {}
-        for key, col in column_of.items():
-            w = values[col]
-            if w != 0:
-                weights[key] = w
-        result = ClpSolution(tau=tau, weights=weights, cover_rhs=Fraction(cover_rhs))
+        xs = sol.xs
+        counts = {key: xs[col] for key, col in column_of.items() if xs[col]}
+        result = ClpSolution(
+            tau=tau, counts=counts, scale=sol.det * sol.bden, cover_rhs=Fraction(cover_rhs)
+        )
         ok, why = check_cover_solution(result, pools, sizes)
         if not ok:
             raise CoverLpError(f"cover LP postcondition violated: {why}")
@@ -452,7 +481,7 @@ def find_T_with_seeds(
         )
         if sol is None:
             return False
-        for (i, cfg), _ in sol.weights.items():
+        for i, cfg in sol.counts:
             seeds[i].add(cfg.jobs)
         return True
 
@@ -472,27 +501,42 @@ def find_T_with_seeds(
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Sparse fractional machine-job assignment with a per-machine value floor."""
+    """Sparse fractional machine-job assignment with a per-machine value floor.
 
-    y: dict[tuple[int, int], Fraction]
+    Entry ``y[i, j] = counts[i, j] / scale`` over one positive integer scale,
+    as in `ClpSolution`; the rational `y` is built on first read.
+    """
+
+    counts: dict[tuple[int, int], int]
+    scale: int
     target: Fraction
+
+    @classmethod
+    def from_y(cls, y: Mapping[tuple[int, int], Fraction], target: Fraction) -> FractionalAssignment:
+        counts, scale = to_counts(y)
+        return cls(counts=counts, scale=scale, target=Fraction(target))
+
+    @cached_property
+    def y(self) -> dict[tuple[int, int], Fraction]:
+        return {key: Fraction(c, self.scale) for key, c in self.counts.items()}
 
 
 def clp_to_alp(sol: ClpSolution, sizes: Sequence[int]) -> FractionalAssignment:
     """Collapse configuration weights to job level: y[i,j] = sum of weights of
-    machine i's carried configurations containing j.
+    machine i's carried configurations containing j, summed as counts over
+    the solution's scale.
 
     Per machine the value is at least cover * tau, so the assignment meets a
     uniform floor of cover_rhs * tau; per job the mass stays within 1 because
     the covering LP already charged each job at most once.
     """
-    y: dict[tuple[int, int], Fraction] = {}
-    for (i, cfg), w in sol.weights.items():
-        if w == 0:
+    y: dict[tuple[int, int], int] = {}
+    for (i, cfg), c in sol.counts.items():
+        if c == 0:
             continue
         for j in cfg.jobs:
-            y[(i, j)] = y.get((i, j), ZERO) + w
-    return FractionalAssignment(y=y, target=sol.cover_rhs * sol.tau)
+            y[(i, j)] = y.get((i, j), 0) + c
+    return FractionalAssignment(counts=y, scale=sol.scale, target=sol.cover_rhs * sol.tau)
 
 
 def check_mclp(clusters, xstar: ClpSolution | None = None) -> tuple[bool, str | None]:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .configlp import ClpSolution
 from .instances import Instance
 
-HALF = Fraction(1, 2)
 ALPHA = 12  # the gap: jobs of size >= T/ALPHA are big
 
 
@@ -40,10 +39,14 @@ class JobClasses:
 
 @dataclass(frozen=True)
 class MachineClasses:
+    """Upper/middle split; each machine's big-singleton and small-bundle
+    weight as integer counts over ``scale``, the covering solution's."""
+
     upper: frozenset[int]
     middle: frozenset[int]
-    big_mass: dict[int, Fraction]
-    small_mass: dict[int, Fraction]
+    big_mass: dict[int, int]
+    small_mass: dict[int, int]
+    scale: int
 
 
 def build_gap_instance(inst: Instance, T: Fraction) -> GapInstance:
@@ -52,10 +55,10 @@ def build_gap_instance(inst: Instance, T: Fraction) -> GapInstance:
         raise ValueError("T must be positive; a zero T short-circuits the pipeline")
     if T.denominator != 1:
         raise ValueError("T must be an integer (the T search returns integers)")
-    threshold = T / ALPHA
     t_int = T.numerator
-    # tuple(list), not tuple(generator): see ratlp.LpSolution.
-    gap = tuple([job.size if job.size < threshold else t_int for job in inst.jobs])
+    # size < T / ALPHA over integers.  tuple(list), not tuple(generator): see
+    # ratlp.LpSolution.
+    gap = tuple([job.size if ALPHA * job.size < t_int else t_int for job in inst.jobs])
     return GapInstance(base=inst, tau=T, gap_size=gap)
 
 
@@ -67,16 +70,16 @@ def classify_jobs(gap: GapInstance) -> JobClasses:
     a big job alongside anything else.
     """
     t_int = gap.tau.numerator
-    threshold = gap.tau / ALPHA
     big = frozenset(
-        j for j, job in enumerate(gap.base.jobs) if job.size >= threshold
+        j for j, job in enumerate(gap.base.jobs) if ALPHA * job.size >= t_int
     )
     small = frozenset(range(len(gap.gap_size))) - big
     for j in big:
         if gap.gap_size[j] != t_int:
             raise GapClassError(f"big job {j} has gap size {gap.gap_size[j]}, not T = {t_int}")
     for j in small:
-        if not gap.gap_size[j] == gap.base.jobs[j].size < threshold:
+        size = gap.base.jobs[j].size
+        if gap.gap_size[j] != size or ALPHA * size >= t_int:
             raise GapClassError(f"small job {j} lost its size or reaches T/{ALPHA}")
     return JobClasses(big=big, small=small)
 
@@ -89,12 +92,14 @@ def classify_machines(
     In the gap instance at tau = T the carried configurations are either big
     singletons or all-small bundles; anything else is a solver bug and is
     rejected loudly.  Middle machines inherit small mass >= 1/2 from their
-    unit cover, which is checked rather than assumed.
+    unit cover, which is checked rather than assumed.  Masses are counts
+    over ``x.scale``, so mass >= 1/2 reads 2 * mass >= scale.
     """
     m = gap.base.machine_count
-    big_mass = {i: Fraction(0) for i in range(m)}
-    small_mass = {i: Fraction(0) for i in range(m)}
-    for (i, cfg), w in x.weights.items():
+    scale = x.scale
+    big_mass = {i: 0 for i in range(m)}
+    small_mass = {i: 0 for i in range(m)}
+    for (i, cfg), c in x.counts.items():
         members = set(cfg.jobs)
         if members & job_classes.big:
             if len(cfg.jobs) != 1:
@@ -102,17 +107,17 @@ def classify_machines(
                     f"machine {i} carries a mixed configuration {cfg.jobs}; "
                     "big jobs must appear as singletons in the gap instance"
                 )
-            big_mass[i] += w
+            big_mass[i] += c
         else:
-            small_mass[i] += w
-    upper = frozenset(i for i in range(m) if big_mass[i] >= HALF)
+            small_mass[i] += c
+    upper = frozenset(i for i in range(m) if 2 * big_mass[i] >= scale)
     middle = frozenset(range(m)) - upper
     for i in middle:
-        if small_mass[i] < HALF:
+        if 2 * small_mass[i] < scale:
             raise GapClassError(
-                f"middle machine {i} has small mass {small_mass[i]} < 1/2; "
+                f"middle machine {i} has small mass {Fraction(small_mass[i], scale)} < 1/2; "
                 "the covering solution lost its unit cover"
             )
     return MachineClasses(
-        upper=upper, middle=middle, big_mass=big_mass, small_mass=small_mass
+        upper=upper, middle=middle, big_mass=big_mass, small_mass=small_mass, scale=scale
     )

@@ -33,11 +33,13 @@ that order: a kept master pivots exactly as the same LP written out in
 logical order would.
 
 An optimal `LpSolution` carries integers: ``x * det * bden`` and
-``y * det``.  Column-generation pricing compares signs on those directly;
-the `fractions.Fraction` values are built only when read.  Dual values drive
-pricing, so every optimal solve checks the original rows exactly and checks
-strong duality, over integers, and raises `LpError` (not an ``assert``,
-which ``python -O`` strips) when either fails.
+``y * det``.  Column-generation pricing compares signs on those directly,
+and the cover LP hands its ``xs`` on with the scale ``det * bden`` as
+integer weights all the way to the rounding; the `fractions.Fraction`
+values are built only when read.  Dual values drive pricing, so every
+optimal solve checks the original rows exactly and checks strong duality,
+over integers, and raises `LpError` (not an ``assert``, which ``python -O``
+strips) when either fails.
 
 The tableau's rows are stored dense, but the work follows the nonzeros:
 `Tableau.from_rows` writes each row of A once, a column added later with

@@ -164,7 +164,7 @@ def handmade_super_case():
     half = Fraction(1, 2)
     big = Configuration(jobs=(0,), total_size=13)
     bundle = Configuration(jobs=tuple(range(1, 14)), total_size=13)
-    x = ClpSolution(
+    x = ClpSolution.from_weights(
         tau=Fraction(13),
         weights={(0, big): half, (1, big): half, (0, bundle): half, (1, bundle): half},
         cover_rhs=Fraction(1),

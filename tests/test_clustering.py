@@ -19,7 +19,7 @@ F = Fraction
 
 
 def clp_from_weights(weights, tau):
-    return ClpSolution(tau=F(tau), weights=weights, cover_rhs=F(1))
+    return ClpSolution.from_weights(tau=F(tau), weights=weights, cover_rhs=F(1))
 
 
 def big_single(j, t):
@@ -167,13 +167,24 @@ def assert_cycles_cancelled(before, after, size):
     assert totals(after) == totals(before)
 
 
+def size_weighted_cancel(before, sizes, scale=1):
+    # cancel on the size-weighted masses y * size * scale, as rounding does,
+    # and read y back
+    weighted = {(i, j): v * sizes[j] * scale for (i, j), v in before.items()}
+    return {(i, j): F(w, sizes[j] * scale) for (i, j), w in cancel_cycles(weighted).items()}
+
+
 def test_cancel_cycles_two_by_two_with_unequal_sizes():
-    # sizes 3 and 5: delta = min(1/2 * 3, 1/2 * 5) = 3/2, so the job-0 edges
-    # move by 1/2 and the job-1 edges by 3/10, and each machine's value stays 4
+    # sizes 3 and 5, every y = 1/2: over scale 2 the size-weighted counts are
+    # 3, 5, 3, 5 and delta = 3, so the job-0 edges move y by 1/2 and the job-1
+    # edges by 3/10, and each machine's value stays 4
     sizes = [3, 5]
     half = F(1, 2)
     before = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
-    after = cancel_cycles(before, lambda j: sizes[j])
+    counts = cancel_cycles({(0, 0): 3, (0, 1): 5, (1, 0): 3, (1, 1): 5})
+    assert counts == {(0, 1): 8, (1, 0): 6, (1, 1): 2}
+    assert all(type(c) is int for c in counts.values())
+    after = size_weighted_cancel(before, sizes, scale=2)
     assert after == {(0, 1): F(4, 5), (1, 0): F(1), (1, 1): F(1, 5)}
     assert_cycles_cancelled(before, after, lambda j: sizes[j])
 
@@ -193,7 +204,7 @@ def test_cancel_cycles_random_supports_with_unequal_sizes():
             denominator = sum(parts) + rng.randint(0, 3)
             for i, part in zip(holders, parts):
                 before[(i, j)] = F(part, denominator)
-        after = cancel_cycles(before, lambda j: sizes[j])
+        after = size_weighted_cancel(before, sizes)
         assert_cycles_cancelled(before, after, lambda j: sizes[j])
         cancelled += len(after) < len(before)
     assert cancelled >= 30
@@ -322,7 +333,7 @@ def test_checker_rejects_small_starved_cluster():
     stripped = {
         key: w for key, w in x.weights.items() if set(key[1].jobs) <= jc.big
     }
-    hollow = ClpSolution(tau=x.tau, weights=stripped, cover_rhs=x.cover_rhs)
+    hollow = ClpSolution.from_weights(tau=x.tau, weights=stripped, cover_rhs=x.cover_rhs)
     bad = ClusterSet(
         supers=(Cluster(machines=(0,), jobs=()),),
         saturated=(),
@@ -365,7 +376,7 @@ weights = {(0, 0): half, (0, 1): half, (1, 1): half}
 found = iter([[(0, 0), (0, 1), (1, 1)], None])
 clu._find_cycle = lambda w: next(found)
 inst = Instance(machine_count=2, jobs=(JobSpec(4, frozenset([0, 1])),) * 2)
-x = ClpSolution(tau=Fraction(4), weights={}, cover_rhs=Fraction(1))
+x = ClpSolution.from_weights(tau=Fraction(4), weights={}, cover_rhs=Fraction(1))
 try:
     clu.eliminate_cycles(clu.BigGraph(weights=weights), x, build_gap_instance(inst, Fraction(4)))
 except clu.ClusteringError as exc:

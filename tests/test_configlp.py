@@ -244,16 +244,16 @@ def test_cover_rows_come_from_pool_keys():
     # makes the LP infeasible even when the other machines are easy to cover
     assert solve_cover_lp(pools={0: (0,), 1: ()}, sizes=[3], tau=F(3)) is None
     sol = solve_cover_lp(pools={0: (0,)}, sizes=[3], tau=F(3))
-    assert sol is not None and sol.machine_cover(0) == 1
+    assert sol is not None and sum(w for (i, _), w in sol.weights.items() if i == 0) == 1
 
 
 def test_check_cover_names_short_machine():
     cfg = Configuration(jobs=(0,), total_size=3)
-    sol = ClpSolution(tau=F(3), weights={(0, cfg): F(1)}, cover_rhs=F(1))
+    sol = ClpSolution.from_weights(tau=F(3), weights={(0, cfg): F(1)}, cover_rhs=F(1))
     assert check_cover_solution(sol, {0: (0,)}, [3]) == (True, None)
     ok, why = check_cover_solution(sol, {0: (0,), 1: (0,)}, [3])
     assert not ok and why == "machine 1 cover 0 < 1"
-    half = ClpSolution(tau=F(3), weights={(0, cfg): F(1, 2)}, cover_rhs=F(1))
+    half = ClpSolution.from_weights(tau=F(3), weights={(0, cfg): F(1, 2)}, cover_rhs=F(1))
     ok, why = check_cover_solution(half, {0: (0,)}, [3])
     assert not ok and why == "machine 0 cover 1/2 < 1"
 
@@ -439,7 +439,7 @@ def test_clp_to_alp_additivity():
         (0, Configuration(jobs=(0, 1), total_size=7)): F(1, 2),
         (0, Configuration(jobs=(0, 2), total_size=8)): F(1, 2),
     }
-    sol = ClpSolution(tau=F(7), weights=sol_weights, cover_rhs=F(1))
+    sol = ClpSolution.from_weights(tau=F(7), weights=sol_weights, cover_rhs=F(1))
     fa = clp_to_alp(sol, [3, 4, 5])
     assert fa.y[(0, 0)] == 1
     assert fa.y[(0, 1)] == F(1, 2)
@@ -458,7 +458,7 @@ def test_check_mclp_thresholds():
     bundle1 = Configuration(jobs=(2, 4, 6, 8, 10, 12, 14), total_size=7)
 
     def clusterset(w0, w1):
-        x = ClpSolution(
+        x = ClpSolution.from_weights(
             tau=F(14),
             weights={(0, bundle0): w0, (1, bundle1): w1},
             cover_rhs=F(1),

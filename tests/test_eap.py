@@ -177,7 +177,7 @@ def test_selection_skips_member_without_small_eligibility():
         supers=(Cluster(machines=(0, 1), jobs=(0,)),),
         saturated=(),
         composites=(Composite(machines=(0, 1), kind="super"),),
-        xstar=ClpSolution(tau=F(13), weights={}, cover_rhs=F(1)),
+        xstar=ClpSolution.from_weights(tau=F(13), weights={}, cover_rhs=F(1)),
         gap=gap,
         job_classes=jc,
         machine_classes=None,
@@ -195,7 +195,7 @@ def test_selection_budget_guard():
         supers=(Cluster(machines=(0, 1), jobs=(0,)),),
         saturated=(),
         composites=(Composite(machines=(0, 1), kind="super"),),
-        xstar=ClpSolution(tau=F(13), weights={}, cover_rhs=F(1)),
+        xstar=ClpSolution.from_weights(tau=F(13), weights={}, cover_rhs=F(1)),
         gap=gap,
         job_classes=jc,
         machine_classes=None,

@@ -71,8 +71,8 @@ def test_classify_machines_threshold_and_masses():
     mc = classify_machines(gap, jc, sol)
     assert mc.upper == {0}
     assert mc.middle == {1}
-    assert mc.big_mass[0] >= F(1, 2)
-    assert mc.small_mass[1] >= F(1, 2)
+    assert F(mc.big_mass[0], mc.scale) >= F(1, 2)
+    assert F(mc.small_mass[1], mc.scale) >= F(1, 2)
 
 
 def test_gap_solution_transfers_from_original():
@@ -92,7 +92,7 @@ def test_gap_solution_transfers_from_original():
             pruned = prune_to_minimal(cfg.jobs, T, gap.gap_size)
             key = (i, pruned)
             transferred[key] = transferred.get(key, F(0)) + w
-        moved = type(original)(
+        moved = type(original).from_weights(
             tau=original.tau,
             weights=transferred,
             cover_rhs=original.cover_rhs,
@@ -120,7 +120,7 @@ assert sys.flags.optimize, "not running under -O"
 inst = Instance(machine_count=1, jobs=(JobSpec(size=30, eligible=frozenset([0])), JobSpec(size=1, eligible=frozenset([0]))))
 gap = build_gap_instance(inst, Fraction(13))
 mixed = Configuration(jobs=(0, 1), total_size=14)
-x = ClpSolution(tau=Fraction(13), weights={(0, mixed): Fraction(1)}, cover_rhs=Fraction(1))
+x = ClpSolution.from_weights(tau=Fraction(13), weights={(0, mixed): Fraction(1)}, cover_rhs=Fraction(1))
 try:
     classify_machines(gap, classify_jobs(gap), x)
 except GapClassError as exc:

@@ -82,7 +82,7 @@ def test_enumerate_bundles_empty_support_stream():
         supers=(),
         saturated=(),
         composites=(Composite(machines=(0,), kind="middle"),),
-        xstar=ClpSolution(tau=F(13), weights={}, cover_rhs=F(1)),
+        xstar=ClpSolution.from_weights(tau=F(13), weights={}, cover_rhs=F(1)),
         gap=gap,
         job_classes=classify_jobs(gap),
         machine_classes=None,
@@ -190,7 +190,7 @@ T = Fraction(13)
 inst = Instance(machine_count=2, jobs=(JobSpec(1, frozenset([0, 1])),) * 6)
 gap = build_gap_instance(inst, T)
 low, high = Configuration(jobs=(0, 1, 2), total_size=3), Configuration(jobs=(3, 4, 5), total_size=3)
-xstar = ClpSolution(tau=T, weights={(0, low): Fraction(1), (1, low): Fraction(1, 2),
+xstar = ClpSolution.from_weights(tau=T, weights={(0, low): Fraction(1), (1, low): Fraction(1, 2),
                                     (1, high): Fraction(1, 2)}, cover_rhs=Fraction(1))
 clusters = ClusterSet(supers=(), saturated=(), xstar=xstar, gap=gap,
                       composites=(Composite(machines=(0,), kind="middle"),

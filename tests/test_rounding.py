@@ -15,7 +15,7 @@ F = Fraction
 
 
 def fa(y, target):
-    return FractionalAssignment(y={k: F(v) for k, v in y.items()}, target=F(target))
+    return FractionalAssignment.from_y({k: F(v) for k, v in y.items()}, target=F(target))
 
 
 def test_integral_input_is_identity():
@@ -46,6 +46,17 @@ def test_two_machines_shared_job():
     assert list(owner.values()).count(0) >= 1
     # no duplicated job
     assert len(owner) == len(set(owner))
+
+
+def test_two_by_two_cycle_with_sizes_three_and_five():
+    # every y is 1/2, so each machine's value is 4.  Cancelling on y * size
+    # moves job 0's edges by 1/2 and job 1's by 3/10: (1, 0) becomes whole and
+    # job 1 stays split 4/5 : 1/5, which neither machine needs under its
+    # bound 4 - 5.  Moving every edge by the same amount in y instead would
+    # make (0, 1) whole as well and hand job 1 to machine 0.
+    half = F(1, 2)
+    y = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
+    assert round_assignment(fa(y, 4), [3, 5]) == {0: 1}
 
 
 def test_rejects_overweight_job():
@@ -96,11 +107,11 @@ from fractions import Fraction
 import santaclaus.rounding as rnd
 from santaclaus.configlp import FractionalAssignment
 assert sys.flags.optimize, "not running under -O"
-rnd.cancel_cycles = lambda weights, size: dict(weights)
+rnd.cancel_cycles = lambda weights: dict(weights)
 half = Fraction(1, 2)
 cycle = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
 try:
-    rnd.round_assignment(FractionalAssignment(y=cycle, target=Fraction(4)), [4, 4])
+    rnd.round_assignment(FractionalAssignment.from_y(cycle, target=Fraction(4)), [4, 4])
 except rnd.RoundingError as exc:
     print("raised:", exc)
 else:
