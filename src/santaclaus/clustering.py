@@ -3,7 +3,10 @@
 The weighted bipartite graph between upper-class machines and big jobs (one
 edge per positive big-singleton weight) is first made acyclic by rotating
 weight around cycles, which preserves every per-machine and per-job total
-exactly.  The resulting forest is then cut into clusters.
+exactly.  The resulting forest is then cut into clusters.  Every weight is
+an integer count over the covering solution's scale (`ClpSolution.scale`),
+from the graph through the cancelled forest to the small masses, so a
+weight >= 1/2 reads 2 * count >= scale.
 
 A standard cluster ("super machine") is a set of machines plus connector
 jobs, each connector sitting between exactly two of the cluster's machines,
@@ -26,39 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TypeVar
 
 from .configlp import ClpSolution, Configuration
 from .gapclasses import GapInstance, JobClasses, MachineClasses
-
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-
-W = TypeVar("W", int, Fraction)
 
 
 class ClusteringError(RuntimeError):
     """A clustering invariant or postcondition failed.  Raised, not asserted, so
     that ``python -O`` keeps it."""
-
-
-@dataclass
-class BigGraph:
-    """Machine-job support graph of big-singleton weights, all positive."""
-
-    weights: dict[tuple[int, int], Fraction]
-
-    def machines(self) -> list[int]:
-        return sorted({i for i, _ in self.weights})
-
-    def jobs(self) -> list[int]:
-        return sorted({j for _, j in self.weights})
-
-    def machine_total(self, i: int) -> Fraction:
-        return sum((w for (ii, _), w in self.weights.items() if ii == i), ZERO)
-
-    def job_total(self, j: int) -> Fraction:
-        return sum((w for (_, jj), w in self.weights.items() if jj == j), ZERO)
 
 
 @dataclass(frozen=True)
@@ -118,26 +96,26 @@ def bipartite_match(left: list[int], adj: dict[int, list[int]]) -> dict[int, int
 
 def build_big_graph(
     gap: GapInstance, x: ClpSolution, job_classes: JobClasses, machine_classes: MachineClasses
-) -> BigGraph:
-    weights = {}
-    for (i, cfg), w in x.weights.items():
-        if w == 0 or i not in machine_classes.upper:
+) -> dict[tuple[int, int], int]:
+    """Support graph of the upper machines' big singletons: (machine, job) ->
+    count over ``x.scale``, every entry positive."""
+    graph: dict[tuple[int, int], int] = {}
+    for (i, cfg), c in x.counts.items():
+        if c == 0 or i not in machine_classes.upper:
             continue
         if len(cfg.jobs) == 1 and cfg.jobs[0] in job_classes.big:
-            weights[(i, cfg.jobs[0])] = weights.get((i, cfg.jobs[0]), ZERO) + w
-    return BigGraph(weights={k: w for k, w in weights.items() if w > 0})
+            graph[(i, cfg.jobs[0])] = graph.get((i, cfg.jobs[0]), 0) + c
+    return {e: c for e, c in graph.items() if c > 0}
 
 
-def _find_cycle(weights: dict[tuple[int, int], Fraction]) -> list[tuple[int, int]] | None:
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for i, j in weights:
-        adj.setdefault(("m", i), []).append(("j", j))
-        adj.setdefault(("j", j), []).append(("m", i))
-    for v in adj:
-        adj[v].sort()
+Vertex = tuple[str, int]
 
-    visited: set[tuple[str, int]] = set()
-    parent: dict[tuple[str, int], tuple[str, int] | None] = {}
+
+def _find_cycle(adj: dict[Vertex, list[Vertex]]) -> list[tuple[int, int]] | None:
+    """First cycle of a DFS from the smallest vertex over sorted neighbour
+    lists, as (machine, job) edges; None on a forest."""
+    visited: set[Vertex] = set()
+    parent: dict[Vertex, Vertex | None] = {}
 
     def dfs(v) -> list | None:
         visited.add(v)
@@ -173,21 +151,28 @@ def _find_cycle(weights: dict[tuple[int, int], Fraction]) -> list[tuple[int, int
     return None
 
 
-def cancel_cycles(weights: dict[tuple[int, int], W]) -> dict[tuple[int, int], W]:
+def cancel_cycles(weights: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """Cancel cycles in a bipartite machine-job support until it is a forest.
 
     Around an (even) cycle, starting from its lexicographically smallest
     edge, the edges alternately lose and gain delta, the least decremented
-    weight, so every machine total and every job total stays exact and at
-    least one edge reaches 0 and is deleted per rotation.  Weights may be
-    rationals or integers (integers stay integers).  A caller that must keep
-    totals of ``y * size(j)`` at machines and of ``y`` at jobs passes the
-    size-weighted ``y * size(j)``: each cycle edge then moves y by
-    +-delta / size(j), the same at both edges of a job.  Returns a new dict.
+    integer weight, so every machine total and every job total stays exact
+    and at least one edge reaches 0 and is deleted per rotation.  A caller
+    that must keep totals of ``y * size(j)`` at machines and of ``y`` at jobs
+    passes the size-weighted ``y * size(j)``: each cycle edge then moves y by
+    +-delta / size(j), the same at both edges of a job.  The sorted adjacency
+    is built once and loses each emptied edge, so every search sees the
+    support exactly as it stands.  Returns a new dict.
     """
     weights = dict(weights)
+    adj: dict[Vertex, list[Vertex]] = {}
+    for i, j in weights:
+        adj.setdefault(("m", i), []).append(("j", j))
+        adj.setdefault(("j", j), []).append(("m", i))
+    for neighbours in adj.values():
+        neighbours.sort()
     while True:
-        cycle = _find_cycle(weights)
+        cycle = _find_cycle(adj)
         if cycle is None:
             return weights
         if len(cycle) % 2:
@@ -205,46 +190,49 @@ def cancel_cycles(weights: dict[tuple[int, int], W]) -> dict[tuple[int, int], W]
             raise ClusteringError(f"cycle {cycle} carries a non-positive weight")
         for pos, e in enumerate(cycle):
             weights[e] += -delta if pos % 2 == 0 else delta
-        for e in cycle[0::2]:
-            if weights[e] == 0:
-                del weights[e]
+        for i, j in cycle[0::2]:
+            if weights[(i, j)] == 0:
+                del weights[(i, j)]
+                adj[("m", i)].remove(("j", j))
+                adj[("j", j)].remove(("m", i))
 
 
 def eliminate_cycles(
-    graph: BigGraph, x: ClpSolution, gap: GapInstance
-) -> tuple[BigGraph, ClpSolution]:
+    graph: dict[tuple[int, int], int], x: ClpSolution, gap: GapInstance
+) -> tuple[dict[tuple[int, int], int], ClpSolution]:
     """Make the big-job support a forest with `cancel_cycles`.
 
     A big singleton counts 1 toward its machine's cover whatever the job's
-    size, so the weights are cancelled as they are: each machine's and each
-    job's total weight is kept.  The covering solution is updated in step so
-    the big-singleton weights always mirror the graph.
+    size, so the counts are cancelled as they are: each machine's and each
+    job's total weight is kept.  The covering solution is updated in step,
+    on ``x``'s scale, so the big-singleton counts always mirror the forest.
     """
-    weights = cancel_cycles(graph.weights)
+    forest = cancel_cycles(graph)
     t_int = gap.tau.numerator
-    machines = {i for i, _ in graph.weights}
-    jobs = {j for _, j in graph.weights}
-    new_weights = {
-        (i, cfg): w
-        for (i, cfg), w in x.weights.items()
+    machines = {i for i, _ in graph}
+    jobs = {j for _, j in graph}
+    counts = {
+        (i, cfg): c
+        for (i, cfg), c in x.counts.items()
         if not (len(cfg.jobs) == 1 and cfg.jobs[0] in jobs and i in machines)
     }
-    for (i, j), w in weights.items():
-        new_weights[(i, Configuration(jobs=(j,), total_size=t_int))] = w
-    xstar = ClpSolution.from_weights(tau=x.tau, weights=new_weights, cover_rhs=x.cover_rhs)
-    return BigGraph(weights=weights), xstar
+    for (i, j), c in forest.items():
+        counts[(i, Configuration(jobs=(j,), total_size=t_int))] = c
+    xstar = ClpSolution(tau=x.tau, counts=counts, scale=x.scale, cover_rhs=x.cover_rhs)
+    return forest, xstar
 
 
-def small_mass_by_machine(xstar: ClpSolution, job_classes: JobClasses) -> dict[int, Fraction]:
-    mass: dict[int, Fraction] = {}
-    for (i, cfg), w in xstar.weights.items():
+def small_mass_by_machine(xstar: ClpSolution, job_classes: JobClasses) -> dict[int, int]:
+    """Each machine's small-bundle weight, as a count over ``xstar.scale``."""
+    mass: dict[int, int] = {}
+    for (i, cfg), c in xstar.counts.items():
         if set(cfg.jobs) <= job_classes.small:
-            mass[i] = mass.get(i, ZERO) + w
+            mass[i] = mass.get(i, 0) + c
     return mass
 
 
 def extract_clusters(
-    forest: BigGraph,
+    forest: dict[tuple[int, int], int],
     xstar: ClpSolution,
     job_classes: JobClasses,
     machine_classes: MachineClasses,
@@ -270,7 +258,7 @@ def extract_clusters(
 
     adj_m: dict[int, list[int]] = {}
     adj_j: dict[int, list[int]] = {}
-    for i, j in forest.weights:
+    for i, j in forest:
         adj_m.setdefault(i, []).append(j)
         adj_j.setdefault(j, []).append(i)
     for v in adj_m:
@@ -324,7 +312,7 @@ def extract_clusters(
                 kids = children_machines.get(j, [])
                 if not kids:
                     continue  # leaf job: stays free for the repair pool
-                best = max(kids, key=lambda w: (forest.weights[(w, j)], -w))
+                best = max(kids, key=lambda w: (forest[(w, j)], -w))
                 for w in kids:
                     if w is best:
                         continue
@@ -345,8 +333,8 @@ def extract_clusters(
     keep: list[Cluster] = []
     defects: list[dict] = []
     for c in emitted:
-        total_small = sum((small_mass.get(i, ZERO) for i in c["machines"]), ZERO)
-        if total_small >= HALF:
+        total_small = sum(small_mass.get(i, 0) for i in c["machines"])
+        if 2 * total_small >= xstar.scale:
             keep.append(
                 Cluster(machines=tuple(sorted(c["machines"])), jobs=tuple(sorted(c["jobs"])))
             )
@@ -431,6 +419,7 @@ def check_cluster_properties(clusters: ClusterSet, gap: GapInstance) -> tuple[bo
     3. combined small-configuration weight at least 1/2.
     """
     small_mass = small_mass_by_machine(clusters.xstar, clusters.job_classes)
+    scale = clusters.xstar.scale
     inst = gap.base
     for k, cluster in enumerate(clusters.supers):
         if len(cluster.jobs) != len(cluster.machines) - 1:
@@ -449,9 +438,10 @@ def check_cluster_properties(clusters: ClusterSet, gap: GapInstance) -> tuple[bo
                 return False, (
                     f"cluster {k}: property 2 fails leaving out machine {leave_out}"
                 )
-        total_small = sum((small_mass.get(i, ZERO) for i in cluster.machines), ZERO)
-        if total_small < HALF:
+        total_small = sum(small_mass.get(i, 0) for i in cluster.machines)
+        if 2 * total_small < scale:
             return False, (
-                f"cluster {k}: property 3 fails, small weight {total_small} < 1/2"
+                f"cluster {k}: property 3 fails, small weight "
+                f"{Fraction(total_small, scale)} < 1/2"
             )
     return True, None

@@ -26,13 +26,14 @@ shortfall objective is a proof of infeasibility, not a numeric judgement
 call.
 
 A solution leaves the master as it holds it: integer counts over one scale,
-the master's ``det * bden`` (`ClpSolution`).  Its postcondition
-(`check_cover_solution`), the collapse to a job-level assignment
-(`clp_to_alp`, whose `FractionalAssignment` keeps the same scale) and the
-T search's seed harvest read the counts, comparing integer sums against
-thresholds multiplied by the scale; rational weights are built only when
-the clustered branch reads them.  Bundle totals are integers too, so every
-minimality test compares them with ceil(tau), computed once per cover LP.
+the master's ``det * bden`` (`ClpSolution`), and no reader turns them back
+into rationals.  Its postcondition (`check_cover_solution`), the collapse to
+a job-level assignment (`clp_to_alp`, whose `FractionalAssignment` keeps the
+same scale), the T search's seed harvest, the classification, clustering
+and the composite cover check (`check_mclp`) all compare integer sums
+against thresholds multiplied by the scale; a `Fraction` is built only for
+an error message.  Bundle totals are integers too, so every minimality test
+compares them with ceil(tau), computed once per cover LP.
 
 The same engine serves two covers, both with one cover row per machine: the
 configuration LP (cover >= 1) that the T search probes and the gap instance
@@ -49,7 +50,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
@@ -188,9 +188,8 @@ class ClpSolution:
     """Feasible point of a covering LP: (machine, configuration) -> weight.
 
     Weight ``counts[key] / scale``: integer counts over one positive scale,
-    the master's ``det * bden``, so the no-upper branch checks, collapses
-    and rounds them without building a `Fraction`.  The rational `weights`
-    are built on first read, for the clustered branch.
+    the master's ``det * bden``, which every reader compares against
+    thresholds multiplied by the scale.
     """
 
     tau: Fraction
@@ -198,19 +197,8 @@ class ClpSolution:
     scale: int
     cover_rhs: Fraction
 
-    @classmethod
-    def from_weights(
-        cls, tau: Fraction, weights: Mapping[tuple[int, Configuration], Fraction], cover_rhs: Fraction
-    ) -> ClpSolution:
-        counts, scale = to_counts(weights)
-        return cls(tau=Fraction(tau), counts=counts, scale=scale, cover_rhs=Fraction(cover_rhs))
-
-    @cached_property
-    def weights(self) -> dict[tuple[int, Configuration], Fraction]:
-        return {key: Fraction(c, self.scale) for key, c in self.counts.items()}
-
-    def carried(self, machine: int) -> list[tuple[Configuration, Fraction]]:
-        out = [(cfg, w) for (i, cfg), w in self.weights.items() if i == machine]
+    def carried(self, machine: int) -> list[tuple[Configuration, int]]:
+        out = [(cfg, c) for (i, cfg), c in self.counts.items() if i == machine]
         out.sort(key=lambda t: t[0])
         return out
 
@@ -501,24 +489,19 @@ def find_T_with_seeds(
 
 @dataclass(frozen=True)
 class FractionalAssignment:
-    """Sparse fractional machine-job assignment with a per-machine value floor.
+    """Sparse fractional machine-job assignment.
 
     Entry ``y[i, j] = counts[i, j] / scale`` over one positive integer scale,
-    as in `ClpSolution`; the rational `y` is built on first read.
+    as in `ClpSolution`.
     """
 
     counts: dict[tuple[int, int], int]
     scale: int
-    target: Fraction
 
     @classmethod
-    def from_y(cls, y: Mapping[tuple[int, int], Fraction], target: Fraction) -> FractionalAssignment:
+    def from_y(cls, y: Mapping[tuple[int, int], Fraction]) -> FractionalAssignment:
         counts, scale = to_counts(y)
-        return cls(counts=counts, scale=scale, target=Fraction(target))
-
-    @cached_property
-    def y(self) -> dict[tuple[int, int], Fraction]:
-        return {key: Fraction(c, self.scale) for key, c in self.counts.items()}
+        return cls(counts=counts, scale=scale)
 
 
 def clp_to_alp(sol: ClpSolution, sizes: Sequence[int]) -> FractionalAssignment:
@@ -536,31 +519,34 @@ def clp_to_alp(sol: ClpSolution, sizes: Sequence[int]) -> FractionalAssignment:
             continue
         for j in cfg.jobs:
             y[(i, j)] = y.get((i, j), 0) + c
-    return FractionalAssignment(counts=y, scale=sol.scale, target=sol.cover_rhs * sol.tau)
+    return FractionalAssignment(counts=y, scale=sol.scale)
 
 
-def check_mclp(clusters, xstar: ClpSolution | None = None) -> tuple[bool, str | None]:
+def check_mclp(clusters) -> tuple[bool, str | None]:
     """Composite-machine cover check: every composite carries small-bundle
     weight of at least 1/2 and no small job is fractionally used above 1.
+
+    Masses are counts over ``clusters.xstar.scale``, so mass >= 1/2 reads
+    2 * mass >= scale.
     """
-    if xstar is None:
-        xstar = clusters.xstar
+    xstar = clusters.xstar
+    scale = xstar.scale
     small = clusters.job_classes.small
-    half = Fraction(1, 2)
-    for d, comp in enumerate(clusters.composites):
-        mass = ZERO
-        for i in comp.machines:
-            for cfg, w in xstar.carried(i):
-                if set(cfg.jobs) <= small:
-                    mass += w
-        if mass < half:
-            return False, f"composite {d} (machines {list(comp.machines)}) small weight {mass} < 1/2"
-    usage: dict[int, Fraction] = {}
-    for (i, cfg), w in xstar.weights.items():
+    mass: dict[int, int] = {}
+    usage: dict[int, int] = {}
+    for (i, cfg), c in xstar.counts.items():
         if set(cfg.jobs) <= small:
+            mass[i] = mass.get(i, 0) + c
             for j in cfg.jobs:
-                usage[j] = usage.get(j, ZERO) + w
+                usage[j] = usage.get(j, 0) + c
+    for d, comp in enumerate(clusters.composites):
+        total = sum(mass.get(i, 0) for i in comp.machines)
+        if 2 * total < scale:
+            return False, (
+                f"composite {d} (machines {list(comp.machines)}) small weight "
+                f"{Fraction(total, scale)} < 1/2"
+            )
     for j in sorted(usage):
-        if usage[j] > 1:
-            return False, f"small job {j} used {usage[j]} > 1"
+        if usage[j] > scale:
+            return False, f"small job {j} used {Fraction(usage[j], scale)} > 1"
     return True, None

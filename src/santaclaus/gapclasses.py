@@ -5,7 +5,9 @@ size at least T/12 counts as exactly T (a "big" job), everything else keeps
 its size ("small").  At tau = T this gives the pipeline two structural facts
 it leans on throughout: every minimal configuration containing a big job is
 a big singleton, and any machine that is not big-heavy ("upper class")
-carries small-configuration weight of at least 1/2.
+carries small-configuration weight of at least 1/2.  The classification
+reads the covering solution's integer counts, so a weight >= 1/2 reads
+2 * count >= scale.
 """
 
 from __future__ import annotations
@@ -39,14 +41,10 @@ class JobClasses:
 
 @dataclass(frozen=True)
 class MachineClasses:
-    """Upper/middle split; each machine's big-singleton and small-bundle
-    weight as integer counts over ``scale``, the covering solution's."""
+    """Upper machines carry big-singleton weight >= 1/2; the rest are middle."""
 
     upper: frozenset[int]
     middle: frozenset[int]
-    big_mass: dict[int, int]
-    small_mass: dict[int, int]
-    scale: int
 
 
 def build_gap_instance(inst: Instance, T: Fraction) -> GapInstance:
@@ -118,6 +116,4 @@ def classify_machines(
                 f"middle machine {i} has small mass {Fraction(small_mass[i], scale)} < 1/2; "
                 "the covering solution lost its unit cover"
             )
-    return MachineClasses(
-        upper=upper, middle=middle, big_mass=big_mass, small_mass=small_mass, scale=scale
-    )
+    return MachineClasses(upper=upper, middle=middle)

@@ -16,6 +16,7 @@ generator are pure functions.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -140,9 +141,19 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise InstanceFormatError(f"document: duplicate key {key!r}")
+        doc[key] = val
+    return doc
+
+
 def parse_allocation(text: str) -> Allocation:
     try:
-        doc = json.loads(text)
+        # json.loads keeps the last of two equal keys without a word
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"document: malformed JSON ({exc.msg})") from exc
     if not isinstance(doc, dict):
@@ -152,15 +163,16 @@ def parse_allocation(text: str) -> Allocation:
         raise InstanceFormatError("owner: must be an object")
     owner = {}
     for key, val in raw_owner.items():
-        try:
-            j = int(key)
-        except ValueError as exc:
-            raise InstanceFormatError(f"owner[{key!r}]: job index must be an integer") from exc
+        # int() would also read "03", " 3" or "6_0", so two keys could name
+        # one job, or a key a job it does not spell.
+        if not re.fullmatch("0|[1-9][0-9]*", key):
+            raise InstanceFormatError(
+                f"owner[{key!r}]: job index must be a non-negative decimal integer "
+                "without leading zeros"
+            )
         if not isinstance(val, int) or isinstance(val, bool) or val < 0:
             raise InstanceFormatError(f"owner[{key!r}]: machine index must be a non-negative integer")
-        if j < 0:
-            raise InstanceFormatError(f"owner[{key!r}]: job index must be non-negative")
-        owner[j] = val
+        owner[int(key)] = val
     raw_min = doc.get("min_value")
     if not isinstance(raw_min, str):
         raise InstanceFormatError('min_value: must be a "p/q" string')

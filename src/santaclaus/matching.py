@@ -17,8 +17,8 @@ take, so a stall is raised as an upstream defect rather than papered over.
 The local search may take superpolynomially many steps in principle; a step
 budget turns pathological blowup into an error instead of a hang.
 
-An exhaustive backtracking strategy over the same hyperedge streams serves
-as the cross-check oracle on small instances.
+`exhaustive_matching`, a backtracking search over the same hyperedge
+streams, is the cross-check oracle on small instances.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from typing import Iterator
 
 from .clustering import ClusterSet
 from .configlp import ClpSolution
-
-ZERO = Fraction(0)
 
 
 class MatchingError(RuntimeError):
@@ -153,22 +151,19 @@ def validate_matching(state: MatchingState, clusters: ClusterSet, T: Fraction) -
 def find_perfect_matching(
     clusters: ClusterSet,
     T: Fraction,
-    strategy: str = "alternating-tree",
     budget: int = 10**6,
     trace: list[str] | None = None,
 ) -> MatchingState:
-    threshold = Fraction(T) / 6
-    if strategy == "exhaustive":
-        state = _exhaustive_matching(clusters, threshold, budget)
-    elif strategy == "alternating-tree":
-        state = _local_search_matching(clusters, threshold, budget, trace)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    """Alternating-tree matching, validated before it is returned."""
+    state = _local_search_matching(clusters, Fraction(T) / 6, budget, trace)
     validate_matching(state, clusters, Fraction(T))
     return state
 
 
-def _exhaustive_matching(clusters: ClusterSet, threshold: Fraction, budget: int) -> MatchingState:
+def exhaustive_matching(clusters: ClusterSet, T: Fraction, budget: int) -> MatchingState:
+    """Backtracking over the composites' hyperedge streams in order, within
+    ``budget`` steps; validated like `find_perfect_matching`."""
+    threshold = Fraction(T) / 6
     n = len(clusters.composites)
     streams = [list(enumerate_bundles(d, clusters, threshold)) for d in range(n)]
     state = MatchingState(matched={})
@@ -197,6 +192,7 @@ def _exhaustive_matching(clusters: ClusterSet, threshold: Fraction, budget: int)
             "existence contract violated: exhaustive search found no perfect matching"
         )
     state.matched = dict(chosen)
+    validate_matching(state, clusters, Fraction(T))
     return state
 
 

@@ -249,7 +249,7 @@ def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, strategy, co
         if not ok:
             raise PipelineError(f"assignment-program check failed: {why}")
         eap = restrict_eap(eap, clusters, T)
-        assignment = FractionalAssignment.from_y(eap.u, target=T / 6)
+        assignment = FractionalAssignment.from_y(eap.u)
         rounded = round_assignment(assignment, inst.sizes())
         for j, i in sorted(rounded.items()):
             give(j, i)

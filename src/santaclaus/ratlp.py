@@ -35,7 +35,7 @@ logical order would.
 An optimal `LpSolution` carries integers: ``x * det * bden`` and
 ``y * det``.  Column-generation pricing compares signs on those directly,
 and the cover LP hands its ``xs`` on with the scale ``det * bden`` as
-integer weights all the way to the rounding; the `fractions.Fraction`
+integer weights to every reader downstream; the `fractions.Fraction`
 values are built only when read.  Dual values drive pricing, so every
 optimal solve checks the original rows exactly and checks strong duality,
 over integers, and raises `LpError` (not an ``assert``, which ``python -O``

@@ -5,7 +5,23 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from santaclaus.configlp import ClpSolution
 from santaclaus.instances import Instance
+from santaclaus.rat import to_counts
+
+
+def clp_from_weights(weights, tau, cover_rhs=1):
+    """A `ClpSolution` holding the rational ``weights``, as counts over the
+    lcm of their denominators."""
+    counts, scale = to_counts(weights)
+    return ClpSolution(
+        tau=Fraction(tau), counts=counts, scale=scale, cover_rhs=Fraction(cover_rhs)
+    )
+
+
+def weights_of(sol):
+    """The rational weights of a `ClpSolution` or `FractionalAssignment`."""
+    return {key: Fraction(c, sol.scale) for key, c in sol.counts.items()}
 
 
 def enumerate_lp_vertices(objective, rows, nvars):
@@ -155,7 +171,7 @@ def handmade_super_case():
     from fractions import Fraction
 
     from santaclaus.clustering import build_big_graph, eliminate_cycles, extract_clusters
-    from santaclaus.configlp import ClpSolution, Configuration
+    from santaclaus.configlp import Configuration
     from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
 
     inst = shared_big_instance(units=13)
@@ -164,10 +180,8 @@ def handmade_super_case():
     half = Fraction(1, 2)
     big = Configuration(jobs=(0,), total_size=13)
     bundle = Configuration(jobs=tuple(range(1, 14)), total_size=13)
-    x = ClpSolution.from_weights(
-        tau=Fraction(13),
-        weights={(0, big): half, (1, big): half, (0, bundle): half, (1, bundle): half},
-        cover_rhs=Fraction(1),
+    x = clp_from_weights(
+        {(0, big): half, (1, big): half, (0, bundle): half, (1, bundle): half}, 13
     )
     mc = classify_machines(gap, jc, x)
     graph = build_big_graph(gap, x, jc, mc)

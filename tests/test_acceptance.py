@@ -32,10 +32,10 @@ from santaclaus.instances import (
     generate_random,
     serialize_instance,
 )
-from santaclaus.matching import find_perfect_matching
+from santaclaus.matching import exhaustive_matching, find_perfect_matching
 from santaclaus.pipeline import solve
 from santaclaus.rounding import round_assignment
-from conftest import handmade_super_case, mixed_instance
+from conftest import handmade_super_case, mixed_instance, weights_of
 
 F = Fraction
 DENSITIES = [F(1, 4), F(1, 2), F(3, 4), F(1)]
@@ -171,10 +171,15 @@ def stage_runs():
             return
         graph = build_big_graph(gap, x, jc, mc)
         forest, xstar = eliminate_cycles(graph, x, gap)
-        before_m = {i: graph.machine_total(i) for i in graph.machines()}
-        before_j = {j: graph.job_total(j) for j in graph.jobs()}
-        after_m = {i: forest.machine_total(i) for i in before_m}
-        after_j = {j: forest.job_total(j) for j in before_j}
+        def totals(graph):
+            machines, jobs = {}, {}
+            for (i, j), c in graph.items():
+                machines[i] = machines.get(i, 0) + c
+                jobs[j] = jobs.get(j, 0) + c
+            return machines, jobs
+
+        before_m, before_j = totals(graph)
+        after_m, after_j = totals(forest)
         assert before_m == after_m, f"seed {seed}: machine totals drifted"
         assert before_j == after_j, f"seed {seed}: job totals drifted"
         runs.append((inst, extract_clusters(forest, xstar, jc, mc, gap)))
@@ -216,8 +221,8 @@ def test_matching_suite(stage_runs):
         if not clusters.composites:
             continue
         T = clusters.gap.tau
-        tree = find_perfect_matching(clusters, T, strategy="alternating-tree")
-        exhaustive = find_perfect_matching(clusters, T, strategy="exhaustive", budget=10**5)
+        tree = find_perfect_matching(clusters, T)
+        exhaustive = exhaustive_matching(clusters, T, budget=10**5)
         if set(tree.matched) != set(exhaustive.matched):
             failures.append(f"run {k}: strategies disagree")
         used = set()
@@ -311,7 +316,7 @@ def test_rounding_suite():
         sizes = inst.sizes()
         values = {}
         max_size = {}
-        for (i, j), v in fa.y.items():
+        for (i, j), v in weights_of(fa).items():
             values[i] = values.get(i, F(0)) + v * sizes[j]
             max_size[i] = max(max_size.get(i, 0), sizes[j])
         owner = round_assignment(fa, sizes)

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from santaclaus.clustering import (
-    BigGraph,
     Cluster,
     ClusterSet,
     bipartite_match,
@@ -11,19 +10,25 @@ from santaclaus.clustering import (
     eliminate_cycles,
     extract_clusters,
 )
-from santaclaus.configlp import ClpSolution, Configuration, machine_pools, solve_clp_feasibility
+from santaclaus.configlp import Configuration, machine_pools, solve_clp_feasibility
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
-from conftest import tiny_instance
+from conftest import clp_from_weights, tiny_instance, weights_of
 
 F = Fraction
 
 
-def clp_from_weights(weights, tau):
-    return ClpSolution.from_weights(tau=F(tau), weights=weights, cover_rhs=F(1))
-
-
 def big_single(j, t):
     return Configuration(jobs=(j,), total_size=t)
+
+
+def totals(graph, scale):
+    # each machine's and each job's total weight in a (machine, job) -> count
+    # graph over ``scale``
+    machines, jobs = {}, {}
+    for (i, j), c in graph.items():
+        machines[i] = machines.get(i, 0) + F(c, scale)
+        jobs[j] = jobs.get(j, 0) + F(c, scale)
+    return machines, jobs
 
 
 # ------------------------------------------------------------- big graph
@@ -43,7 +48,7 @@ def test_build_graph_single_edge():
     # only reads big-singleton weights.
     mc = classify_machines(gap, jc, x)
     g = build_big_graph(gap, x, jc, mc)
-    assert g.weights == {(0, 0): F(3, 5)}
+    assert x.scale == 5 and g == {(0, 0): 3}
 
 
 def test_build_graph_no_upper_machines_is_empty():
@@ -56,7 +61,7 @@ def test_build_graph_no_upper_machines_is_empty():
     )
     mc = classify_machines(gap, jc, x)
     g = build_big_graph(gap, x, jc, mc)
-    assert g.weights == {}
+    assert g == {}
 
 
 def test_build_graph_shared_job():
@@ -74,8 +79,9 @@ def test_build_graph_shared_job():
     )
     mc = classify_machines(gap, jc, x)
     g = build_big_graph(gap, x, jc, mc)
-    assert g.job_total(0) == 1
-    assert g.machine_total(0) == 1 == g.machine_total(1)
+    machines, jobs = totals(g, x.scale)
+    assert jobs[0] == 1
+    assert machines[0] == 1 == machines[1]
 
 
 # ------------------------------------------------------------- cycles
@@ -91,10 +97,10 @@ def test_eliminate_cycles_acyclic_fixed_point():
     x = clp_from_weights(
         {(i, big_single(j, 9)): w for (i, j), w in weights.items()}, 9
     )
-    g = BigGraph(weights=dict(weights))
+    g = {e: int(w * x.scale) for e, w in weights.items()}
     forest, xstar = eliminate_cycles(g, x, gap)
-    assert forest.weights == weights
-    assert xstar.weights == x.weights
+    assert forest == g
+    assert xstar == x
 
 
 def test_eliminate_cycles_four_cycle_preserves_totals():
@@ -108,18 +114,20 @@ def test_eliminate_cycles_four_cycle_preserves_totals():
     x = clp_from_weights(
         {(i, big_single(j, 9)): w for (i, j), w in weights.items()}, 9
     )
-    g = BigGraph(weights=dict(weights))
+    g = {e: int(w * x.scale) for e, w in weights.items()}
     forest, xstar = eliminate_cycles(g, x, gap)
     # hand simulation: rotation around the 4-cycle with eps=1/2 zeroes the
     # smallest edge (0,0) and its opposite, doubling the other pair
-    assert len(forest.weights) < 4
+    assert len(forest) < 4
+    machines, jobs = totals(forest, x.scale)
     for i in (0, 1):
-        assert forest.machine_total(i) == 1
+        assert machines[i] == 1
     for j in (0, 1):
-        assert forest.job_total(j) == 1
-    # the covering solution mirrors the graph exactly
-    for (i, j), w in forest.weights.items():
-        assert xstar.weights[(i, big_single(j, 9))] == w
+        assert jobs[j] == 1
+    # the covering solution mirrors the graph exactly, on x's scale
+    assert xstar.scale == x.scale
+    for (i, j), c in forest.items():
+        assert xstar.counts[(i, big_single(j, 9))] == c
 
 
 def test_eliminate_cycles_two_disjoint_cycles():
@@ -132,13 +140,14 @@ def test_eliminate_cycles_two_disjoint_cycles():
         {(i, big_single(j, 9)): w for (i, j), w in weights.items()},
         9,
     )
-    g = BigGraph(weights=dict(weights))
+    g = {e: int(w * x.scale) for e, w in weights.items()}
     forest, _ = eliminate_cycles(g, x, gap)
-    assert len(forest.weights) <= len(weights) - 2
+    assert len(forest) <= len(weights) - 2
+    machines, jobs = totals(forest, x.scale)
     for i in range(4):
-        assert forest.machine_total(i) == 1
+        assert machines[i] == 1
     for j in range(4):
-        assert forest.job_total(j) == 1
+        assert jobs[j] == 1
 
 
 def assert_cycles_cancelled(before, after, size):
@@ -331,9 +340,9 @@ def test_checker_rejects_small_starved_cluster():
     inst, gap, jc, mc, x = checker_fixture()
     # a super made only of machine 0 while stripping its small columns
     stripped = {
-        key: w for key, w in x.weights.items() if set(key[1].jobs) <= jc.big
+        key: w for key, w in weights_of(x).items() if set(key[1].jobs) <= jc.big
     }
-    hollow = ClpSolution.from_weights(tau=x.tau, weights=stripped, cover_rhs=x.cover_rhs)
+    hollow = clp_from_weights(stripped, x.tau, x.cover_rhs)
     bad = ClusterSet(
         supers=(Cluster(machines=(0,), jobs=()),),
         saturated=(),
@@ -371,14 +380,13 @@ from santaclaus.configlp import ClpSolution
 from santaclaus.gapclasses import build_gap_instance
 from santaclaus.instances import Instance, JobSpec
 assert sys.flags.optimize, "not running under -O"
-half = Fraction(1, 2)
-weights = {(0, 0): half, (0, 1): half, (1, 1): half}
+graph = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
 found = iter([[(0, 0), (0, 1), (1, 1)], None])
-clu._find_cycle = lambda w: next(found)
+clu._find_cycle = lambda adj: next(found)
 inst = Instance(machine_count=2, jobs=(JobSpec(4, frozenset([0, 1])),) * 2)
-x = ClpSolution.from_weights(tau=Fraction(4), weights={}, cover_rhs=Fraction(1))
+x = ClpSolution(tau=Fraction(4), counts={}, scale=2, cover_rhs=Fraction(1))
 try:
-    clu.eliminate_cycles(clu.BigGraph(weights=weights), x, build_gap_instance(inst, Fraction(4)))
+    clu.eliminate_cycles(graph, x, build_gap_instance(inst, Fraction(4)))
 except clu.ClusteringError as exc:
     print("raised:", exc)
 else:

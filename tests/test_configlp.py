@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 from santaclaus.configlp import (
-    ClpSolution,
     Configuration,
     check_cover_solution,
     clp_to_alp,
@@ -24,7 +23,13 @@ from santaclaus.instances import (
 )
 from santaclaus.pipeline import solve
 from santaclaus.ratlp import LinearProgram, solve_feasibility
-from conftest import all_minimal_configs, min_cover_subsets, tiny_instance
+from conftest import (
+    all_minimal_configs,
+    clp_from_weights,
+    min_cover_subsets,
+    tiny_instance,
+    weights_of,
+)
 
 F = Fraction
 
@@ -208,7 +213,7 @@ def test_clp_single_machine_single_cover():
     inst = tiny_instance([(3, [0]), (4, [0])], machines=1)
     sol = solve_clp_feasibility(inst, F(7))
     assert sol is not None
-    assert sol.weights == {(0, Configuration(jobs=(0, 1), total_size=7)): F(1)}
+    assert weights_of(sol) == {(0, Configuration(jobs=(0, 1), total_size=7)): F(1)}
 
 
 def test_clp_agrees_with_full_column_lp():
@@ -244,16 +249,16 @@ def test_cover_rows_come_from_pool_keys():
     # makes the LP infeasible even when the other machines are easy to cover
     assert solve_cover_lp(pools={0: (0,), 1: ()}, sizes=[3], tau=F(3)) is None
     sol = solve_cover_lp(pools={0: (0,)}, sizes=[3], tau=F(3))
-    assert sol is not None and sum(w for (i, _), w in sol.weights.items() if i == 0) == 1
+    assert sol is not None and sum(w for (i, _), w in weights_of(sol).items() if i == 0) == 1
 
 
 def test_check_cover_names_short_machine():
     cfg = Configuration(jobs=(0,), total_size=3)
-    sol = ClpSolution.from_weights(tau=F(3), weights={(0, cfg): F(1)}, cover_rhs=F(1))
+    sol = clp_from_weights({(0, cfg): F(1)}, 3)
     assert check_cover_solution(sol, {0: (0,)}, [3]) == (True, None)
     ok, why = check_cover_solution(sol, {0: (0,), 1: (0,)}, [3])
     assert not ok and why == "machine 1 cover 0 < 1"
-    half = ClpSolution.from_weights(tau=F(3), weights={(0, cfg): F(1, 2)}, cover_rhs=F(1))
+    half = clp_from_weights({(0, cfg): F(1, 2)}, 3)
     ok, why = check_cover_solution(half, {0: (0,)}, [3])
     assert not ok and why == "machine 0 cover 1/2 < 1"
 
@@ -295,7 +300,7 @@ def test_carried_configurations_are_minimal():
         if T == 0:
             continue
         sol = solve_clp_feasibility(inst, T)
-        for (i, cfg), w in sol.weights.items():
+        for (i, cfg), w in weights_of(sol).items():
             assert 0 < w <= 1
             assert is_minimal(cfg.jobs, T, inst.sizes())
 
@@ -430,8 +435,9 @@ def test_clp_to_alp_direct_sum():
     inst = tiny_instance([(3, [0]), (4, [0])], machines=1)
     sol = solve_clp_feasibility(inst, F(7))
     fa = clp_to_alp(sol, inst.sizes())
-    assert fa.y == {(0, 0): F(1), (0, 1): F(1)}
-    assert fa.target == 7
+    assert weights_of(fa) == {(0, 0): F(1), (0, 1): F(1)}
+    # machine 0's value reaches the floor cover_rhs * tau
+    assert sum(w * inst.jobs[j].size for (_, j), w in weights_of(fa).items()) == 7
 
 
 def test_clp_to_alp_additivity():
@@ -439,11 +445,11 @@ def test_clp_to_alp_additivity():
         (0, Configuration(jobs=(0, 1), total_size=7)): F(1, 2),
         (0, Configuration(jobs=(0, 2), total_size=8)): F(1, 2),
     }
-    sol = ClpSolution.from_weights(tau=F(7), weights=sol_weights, cover_rhs=F(1))
-    fa = clp_to_alp(sol, [3, 4, 5])
-    assert fa.y[(0, 0)] == 1
-    assert fa.y[(0, 1)] == F(1, 2)
-    assert fa.y[(0, 2)] == F(1, 2)
+    sol = clp_from_weights(sol_weights, 7)
+    y = weights_of(clp_to_alp(sol, [3, 4, 5]))
+    assert y[(0, 0)] == 1
+    assert y[(0, 1)] == F(1, 2)
+    assert y[(0, 2)] == F(1, 2)
 
 
 def test_check_mclp_thresholds():
@@ -458,11 +464,7 @@ def test_check_mclp_thresholds():
     bundle1 = Configuration(jobs=(2, 4, 6, 8, 10, 12, 14), total_size=7)
 
     def clusterset(w0, w1):
-        x = ClpSolution.from_weights(
-            tau=F(14),
-            weights={(0, bundle0): w0, (1, bundle1): w1},
-            cover_rhs=F(1),
-        )
+        x = clp_from_weights({(0, bundle0): w0, (1, bundle1): w1}, 14)
         return ClusterSet(
             supers=(Cluster(machines=(0, 1), jobs=(0,)),),
             saturated=(),
@@ -492,13 +494,13 @@ def test_clp_to_alp_meets_target_on_samples():
         fa = clp_to_alp(sol, inst.sizes())
         per_machine = {}
         per_job = {}
-        for (i, j), v in fa.y.items():
+        for (i, j), v in weights_of(fa).items():
             assert 0 <= v <= 1
             assert i in inst.jobs[j].eligible
             per_machine[i] = per_machine.get(i, F(0)) + v * inst.jobs[j].size
             per_job[j] = per_job.get(j, F(0)) + v
         for i in range(inst.machine_count):
-            assert per_machine.get(i, F(0)) >= fa.target
+            assert per_machine.get(i, F(0)) >= sol.cover_rhs * sol.tau
         for j, mass in per_job.items():
             assert mass <= 1
         sizes_checked += 1

@@ -11,7 +11,7 @@ from santaclaus.clustering import (
     eliminate_cycles,
     extract_clusters,
 )
-from santaclaus.configlp import ClpSolution, machine_pools, solve_clp_feasibility
+from santaclaus.configlp import machine_pools, solve_clp_feasibility
 from santaclaus.eap import (
     EapError,
     EapSolution,
@@ -23,7 +23,7 @@ from santaclaus.eap import (
 )
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
 from santaclaus.matching import find_perfect_matching
-from conftest import tiny_instance
+from conftest import clp_from_weights, tiny_instance
 
 F = Fraction
 
@@ -177,7 +177,7 @@ def test_selection_skips_member_without_small_eligibility():
         supers=(Cluster(machines=(0, 1), jobs=(0,)),),
         saturated=(),
         composites=(Composite(machines=(0, 1), kind="super"),),
-        xstar=ClpSolution.from_weights(tau=F(13), weights={}, cover_rhs=F(1)),
+        xstar=clp_from_weights({}, 13),
         gap=gap,
         job_classes=jc,
         machine_classes=None,
@@ -195,7 +195,7 @@ def test_selection_budget_guard():
         supers=(Cluster(machines=(0, 1), jobs=(0,)),),
         saturated=(),
         composites=(Composite(machines=(0, 1), kind="super"),),
-        xstar=ClpSolution.from_weights(tau=F(13), weights={}, cover_rhs=F(1)),
+        xstar=clp_from_weights({}, 13),
         gap=gap,
         job_classes=jc,
         machine_classes=None,

@@ -10,7 +10,7 @@ from santaclaus.configlp import (
 )
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
 from santaclaus.instances import generate_random
-from conftest import tiny_instance
+from conftest import clp_from_weights, tiny_instance, weights_of
 
 F = Fraction
 
@@ -71,8 +71,11 @@ def test_classify_machines_threshold_and_masses():
     mc = classify_machines(gap, jc, sol)
     assert mc.upper == {0}
     assert mc.middle == {1}
-    assert F(mc.big_mass[0], mc.scale) >= F(1, 2)
-    assert F(mc.small_mass[1], mc.scale) >= F(1, 2)
+    mass = {(i, big): F(0) for i in range(2) for big in (True, False)}
+    for (i, cfg), w in weights_of(sol).items():
+        mass[(i, set(cfg.jobs) <= jc.big)] += w
+    assert mass[(0, True)] >= F(1, 2)
+    assert mass[(1, False)] >= F(1, 2)
 
 
 def test_gap_solution_transfers_from_original():
@@ -88,15 +91,11 @@ def test_gap_solution_transfers_from_original():
         original = solve_clp_feasibility(inst, T)
         gap = build_gap_instance(inst, T)
         transferred = {}
-        for (i, cfg), w in original.weights.items():
+        for (i, cfg), w in weights_of(original).items():
             pruned = prune_to_minimal(cfg.jobs, T, gap.gap_size)
             key = (i, pruned)
             transferred[key] = transferred.get(key, F(0)) + w
-        moved = type(original).from_weights(
-            tau=original.tau,
-            weights=transferred,
-            cover_rhs=original.cover_rhs,
-        )
+        moved = clp_from_weights(transferred, original.tau, original.cover_rhs)
         ok, why = check_cover_solution(moved, machine_pools(inst), gap.gap_size)
         assert ok, f"seed {seed}: {why}"
 
@@ -120,7 +119,7 @@ assert sys.flags.optimize, "not running under -O"
 inst = Instance(machine_count=1, jobs=(JobSpec(size=30, eligible=frozenset([0])), JobSpec(size=1, eligible=frozenset([0]))))
 gap = build_gap_instance(inst, Fraction(13))
 mixed = Configuration(jobs=(0, 1), total_size=14)
-x = ClpSolution.from_weights(tau=Fraction(13), weights={(0, mixed): Fraction(1)}, cover_rhs=Fraction(1))
+x = ClpSolution(tau=Fraction(13), counts={(0, mixed): 1}, scale=1, cover_rhs=Fraction(1))
 try:
     classify_machines(gap, classify_jobs(gap), x)
 except GapClassError as exc:

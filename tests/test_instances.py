@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,21 @@ def test_allocation_round_trip():
     assert parse_allocation(text) == alloc
     # numeric key order, not lexicographic
     assert text.index('"2"') < text.index('"10"')
+
+
+@pytest.mark.parametrize("key", ["03", "6_0", " 3", "+3", "-1", "x", "", "\u0663"])
+def test_parse_allocation_rejects_non_canonical_job_key(key):
+    # int() reads "03" as 3 and "6_0" as 60: such keys would merge with or
+    # stand for another job, so the allocation checked would not be the file's
+    text = json.dumps({"owner": {"3": 0, key: 1}, "min_value": "0/1"})
+    with pytest.raises(InstanceFormatError) as err:
+        parse_allocation(text)
+    assert f"owner[{key!r}]" in str(err.value)
+
+
+def test_parse_allocation_rejects_duplicate_job_key():
+    with pytest.raises(InstanceFormatError, match="duplicate key '3'"):
+        parse_allocation('{"owner":{"3":0,"3":1},"min_value":"0/1"}')
 
 
 def test_parse_allocation_rejects_bad_rational():

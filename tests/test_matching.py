@@ -7,10 +7,11 @@ from santaclaus.configlp import machine_pools, solve_clp_feasibility
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
 from santaclaus.matching import (
     enumerate_bundles,
+    exhaustive_matching,
     find_perfect_matching,
     minimal_covers,
 )
-from conftest import tiny_instance
+from conftest import clp_from_weights, tiny_instance
 
 F = Fraction
 
@@ -73,7 +74,6 @@ def test_enumerate_bundles_middle_machine():
 
 def test_enumerate_bundles_empty_support_stream():
     from santaclaus.clustering import ClusterSet, Composite
-    from santaclaus.configlp import ClpSolution
     from santaclaus.gapclasses import build_gap_instance, classify_jobs
 
     inst = tiny_instance([(13, [0])] + [(1, [0])] * 13, machines=1)
@@ -82,7 +82,7 @@ def test_enumerate_bundles_empty_support_stream():
         supers=(),
         saturated=(),
         composites=(Composite(machines=(0,), kind="middle"),),
-        xstar=ClpSolution.from_weights(tau=F(13), weights={}, cover_rhs=F(1)),
+        xstar=clp_from_weights({}, 13),
         gap=gap,
         job_classes=classify_jobs(gap),
         machine_classes=None,
@@ -143,8 +143,8 @@ def composite_rich():
 def test_strategies_agree_on_matchability(composite_rich):
     assert len(composite_rich) >= 50
     for inst, T, clusters in composite_rich:
-        tree = find_perfect_matching(clusters, T, strategy="alternating-tree")
-        exhaustive = find_perfect_matching(clusters, T, strategy="exhaustive", budget=10**5)
+        tree = find_perfect_matching(clusters, T)
+        exhaustive = exhaustive_matching(clusters, T, budget=10**5)
         assert set(tree.matched) == set(exhaustive.matched)
 
 
@@ -190,8 +190,8 @@ T = Fraction(13)
 inst = Instance(machine_count=2, jobs=(JobSpec(1, frozenset([0, 1])),) * 6)
 gap = build_gap_instance(inst, T)
 low, high = Configuration(jobs=(0, 1, 2), total_size=3), Configuration(jobs=(3, 4, 5), total_size=3)
-xstar = ClpSolution.from_weights(tau=T, weights={(0, low): Fraction(1), (1, low): Fraction(1, 2),
-                                    (1, high): Fraction(1, 2)}, cover_rhs=Fraction(1))
+xstar = ClpSolution(tau=T, counts={(0, low): 2, (1, low): 1, (1, high): 1}, scale=2,
+                    cover_rhs=Fraction(1))
 clusters = ClusterSet(supers=(), saturated=(), xstar=xstar, gap=gap,
                       composites=(Composite(machines=(0,), kind="middle"),
                                   Composite(machines=(1,), kind="middle")),

@@ -10,24 +10,25 @@ from santaclaus.configlp import (
 )
 from santaclaus.instances import generate_random
 from santaclaus.rounding import RoundingError, round_assignment
+from conftest import weights_of
 
 F = Fraction
 
 
-def fa(y, target):
-    return FractionalAssignment.from_y({k: F(v) for k, v in y.items()}, target=F(target))
+def fa(y):
+    return FractionalAssignment.from_y({k: F(v) for k, v in y.items()})
 
 
 def test_integral_input_is_identity():
     sizes = [5, 7]
-    owner = round_assignment(fa({(0, 0): 1, (1, 1): 1}, 5), sizes)
+    owner = round_assignment(fa({(0, 0): 1, (1, 1): 1}), sizes)
     assert owner == {0: 0, 1: 1}
 
 
 def test_single_machine_two_jobs():
     # machine holds job0 fully and 3/7 of job1: value 8, bound 8 - 7 = 1
     sizes = [5, 7]
-    owner = round_assignment(fa({(0, 0): 1, (0, 1): F(3, 7)}, 8), sizes)
+    owner = round_assignment(fa({(0, 0): 1, (0, 1): F(3, 7)}), sizes)
     got = sum(sizes[j] for j, i in owner.items() if i == 0)
     assert got >= 1
     assert set(owner.values()) <= {0}
@@ -37,7 +38,7 @@ def test_two_machines_shared_job():
     # both machines split a size-6 job and hold private size-4 jobs fully
     sizes = [6, 4, 4]
     y = {(0, 0): F(1, 2), (1, 0): F(1, 2), (0, 1): 1, (1, 2): 1}
-    owner = round_assignment(fa(y, 7), sizes)
+    owner = round_assignment(fa(y), sizes)
     loads = {0: 0, 1: 0}
     for j, i in owner.items():
         loads[i] += sizes[j]
@@ -56,12 +57,12 @@ def test_two_by_two_cycle_with_sizes_three_and_five():
     # make (0, 1) whole as well and hand job 1 to machine 0.
     half = F(1, 2)
     y = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
-    assert round_assignment(fa(y, 4), [3, 5]) == {0: 1}
+    assert round_assignment(fa(y), [3, 5]) == {0: 1}
 
 
 def test_rejects_overweight_job():
     with pytest.raises(RoundingError, match="job 0"):
-        round_assignment(fa({(0, 0): F(3, 4), (1, 0): F(1, 2)}, 1), [5])
+        round_assignment(fa({(0, 0): F(3, 4), (1, 0): F(1, 2)}), [5])
 
 
 def test_loss_bound_on_generated_assignments():
@@ -76,7 +77,7 @@ def test_loss_bound_on_generated_assignments():
         sizes = inst.sizes()
         values = {}
         max_size = {}
-        for (i, j), v in assignment.y.items():
+        for (i, j), v in weights_of(assignment).items():
             values[i] = values.get(i, F(0)) + v * sizes[j]
             max_size[i] = max(max_size.get(i, 0), sizes[j])
         owner = round_assignment(assignment, sizes)
@@ -111,7 +112,7 @@ rnd.cancel_cycles = lambda weights: dict(weights)
 half = Fraction(1, 2)
 cycle = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
 try:
-    rnd.round_assignment(FractionalAssignment.from_y(cycle, target=Fraction(4)), [4, 4])
+    rnd.round_assignment(FractionalAssignment.from_y(cycle), [4, 4])
 except rnd.RoundingError as exc:
     print("raised:", exc)
 else:
