@@ -40,14 +40,18 @@ configuration LP (cover >= 1) that the T search probes and the gap instance
 is classified by, and the small-jobs-only variant with cover >= 1/2 used by
 the no-upper-class branch.
 
-The T search bisects only between two bounds that need no LP: the minimum
-load of a largest-first greedy allocation, below, and the smallest pool total
-or the average load, above.  When the two meet, T costs no LP at all.
+The T search bisects only between two bounds that need no LP.  Below: the
+minimum load of a largest-first greedy allocation, improved by a move/swap
+local search.  Above: the largest tau at which the assignment LP clipped at
+tau is feasible, which a max-flow decides exactly; every configuration-LP
+point gives such a flow, so the bound holds, and at tau = 1 the two LPs are
+the same, so the flow also decides whether T >= 1.  When the two bounds
+meet, T costs no LP at all.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -423,6 +427,146 @@ def greedy_allocation(inst: Instance) -> dict[int, int]:
     return owner
 
 
+def local_search_allocation(inst: Instance, owner: Mapping[int, int]) -> dict[int, int]:
+    """Move/swap local search on an owner map (job -> machine); returns a copy.
+
+    A step moves one job to another of its eligible machines, or swaps two
+    jobs between their machines, and must raise the key (minimum load, minus
+    the number of machines at it): first the minimum load, then fewer
+    machines at it.  Only a step that hands a machine at the minimum more
+    load can do that, so only those are scanned.  Each round takes the best
+    key; ties go to the first step scanned (receiving machine, moves before
+    swaps, giving machine, job indices).  The key rises every round, so the
+    search ends, and the minimum load never falls.
+    """
+    m = inst.machine_count
+    sizes = inst.sizes()
+    owner = dict(owner)
+    loads = [0] * m
+    held: list[list[int]] = [[] for _ in range(m)]
+    for j, i in sorted(owner.items()):
+        loads[i] += sizes[j]
+        held[i].append(j)
+
+    def key_after(a: int, b: int, d: int) -> tuple[int, int]:
+        """The key once load ``d`` goes from machine a to machine b."""
+        loads[a] -= d
+        loads[b] += d
+        low = min(loads)
+        key = (low, -loads.count(low))
+        loads[a] += d
+        loads[b] -= d
+        return key
+
+    while True:
+        low = min(loads)
+        best_key = (low, -loads.count(low))
+        best = None  # (giving machine, receiving machine, job moved to b, job moved to a)
+        for b in range(m):
+            if loads[b] != low:
+                continue
+            steps = [
+                (a, j, None, sizes[j])
+                for a in range(m) if a != b
+                for j in held[a] if b in inst.jobs[j].eligible
+            ]
+            steps += [
+                (a, j, k, sizes[j] - sizes[k])
+                for a, j, _, _ in steps
+                for k in held[b] if sizes[k] < sizes[j] and a in inst.jobs[k].eligible
+            ]
+            for a, j, k, d in steps:
+                if loads[a] - d > low and (key := key_after(a, b, d)) > best_key:
+                    best_key, best = key, (a, b, j, k)
+        if best is None:
+            return owner
+        a, b, j, k = best
+        for job, src, dst in ((j, a, b), (k, b, a)):
+            if job is not None:
+                owner[job] = dst
+                loads[src] -= sizes[job]
+                loads[dst] += sizes[job]
+                held[src].remove(job)
+                insort(held[dst], job)
+
+
+def assignment_flow_feasible(inst: Instance, tau: int) -> bool:
+    """Whether the assignment LP clipped at ``tau`` is feasible.
+
+    That LP asks for a fractional assignment in which every machine receives
+    at least tau, counting job j as min(p_j, tau) and using each job at most
+    once in total.  It is feasible exactly when the network source -> job j
+    (capacity min(p_j, tau)) -> each eligible machine -> sink (capacity tau)
+    carries m * tau.  Every configuration-LP point at tau gives such a flow,
+    since a minimal configuration holding a job of size >= tau is that job
+    alone.  Jobs with the same eligible set are one source, with their
+    capacities summed, which changes no cut.  The flow is exact over
+    integers: a greedy start, then shortest augmenting paths from every
+    source with supply left to a machine still short, where a path may
+    shift a source's flow from one of its machines to another.
+    """
+    m = inst.machine_count
+    supply: dict[frozenset[int], int] = {}
+    for job in inst.jobs:
+        if job.eligible:
+            supply[job.eligible] = supply.get(job.eligible, 0) + min(job.size, tau)
+    machines = [sorted(eligible) for eligible in supply]
+    rest = list(supply.values())
+    need = [tau] * m
+    sent: list[dict[int, int]] = [{} for _ in machines]  # source -> machine -> flow
+    for g, elig in enumerate(machines):
+        for i in elig:
+            d = min(rest[g], need[i])
+            if d:
+                sent[g][i] = d
+                rest[g] -= d
+                need[i] -= d
+    while any(need):
+        # Breadth first over machines; a machine is reached from a source
+        # with supply left, or from a reached machine i through a source
+        # that sends to i and may send to this machine instead.
+        via: dict[int, tuple[int | None, int]] = {}  # machine -> (previous machine, source)
+        queue = []
+        for g, elig in enumerate(machines):
+            if rest[g]:
+                for i in elig:
+                    if i not in via:
+                        via[i] = (None, g)
+                        queue.append(i)
+        target = None
+        for i in queue:
+            if need[i]:
+                target = i
+                break
+            for g, elig in enumerate(machines):
+                if sent[g].get(i):
+                    for k in elig:
+                        if k not in via:
+                            via[k] = (i, g)
+                            queue.append(k)
+        if target is None:
+            return False
+        path = []
+        d = need[target]
+        i = target
+        while True:
+            prev, g = via[i]
+            path.append((prev, g, i))
+            if prev is None:
+                d = min(d, rest[g])
+                break
+            d = min(d, sent[g][prev])
+            i = prev
+        need[target] -= d
+        for prev, g, i in path:
+            sent[g][i] = sent[g].get(i, 0) + d
+            if prev is None:
+                rest[g] -= d
+            else:
+                sent[g][prev] -= d
+    return True
+
+
 def find_T_with_seeds(
     inst: Instance, counters: dict[str, int] | None = None
 ) -> tuple[int, dict[int, set[tuple[int, ...]]]]:
@@ -431,31 +575,40 @@ def find_T_with_seeds(
     Integer search is exact: with integer sizes the minimal-configuration
     family is constant on (k, k+1], so feasibility only changes at integers,
     and it is monotone in tau, so T is unique.  The search bisects a bracket
-    that needs no LP.  Below: the minimum load of `greedy_allocation`, as
-    `verify_allocation` recomputes it; its bundles, pruned, are a feasible
-    point at that tau.  Above: the smallest pool total, and floor(S / m) with
-    S the total size of the jobs some machine may take, since every machine
-    covers tau from its own pool and the m covers share those jobs.  A greedy
-    minimum load of 0 is no information, so the search then probes tau = 1
-    first.  The greedy bundles and the columns found at each feasible tau
-    seed the master at the next probe, re-pruned.  ``counters`` gets the
-    bracket (``t_search_lower``, ``t_search_upper``) and the number of LP
-    probes (``clp_solves``, 0 when the bracket is closed).
+    that needs no LP.  Below: the minimum load of `greedy_allocation`
+    improved by `local_search_allocation`, as `verify_allocation` recomputes
+    it; its bundles, pruned, are a feasible point at that tau.  Above: the
+    largest tau in the bracket at which `assignment_flow_feasible` holds,
+    found by bisection, since the flow's feasibility is monotone in tau
+    (sum_j min(p_j, tau) - |M'| tau is concave for every machine subset M').
+    The flow bisection starts from the smallest pool total and
+    floor(S / m), with S the total size of the jobs some machine may take,
+    and runs only when the bracket is open.  At tau = 1 every minimal
+    configuration is a single job, so both LPs are the same bipartite
+    matching LP there: a flow bound of 0 closes the bracket at T = 0, and
+    one >= 1 raises a lower end of 0 to 1.  The allocation's bundles and the
+    columns found at each feasible tau seed the master at the next probe,
+    re-pruned.  ``counters`` gets the bracket (``t_search_lower``,
+    ``t_search_upper``) and the number of LP probes (``clp_solves``, 0 when
+    the bracket is closed).
     """
     pools = machine_pools(inst)
     sizes = inst.sizes()
-    owner = greedy_allocation(inst)
+    owner = local_search_allocation(inst, greedy_allocation(inst))
     lo = int(verify_allocation(inst, Allocation(owner=owner, min_value=ZERO)))
     hi = min(
         min(sum(sizes[j] for j in pools[i]) for i in pools),
         sum(job.size for job in inst.jobs if job.eligible) // inst.machine_count,
     )
+    if lo > hi:
+        raise CoverLpError(f"T search bracket is inverted: greedy {lo} > upper bound {hi}")
+    # The allocation gives a flow at its minimum load.
+    hi = _largest_holding(lo, hi, lambda tau: assignment_flow_feasible(inst, tau))
+    lo = max(lo, min(hi, 1))
     if counters is not None:
         counters.setdefault("clp_solves", 0)
         counters["t_search_lower"] = lo
         counters["t_search_upper"] = hi
-    if lo > hi:
-        raise CoverLpError(f"T search bracket is inverted: greedy {lo} > upper bound {hi}")
     bundles: dict[int, list[int]] = {i: [] for i in pools}
     for j, i in sorted(owner.items()):
         bundles[i].append(j)
@@ -473,18 +626,19 @@ def find_T_with_seeds(
             seeds[i].add(cfg.jobs)
         return True
 
-    if lo == 0 and hi > 0:
-        # The greedy leaves some machine empty: fall back to probing tau = 1.
-        if not feasible(1):
-            return 0, seeds
-        lo = 1
+    return _largest_holding(lo, hi, feasible), seeds
+
+
+def _largest_holding(lo: int, hi: int, holds) -> int:
+    """Bisection: the largest tau in [lo, hi] at which ``holds``, a predicate
+    that holds at lo and is monotone (true up to some tau, false above)."""
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if feasible(mid):
+        if holds(mid):
             lo = mid
         else:
             hi = mid - 1
-    return lo, seeds
+    return lo
 
 
 @dataclass(frozen=True)

@@ -87,17 +87,34 @@ class Allocation:
     min_value: Fraction
 
 
-def parse_instance(text: str) -> Instance:
-    """Decode an instance document, reporting the offending field on error."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, val in pairs:
+        if key in doc:
+            raise InstanceFormatError(f"document: duplicate key {key!r}")
+        doc[key] = val
+    return doc
+
+
+def _load_document(text: str, fields: tuple[str, ...]) -> dict:
+    """Decode a JSON object whose objects repeat no key and whose top level
+    holds only ``fields``."""
     try:
-        doc = json.loads(text)
+        # json.loads keeps the last of two equal keys without a word
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"document: malformed JSON ({exc.msg})") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("document: expected a JSON object")
     for key in doc:
-        if key not in ("machines", "jobs"):
+        if key not in fields:
             raise InstanceFormatError(f"document: unknown field {key!r}")
+    return doc
+
+
+def parse_instance(text: str) -> Instance:
+    """Decode an instance document, reporting the offending field on error."""
+    doc = _load_document(text, ("machines", "jobs"))
     machines = doc.get("machines")
     if not isinstance(machines, int) or isinstance(machines, bool) or machines < 1:
         raise InstanceFormatError("machines: must be a positive integer")
@@ -141,23 +158,8 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    doc = {}
-    for key, val in pairs:
-        if key in doc:
-            raise InstanceFormatError(f"document: duplicate key {key!r}")
-        doc[key] = val
-    return doc
-
-
 def parse_allocation(text: str) -> Allocation:
-    try:
-        # json.loads keeps the last of two equal keys without a word
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"document: malformed JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("document: expected a JSON object")
+    doc = _load_document(text, ("owner", "min_value"))
     raw_owner = doc.get("owner")
     if not isinstance(raw_owner, dict):
         raise InstanceFormatError("owner: must be an object")

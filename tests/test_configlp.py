@@ -3,11 +3,13 @@ from fractions import Fraction
 from santaclaus.configlp import (
     Configuration,
     check_cover_solution,
+    assignment_flow_feasible,
     clp_to_alp,
     find_T,
     find_T_with_seeds,
     greedy_allocation,
     is_minimal,
+    local_search_allocation,
     machine_pools,
     price_min_knapsack,
     prune_to_minimal,
@@ -15,6 +17,7 @@ from santaclaus.configlp import (
     solve_cover_lp,
 )
 from santaclaus.instances import (
+    Allocation,
     Instance,
     JobSpec,
     exact_optimum,
@@ -320,8 +323,9 @@ def plain_bisection_T(inst):
 
 
 def bracket_shapes(rng):
-    """One small instance of each benchmark workload's shape, plus a random
-    sparse one that often leaves a machine with an empty pool."""
+    """One small instance of each benchmark workload's shape, a random sparse
+    one that often leaves a machine with an empty pool, and one whose largest
+    job the greedy puts on machine 0 although it is machine 1's only job."""
     yield generate_random(
         m=rng.randint(2, 4), n=rng.randint(4, 9), max_size=20, density=F(1, 2),
         seed=rng.getrandbits(32),
@@ -344,13 +348,33 @@ def bracket_shapes(rng):
     yield generate_random(
         m=3, n=rng.randint(2, 6), max_size=6, density=F(1, 3), seed=rng.getrandbits(32)
     )
+    m = rng.randint(2, 3)
+    jobs = [JobSpec(size=rng.randint(5, 9), eligible=frozenset([0, 1]))]
+    jobs += [JobSpec(size=rng.randint(1, 5), eligible=frozenset([0])) for _ in range(rng.randint(0, 3))]
+    jobs += [JobSpec(size=rng.randint(1, 5), eligible=frozenset([2])) for _ in range(m - 2)]
+    yield Instance(machine_count=m, jobs=tuple(jobs))
+
+
+def greedy_min_load(inst):
+    return verify_allocation(inst, Allocation(owner=greedy_allocation(inst), min_value=F(0)))
+
+
+def trivial_upper_bound(inst):
+    """The smallest pool total and floor(S / m): the bracket's upper end
+    before the flow bound."""
+    pools = machine_pools(inst)
+    sizes = inst.sizes()
+    return min(
+        min(sum(sizes[j] for j in pools[i]) for i in pools),
+        sum(job.size for job in inst.jobs if job.eligible) // inst.machine_count,
+    )
 
 
 def test_bracketed_find_T_matches_plain_bisection():
     from random import Random
 
     rng = Random(2024)
-    checked = empty_pool = greedy_zero = closed = 0
+    checked = empty_pool = greedy_raised = flow_below = closed = 0
     while checked < 220:
         for inst in bracket_shapes(rng):
             counters = {}
@@ -358,12 +382,80 @@ def test_bracketed_find_T_matches_plain_bisection():
             assert T == plain_bisection_T(inst), inst
             lo, hi = counters["t_search_lower"], counters["t_search_upper"]
             assert lo <= T <= hi
+            # the flow decides T >= 1, so a lower end of 0 is a closed bracket
+            assert not lo == 0 < hi, inst
             checked += 1
             empty_pool += any(not p for p in machine_pools(inst).values())
-            greedy_zero += lo == 0 < hi
+            greedy_raised += greedy_min_load(inst) == 0 < lo
+            flow_below += hi < trivial_upper_bound(inst)
             closed += lo == hi
     # the corner cases the bracket must get right all occur
-    assert min(empty_pool, greedy_zero, closed) >= 10, (empty_pool, greedy_zero, closed)
+    counts = (empty_pool, greedy_raised, flow_below, closed)
+    assert min(counts) >= 10, counts
+
+
+def hall_feasible(inst, tau):
+    """Every machine subset M' has sum over the jobs eligible on M' of
+    min(p_j, tau) >= |M'| * tau, by enumerating the subsets."""
+    m = inst.machine_count
+    for mask in range(1, 1 << m):
+        subset = {i for i in range(m) if mask >> i & 1}
+        reach = sum(min(job.size, tau) for job in inst.jobs if job.eligible & subset)
+        if reach < len(subset) * tau:
+            return False
+    return True
+
+
+def test_flow_bound_matches_hall_subset_oracle():
+    from random import Random
+
+    rng = Random(7)
+    below = 0
+    for _ in range(60):
+        for inst in bracket_shapes(rng):
+            if inst.machine_count > 4:
+                continue
+            bound = max(t for t in range(inst.total_size() + 1) if hall_feasible(inst, t))
+            counters = {}
+            find_T_with_seeds(inst, counters)
+            assert counters["t_search_upper"] == bound, inst
+            for tau in range(1, bound + 2):
+                assert assignment_flow_feasible(inst, tau) == (tau <= bound), (inst, tau)
+            below += bound < trivial_upper_bound(inst)
+    assert below >= 10, below
+
+
+def local_key(inst, owner):
+    """(minimum load, minus the number of machines at it)."""
+    loads = [0] * inst.machine_count
+    for j, i in owner.items():
+        loads[i] += inst.jobs[j].size
+    return min(loads), -loads.count(min(loads))
+
+
+def test_local_search_is_valid_never_worse_and_locally_optimal():
+    from random import Random
+
+    rng = Random(11)
+    raised = 0
+    for _ in range(40):
+        for inst in bracket_shapes(rng):
+            greedy = greedy_allocation(inst)
+            owner = local_search_allocation(inst, greedy)
+            value = verify_allocation(inst, Allocation(owner=owner, min_value=F(0)))
+            assert set(owner) == set(greedy)
+            assert greedy_min_load(inst) <= value, inst
+            raised += greedy_min_load(inst) < value
+            # no single move or swap raises the key any further
+            key = local_key(inst, owner)
+            for j, a in owner.items():
+                for b in inst.jobs[j].eligible - {a}:
+                    assert local_key(inst, {**owner, j: b}) <= key, (inst, j, b)
+                    for k, c in owner.items():
+                        if c == b and a in inst.jobs[k].eligible:
+                            swapped = {**owner, j: b, k: a}
+                            assert local_key(inst, swapped) <= key, (inst, j, k)
+    assert raised >= 10, raised
 
 
 def test_bracket_contains_optimum_and_T():

@@ -37,9 +37,9 @@ GOLDEN = [
         '{"T":"33/1","branch":"clustered","strategy":"matching","seed":0,'
         '"branch_detail":"perfect bundle matching","min_value":"13/1",'
         '"certified_ratio_bound":"33/13","owner":{"0":1,"1":3,"2":2,"7":0},'
-        '"counters":{"clp_solves":3,"composites":0,"master_solves":14,'
+        '"counters":{"clp_solves":2,"composites":0,"master_solves":11,'
         '"matching_steps":0,"saturated":4,"supers":0,'
-        '"t_search_lower":26,"t_search_upper":39}}',
+        '"t_search_lower":33,"t_search_upper":36}}',
     ),
     (
         "random-3",
@@ -57,9 +57,9 @@ GOLDEN = [
         '{"T":"31/1","branch":"clustered","strategy":"matching","seed":0,'
         '"branch_detail":"perfect bundle matching","min_value":"5/1",'
         '"certified_ratio_bound":"31/5","owner":{"0":1,"1":0,"2":2,"3":3},'
-        '"counters":{"clp_solves":2,"composites":0,"master_solves":11,'
+        '"counters":{"clp_solves":1,"composites":0,"master_solves":6,'
         '"matching_steps":0,"saturated":4,"supers":0,'
-        '"t_search_lower":31,"t_search_upper":35}}',
+        '"t_search_lower":31,"t_search_upper":32}}',
     ),
     (
         "random-10",
@@ -77,9 +77,9 @@ GOLDEN = [
         '{"T":"14/1","branch":"clustered","strategy":"matching","seed":0,'
         '"branch_detail":"perfect bundle matching","min_value":"3/1",'
         '"certified_ratio_bound":"14/3","owner":{"0":1,"1":2,"2":0,"3":0,"4":0},'
-        '"counters":{"clp_solves":3,"composites":1,"master_solves":4,'
+        '"counters":{"clp_solves":2,"composites":1,"master_solves":3,'
         '"matching_steps":1,"saturated":2,"supers":0,'
-        '"t_search_lower":11,"t_search_upper":19}}',
+        '"t_search_lower":11,"t_search_upper":14}}',
     ),
     (
         "all-unit-no-upper",
@@ -160,11 +160,11 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "476402f8e756d4d26e1268c8712726d1a5f30f75ae282d0f56113fba6b0e7637"
+BATCH_DIGEST = "ae57fefe157cf899166606797a92014ffcfcec8db38b2c54499a8f50f9b8acc9"
 # The same over the batch solved with strategy="enumeration", whose clustered
 # solves test selections with eap's assignment LP at T/6: 28 of those LP
 # solves and 40 roundings, each on the forest that cycle cancelling leaves.
-ENUMERATION_DIGEST = "ceab0e1283f9fedfd7a6d03859eb9869d764648187a5ebd05d496338f430ac49"
+ENUMERATION_DIGEST = "bde9b1b5fd9238eda1a4b78ad054e20cb74d4bfd14e2ef7f0f45869a487a4bc8"
 
 
 def batch_digest(strategy):

@@ -56,6 +56,21 @@ def test_parse_rejects_malformed_document():
         parse_instance('{"machines":1,"jobs":[],"extra":1}')
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"machines":2,"machines":3,"jobs":[]}', "machines"),
+        ('{"machines":3,"jobs":[{"size":3,"size":5,"eligible":[0]}]}', "size"),
+        ('{"machines":3,"jobs":[{"size":3,"eligible":[0],"eligible":[2]}]}', "eligible"),
+    ],
+)
+def test_parse_rejects_duplicate_key(text, key):
+    # json.loads would keep the last value, so the instance solved would not
+    # be the one the file spells
+    with pytest.raises(InstanceFormatError, match=f"duplicate key '{key}'"):
+        parse_instance(text)
+
+
 def test_parse_canonicalizes_duplicate_eligibility():
     inst = parse_instance('{"machines":2,"jobs":[{"size":3,"eligible":[1,0,1]}]}')
     assert inst.jobs[0].eligible == frozenset({0, 1})
@@ -121,6 +136,11 @@ def test_parse_allocation_rejects_non_canonical_job_key(key):
 def test_parse_allocation_rejects_duplicate_job_key():
     with pytest.raises(InstanceFormatError, match="duplicate key '3'"):
         parse_allocation('{"owner":{"3":0,"3":1},"min_value":"0/1"}')
+
+
+def test_parse_allocation_rejects_unknown_field():
+    with pytest.raises(InstanceFormatError, match="unknown field 'junk'"):
+        parse_allocation('{"owner":{},"min_value":"0/1","junk":5}')
 
 
 def test_parse_allocation_rejects_bad_rational():

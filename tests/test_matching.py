@@ -116,6 +116,51 @@ def test_matching_two_composites_tight_pool():
     assert not (bundles[0] & bundles[1])
 
 
+def test_blocked_step_then_augmenting_path():
+    # Both composites want bundle (0, 1, 2) first.  Composite 0 takes it;
+    # composite 1's first edge is then blocked by composite 0, so it joins
+    # the tree with composite 0 as its blocker.  The tree's next edge moves
+    # composite 0 to (3, 4, 5), which frees the blocked edge, and composite 1
+    # is promoted onto (0, 1, 2).
+    from santaclaus.clustering import ClusterSet, Composite
+    from santaclaus.configlp import ClpSolution, Configuration
+    from santaclaus.instances import Instance, JobSpec
+    from santaclaus.matching import validate_matching
+
+    T = F(13)
+    inst = Instance(machine_count=2, jobs=(JobSpec(1, frozenset([0, 1])),) * 6)
+    gap = build_gap_instance(inst, T)
+    low = Configuration(jobs=(0, 1, 2), total_size=3)
+    high = Configuration(jobs=(3, 4, 5), total_size=3)
+    xstar = ClpSolution(
+        tau=T, counts={(0, low): 1, (0, high): 1, (1, low): 1}, scale=2, cover_rhs=F(1)
+    )
+    clusters = ClusterSet(
+        supers=(),
+        saturated=(),
+        composites=(
+            Composite(machines=(0,), kind="middle"),
+            Composite(machines=(1,), kind="middle"),
+        ),
+        xstar=xstar,
+        gap=gap,
+        job_classes=classify_jobs(gap),
+        machine_classes=None,
+    )
+    trace = []
+    state = find_perfect_matching(clusters, T, trace=trace)
+    assert trace == [
+        "augment: composite 0 takes (0, 1, 2) via machine 0",
+        "add: composite 1 wants (0, 1, 2), blocked by [0]",
+        "augment: composite 0 takes (3, 4, 5) via machine 0",
+        "promote: composite 1 takes (0, 1, 2) via machine 1",
+    ]
+    validate_matching(state, clusters, T)
+    assert {d: e.bundle for d, e in state.matched.items()} == {0: (3, 4, 5), 1: (0, 1, 2)}
+    exhaustive = exhaustive_matching(clusters, T, budget=100)
+    assert exhaustive.matched == state.matched
+
+
 @pytest.fixture(scope="module")
 def composite_rich():
     """Fifty cluster sets whose clustered branch has composite machines."""
