@@ -36,9 +36,9 @@ an error message.  Bundle totals are integers too, so every minimality test
 compares them with ceil(tau), computed once per cover LP.
 
 The same engine serves two covers, both with one cover row per machine: the
-configuration LP (cover >= 1) that the T search probes and the gap instance
-is classified by, and the small-jobs-only variant with cover >= 1/2 used by
-the no-upper-class branch.
+configuration LP (cover >= 1) that the T search probes and, when some job is
+big, the gap instance is classified by, and the small-jobs-only variant with
+cover >= 1/2 used by the no-upper-class branch.
 
 The T search bisects only between two bounds that need no LP.  Below: the
 minimum load of a largest-first greedy allocation, improved by a move/swap
@@ -51,10 +51,11 @@ meet, T costs no LP at all.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
 from .rat import ceil_frac, to_counts
@@ -490,8 +491,9 @@ def local_search_allocation(inst: Instance, owner: Mapping[int, int]) -> dict[in
                 insort(held[dst], job)
 
 
-def assignment_flow_feasible(inst: Instance, tau: int) -> bool:
-    """Whether the assignment LP clipped at ``tau`` is feasible.
+def assignment_flow_feasibility(inst: Instance) -> Callable[[int], bool]:
+    """Whether the assignment LP clipped at tau is feasible, as a predicate
+    on tau.
 
     That LP asks for a fractional assignment in which every machine receives
     at least tau, counting job j as min(p_j, tau) and using each job at most
@@ -500,18 +502,36 @@ def assignment_flow_feasible(inst: Instance, tau: int) -> bool:
     carries m * tau.  Every configuration-LP point at tau gives such a flow,
     since a minimal configuration holding a job of size >= tau is that job
     alone.  Jobs with the same eligible set are one source, with their
-    capacities summed, which changes no cut.  The flow is exact over
-    integers: a greedy start, then shortest augmenting paths from every
+    capacities summed, which changes no cut.  The sources are grouped here,
+    once, with each source's sizes sorted and prefix-summed, so a call
+    clips a source's capacity at tau with one bisection.  The flow is exact
+    over integers: a greedy start, then shortest augmenting paths from every
     source with supply left to a machine still short, where a path may
     shift a source's flow from one of its machines to another.
     """
     m = inst.machine_count
-    supply: dict[frozenset[int], int] = {}
+    grouped: dict[frozenset[int], list[int]] = {}
     for job in inst.jobs:
         if job.eligible:
-            supply[job.eligible] = supply.get(job.eligible, 0) + min(job.size, tau)
-    machines = [sorted(eligible) for eligible in supply]
-    rest = list(supply.values())
+            grouped.setdefault(job.eligible, []).append(job.size)
+    machines = [sorted(eligible) for eligible in grouped]
+    sources = [sorted(sizes) for sizes in grouped.values()]
+    totals = [list(accumulate(sizes, initial=0)) for sizes in sources]
+
+    def feasible(tau: int) -> bool:
+        # sum_j min(p_j, tau): the sizes up to tau, then tau for each larger one.
+        rest = []
+        for sizes, total in zip(sources, totals):
+            k = bisect_right(sizes, tau)
+            rest.append(total[k] + (len(sizes) - k) * tau)
+        return _flow_meets(machines, rest, m, tau)
+
+    return feasible
+
+
+def _flow_meets(machines: list[list[int]], rest: list[int], m: int, tau: int) -> bool:
+    """Whether sources with supplies ``rest``, source g sending to the
+    machines ``machines[g]``, can bring every one of ``m`` machines tau."""
     need = [tau] * m
     sent: list[dict[int, int]] = [{} for _ in machines]  # source -> machine -> flow
     for g, elig in enumerate(machines):
@@ -578,7 +598,7 @@ def find_T_with_seeds(
     that needs no LP.  Below: the minimum load of `greedy_allocation`
     improved by `local_search_allocation`, as `verify_allocation` recomputes
     it; its bundles, pruned, are a feasible point at that tau.  Above: the
-    largest tau in the bracket at which `assignment_flow_feasible` holds,
+    largest tau in the bracket at which `assignment_flow_feasibility` holds,
     found by bisection, since the flow's feasibility is monotone in tau
     (sum_j min(p_j, tau) - |M'| tau is concave for every machine subset M').
     The flow bisection starts from the smallest pool total and
@@ -603,7 +623,8 @@ def find_T_with_seeds(
     if lo > hi:
         raise CoverLpError(f"T search bracket is inverted: greedy {lo} > upper bound {hi}")
     # The allocation gives a flow at its minimum load.
-    hi = _largest_holding(lo, hi, lambda tau: assignment_flow_feasible(inst, tau))
+    if lo < hi:
+        hi = _largest_holding(lo, hi, assignment_flow_feasibility(inst))
     lo = max(lo, min(hi, 1))
     if counters is not None:
         counters.setdefault("clp_solves", 0)

@@ -1,8 +1,10 @@
 """End-to-end certified solver.
 
 The pipeline computes the largest threshold T with a feasible configuration
-LP, reshapes the instance through the 12-gap, classifies machines by where
-their covering weight sits, and then branches:
+LP, reshapes the instance through the 12-gap, and, when some job is big,
+classifies machines by where the gap instance's covering weight sits.  With
+no big job every configuration is small, so no machine can be upper and that
+cover LP is not solved.  Then it branches:
 
 * no upper-class machines: every machine's cover is at least half small
   bundles already, so a small-jobs-only cover at rhs 1/2 converts to a
@@ -142,17 +144,21 @@ def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveRep
 
     gap = build_gap_instance(inst, T)
     job_classes = classify_jobs(gap)
-    x = solve_clp_feasibility(
-        inst, T, pools=machine_pools(inst), sizes=gap.gap_size, seeds=seeds,
-        counters=counters,
-    )
-    if x is None:
-        raise PipelineError("gap-instance cover LP infeasible at T; T search bug")
-    machine_classes = classify_machines(gap, job_classes, x)
+    # With no big job every configuration is small, so no machine can be
+    # upper and the classifying LP would decide nothing.
+    machine_classes = None
+    if job_classes.big:
+        x = solve_clp_feasibility(
+            inst, T, pools=machine_pools(inst), sizes=gap.gap_size, seeds=seeds,
+            counters=counters,
+        )
+        if x is None:
+            raise PipelineError("gap-instance cover LP infeasible at T; T search bug")
+        machine_classes = classify_machines(gap, job_classes, x)
     watch.lap("classify")
 
-    if not machine_classes.upper:
-        owner, detail = _solve_no_upper(inst, gap, job_classes, T, counters)
+    if machine_classes is None or not machine_classes.upper:
+        owner, detail = _solve_no_upper(inst, job_classes, T, counters)
         branch = "no-upper"
         floor = T / 2 - T / ALPHA
     else:
@@ -184,13 +190,16 @@ def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveRep
     )
 
 
-def _solve_no_upper(inst, gap, job_classes, T, counters):
+def _solve_no_upper(inst, job_classes, T, counters):
     """Small-only cover at rhs 1/2, then loss-bounded rounding.
 
-    The classifying solution witnesses feasibility (each machine is middle,
-    so its small weight already reaches 1/2); re-solving over the small pool
-    keeps this branch independent of where the classifying weights happened
-    to sit.
+    The cover is feasible.  With a big job, the classifying solution
+    witnesses it: each machine is middle, so its small weight already
+    reaches 1/2.  With none, every configuration is small and the gap sizes
+    are the instance's, so the configuration LP at T, whose feasibility the
+    T search certified, is itself a small-only cover at rhs 1 >= 1/2.
+    Re-solving over the small pool keeps this branch independent of where
+    any classifying weights happened to sit.
     """
     pools = machine_pools(inst, job_pool=job_classes.small)
     z = solve_clp_feasibility(

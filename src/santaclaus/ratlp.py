@@ -42,13 +42,14 @@ over integers, and raises `LpError` (not an ``assert``, which ``python -O``
 strips) when either fails.
 
 The tableau's rows are stored dense, but the work follows the nonzeros:
-`Tableau.from_rows` writes each row of A once, a column added later with
-no entries appends one 0 per row, and a pivot whose entry equals ``det``
-(every pivot while ``det`` is 1, and most pivots of the cover masters)
-updates only the pivot row's nonzero columns of the rows it touches.  A
-pivot that changes ``det`` rescales every row.  The LPs this package
-builds stay small (tens of rows, at most a few hundred columns), which
-keeps exact arithmetic affordable.
+`Tableau.from_rows` writes each row of A once, a column added later is a
+0/1 column whose entry in each row is a sum of that row's unit-column
+entries (one 0 per row when it is empty), and a pivot whose entry equals
+``det`` (every pivot while ``det`` is 1, and most pivots of the cover
+masters) updates only the pivot row's nonzero columns of the rows it
+touches.  A pivot that changes ``det`` rescales every row.  The LPs this
+package builds stay small (tens of rows, at most a few hundred columns),
+which keeps exact arithmetic affordable.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Mapping
 
 ZERO = Fraction(0)
@@ -250,23 +252,32 @@ class Tableau:
         return [(row, "=", b) for row, b in zip(rows, self.rhs)]
 
     def insert_column(self, pos: int, coeffs: Mapping[int, int], cost=0) -> int:
-        """Add the column with original integer entries ``coeffs`` (row -> a)
+        """Add the 0/1 column with a 1 in each row of ``coeffs`` (row -> 1)
         and integer ``cost`` at logical position ``pos``, entering the
-        tableau as B^-1 a; it starts nonbasic.  Returns its id."""
-        coeffs = {r: _integer(a, "coefficient") for r, a in coeffs.items()}
+        tableau as B^-1 a; it starts nonbasic.  Returns its id.
+
+        Each row's entry of ``det * B^-1 a`` is the sum of its entries in the
+        unit columns of the column's rows, read by one `operator.itemgetter`
+        call.  The package inserts only configurations and empty job slacks,
+        so 0/1 columns are all it accepts.
+        """
+        if not {1}.issuperset(coeffs.values()):
+            raise ValueError("an inserted column must be a 0/1 column")
         cost = _integer(cost, "cost")
-        units = [(self.unit[r], a) for r, a in coeffs.items()]
-        if units:
-            for row in self.rows:
-                entry = 0
-                for u, a in units:
-                    entry += a * row[u]
-                row.append(entry)
-        else:
+        if not coeffs:
             for row in self.rows:
                 row.append(0)
+        elif len(coeffs) == 1:
+            (r,) = coeffs
+            u = self.unit[r]
+            for row in self.rows:
+                row.append(row[u])
+        else:
+            get = itemgetter(*[self.unit[r] for r in coeffs])
+            for row in self.rows:
+                row.append(sum(get(row)))
         c = len(self.columns)
-        self.columns.append(coeffs)
+        self.columns.append(dict.fromkeys(coeffs, 1))
         self.cost.append(cost)
         self.order.insert(pos, c)
         return c

@@ -3,7 +3,7 @@ from fractions import Fraction
 from santaclaus.configlp import (
     Configuration,
     check_cover_solution,
-    assignment_flow_feasible,
+    assignment_flow_feasibility,
     clp_to_alp,
     find_T,
     find_T_with_seeds,
@@ -406,23 +406,45 @@ def hall_feasible(inst, tau):
     return True
 
 
+def shared_source_shape(rng):
+    """Jobs of mixed sizes on a few shared eligible sets, so that one flow
+    source holds jobs on both sides of most tau."""
+    m = rng.randint(2, 4)
+    sets = [frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(rng.randint(1, 3))]
+    jobs = [JobSpec(size=rng.randint(1, 12), eligible=rng.choice(sets)) for _ in range(rng.randint(3, 10))]
+    return Instance(machine_count=m, jobs=tuple(jobs))
+
+
 def test_flow_bound_matches_hall_subset_oracle():
+    # one predicate per instance, grouped once, asked at every tau up to one
+    # past the bound in shuffled order: each verdict must match the subset
+    # oracle whatever tau it was asked at before
     from random import Random
 
     rng = Random(7)
     below = 0
+    mixed = 0
     for _ in range(60):
-        for inst in bracket_shapes(rng):
+        for inst in [*bracket_shapes(rng), shared_source_shape(rng)]:
             if inst.machine_count > 4:
                 continue
             bound = max(t for t in range(inst.total_size() + 1) if hall_feasible(inst, t))
             counters = {}
             find_T_with_seeds(inst, counters)
             assert counters["t_search_upper"] == bound, inst
-            for tau in range(1, bound + 2):
-                assert assignment_flow_feasible(inst, tau) == (tau <= bound), (inst, tau)
+            feasible = assignment_flow_feasibility(inst)
+            sources = {}
+            for job in inst.jobs:
+                sources.setdefault(job.eligible, []).append(job.size)
+            taus = list(range(1, bound + 2))
+            rng.shuffle(taus)
+            for tau in taus:
+                assert feasible(tau) == (tau <= bound), (inst, tau)
+                # some source holds jobs both at most tau and above it
+                mixed += any(min(sizes) <= tau < max(sizes) for sizes in sources.values())
             below += bound < trivial_upper_bound(inst)
     assert below >= 10, below
+    assert mixed >= 500, mixed
 
 
 def local_key(inst, owner):

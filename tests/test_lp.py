@@ -558,6 +558,44 @@ def test_kept_master_tableau_is_integer_over_basis_determinant():
             assert logical == expected, f"trial {trial}"
 
 
+def test_inserted_column_is_det_times_basis_inverse_times_a():
+    # a 0/1 column inserted into a kept master after pivots must enter as
+    # det * B^-1 a, as the Fraction elimination of _basis_inverse_times
+    # computes it from the original columns: empty, one-row and many-row
+    # columns, each also after pivots that left det above 1
+    from collections import Counter
+    from random import Random
+
+    rng = Random(19)
+    above_1 = Counter()
+    for trial in range(100):
+        cover_rhs = rng.choice([F(1), F(1, 2)])
+        for master in _random_master_rounds(rng, rng.randint(1, 3), False, cover_rhs, njobs=6):
+            assert solve_lp(master).is_optimal, f"trial {trial}"
+            nrows = len(master.rows)
+            for size in (0, 1, rng.randint(min(2, nrows), nrows)):
+                ones = dict.fromkeys(rng.sample(range(nrows), size), 1)
+                c = master.insert_column(rng.randint(0, master.variable_count), ones)
+                det, inverse = _basis_inverse_times(master)
+                k = master.order.index(c)
+                assert master.columns[c] == ones, f"trial {trial}"
+                assert [row[c] for row in master.rows] == [det * row[k] for row in inverse], (
+                    f"trial {trial}"
+                )
+                above_1[min(size, 2)] += master.det > 1
+    assert min(above_1[0], above_1[1], above_1[2]) >= 10, above_1
+
+
+def test_inserted_column_must_be_zero_one():
+    master = Tableau()
+    master.insert_column(0, {}, F(-1))
+    master.add_row({0: 1}, F(1), basic=0)
+    for coeffs in ({0: 2}, {0: -1}, {0: 0}):
+        with pytest.raises(ValueError):
+            master.insert_column(1, coeffs)
+    assert master.variable_count == 1 and master.rows == [[1]]
+
+
 def test_non_integer_coefficient_or_cost_rejected():
     lp = LinearProgram(1)
     with pytest.raises(ValueError):

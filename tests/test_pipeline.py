@@ -54,6 +54,53 @@ def test_no_upper_branch_reaches_five_twelfths():
     assert report.allocation.min_value >= 5 * report.T / 12
 
 
+def _record_classification(monkeypatch):
+    """Wrap the pipeline's bindings of `classify_machines` and the cover LP
+    and return the list of calls they see: "classify", or the cover LP's
+    right-hand side (1 for the classifying LP over the gap sizes, 1/2 for the
+    no-upper branch's small-only cover)."""
+    import santaclaus.pipeline as pipeline
+
+    calls = []
+    classify, cover = pipeline.classify_machines, pipeline.solve_clp_feasibility
+
+    def counted_classify(*args, **kwargs):
+        calls.append("classify")
+        return classify(*args, **kwargs)
+
+    def counted_cover(*args, **kwargs):
+        calls.append(kwargs.get("cover_rhs", 1))
+        return cover(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "classify_machines", counted_classify)
+    monkeypatch.setattr(pipeline, "solve_clp_feasibility", counted_cover)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["matching", "enumeration"])
+def test_no_big_job_skips_the_classifying_lp(monkeypatch, strategy):
+    # with every job below T/12 no machine can be upper, so the solve goes
+    # straight to the small-only cover at rhs 1/2
+    calls = _record_classification(monkeypatch)
+    inst = tiny_instance([(1, [0])] * 13 + [(1, [1])] * 13 + [(1, [0, 1])] * 2, machines=2)
+    report = solve(inst, strategy=strategy)
+    assert report.branch == "no-upper"
+    assert all(12 * job.size < report.T for job in inst.jobs)
+    assert calls == [F(1, 2)]
+
+
+@pytest.mark.parametrize("strategy", ["matching", "enumeration"])
+def test_one_big_job_still_classifies(monkeypatch, strategy):
+    # a job of size 3 >= T/12 makes the classifying LP and its split the
+    # only way to tell upper from middle, even when no machine comes out upper
+    calls = _record_classification(monkeypatch)
+    inst = tiny_instance([(1, [0])] * 13 + [(1, [1])] * 13 + [(3, [0])], machines=2)
+    report = solve(inst, strategy=strategy)
+    assert report.T == 13 and 12 * 3 >= report.T
+    assert report.branch == "no-upper"
+    assert calls == [1, "classify", F(1, 2)]
+
+
 def test_super_machine_instance_both_strategies():
     inst = shared_big_instance(units=13)
     for strategy in ("matching", "enumeration"):
