@@ -9,6 +9,8 @@ cover LP is not solved.  Then it branches:
 * no upper-class machines: every machine's cover is at least half small
   bundles already, so a small-jobs-only cover at rhs 1/2 converts to a
   fractional assignment worth T/2 per machine and rounds to at least 5T/12;
+  its master starts from the T search's columns, the local-search
+  allocation's bundles among them;
 * otherwise: upper machines are clustered into super machines over the big
   support forest, composite machines are matched to disjoint small bundles
   worth at least T/6 (or a selection is found by enumeration and rounded),
@@ -158,7 +160,7 @@ def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveRep
     watch.lap("classify")
 
     if machine_classes is None or not machine_classes.upper:
-        owner, detail = _solve_no_upper(inst, job_classes, T, counters)
+        owner, detail = _solve_no_upper(inst, job_classes, T, seeds, counters)
         branch = "no-upper"
         floor = T / 2 - T / ALPHA
     else:
@@ -190,7 +192,7 @@ def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveRep
     )
 
 
-def _solve_no_upper(inst, job_classes, T, counters):
+def _solve_no_upper(inst, job_classes, T, seeds, counters):
     """Small-only cover at rhs 1/2, then loss-bounded rounding.
 
     The cover is feasible.  With a big job, the classifying solution
@@ -200,11 +202,18 @@ def _solve_no_upper(inst, job_classes, T, counters):
     T search certified, is itself a small-only cover at rhs 1 >= 1/2.
     Re-solving over the small pool keeps this branch independent of where
     any classifying weights happened to sit.
+
+    The master starts from the T search's ``seeds``: the local-search
+    allocation's bundles and the columns of its feasible probes, kept where
+    they use small jobs only and re-pruned at T.  When that allocation
+    reaches T on small jobs alone, its bundles cover every machine
+    disjointly, so the first master solve already has no shortfall; on
+    all-unit instances it is optimal, and nothing is priced.
     """
     pools = machine_pools(inst, job_pool=job_classes.small)
     z = solve_clp_feasibility(
         inst, T, pools=pools, sizes=inst.sizes(), cover_rhs=Fraction(1, 2),
-        counters=counters,
+        seeds=seeds, counters=counters,
     )
     if z is None:
         raise PipelineError("small-only cover at 1/2 infeasible; classification bug")

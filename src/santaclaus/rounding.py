@@ -13,16 +13,20 @@ perturbation (the edge at job j moves by +-delta / p_j), which keeps every
 job mass and every machine value exact and empties at least one edge, so the
 support ends a forest.  `clustering.cancel_cycles` does this on the
 size-weighted entries y * p_j, where every cycle edge moves by the same
-integer delta.  Whole entries are assigned outright; each tree of the
-remaining strictly fractional edges hangs from its lowest job, and every
-machine claims its child jobs largest-first until the claimed total covers
-what the loss bound demands.  Child jobs belong to exactly one machine
-each, so the claims never collide, and the machine's children always
-suffice: its parent edge is the only mass the bound lets it drop.
+integer delta.  A cycle passes only through jobs held by two or more
+machines, so the canceller runs only when some job is shared, and the
+forest check reads only the shared jobs' edges.  Whole entries are assigned
+outright; each tree of the remaining strictly fractional edges hangs from
+its lowest job, and every machine claims its child jobs largest-first until
+the claimed total covers what the loss bound demands.  Child jobs belong to
+exactly one machine each, so the claims never collide, and the machine's
+children always suffice: its parent edge is the only mass the bound lets it
+drop.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .clustering import cancel_cycles
@@ -63,9 +67,12 @@ def round_assignment(fa: FractionalAssignment, sizes) -> dict[int, int]:
         value[i] += w
         max_size[i] = max(max_size[i], sizes[j])
 
-    forest = cancel_cycles(weighted)
+    # Every cycle runs through shared jobs only: with none, the support is
+    # already a forest.
+    shared = {j for j, h in Counter(j for _, j in weighted).items() if h > 1}
+    forest = cancel_cycles(weighted) if shared else weighted
+    _assert_forest([e for e in forest if e[1] in shared])
     edges = sorted(forest)
-    _assert_forest(edges)
 
     owner: dict[int, int] = {}
     outright_value = {i: 0 for i in machines}

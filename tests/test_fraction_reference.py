@@ -512,17 +512,64 @@ def random_assignment(rng):
     return y, sizes
 
 
+def shared_jobs(y):
+    """Jobs with positive mass on two or more machines."""
+    holders = {}
+    for (i, j), v in y.items():
+        if v > 0:
+            holders[j] = holders.get(j, 0) + 1
+    return {j for j, h in holders.items() if h > 1}
+
+
 def test_rounding_matches_rational_reference_on_random_assignments():
+    # round_assignment cancels cycles only when some job is shared; both the
+    # star supports that skip it and the cyclic ones must match the reference
     seen = set()
-    cyclic = 0
+    cyclic = star = 0
     for seed in range(600):
         rng = Random(seed)
         y, sizes = random_assignment(rng)
         kind, result = assert_rounding_agrees(y, sizes, factor=rng.randint(1, 5))
         seen.add(kind if kind == "ok" else "mass" if "mass" in result else "entry")
         cyclic += kind == "ok" and ref_find_cycle({e: v for e, v in y.items() if v > 0}) is not None
+        star += kind == "ok" and not shared_jobs(y)
     assert seen == {"ok", "mass", "entry"}
     assert cyclic >= 100, cyclic
+    assert star >= 150, star
+
+
+@pytest.mark.parametrize(
+    "y,shared,cancels",
+    [
+        # no job on two machines: the support is a forest as it stands
+        ({(0, 0): F(1, 2), (0, 1): F(1), (1, 2): F(2, 3), (1, 3): F(1, 3)}, set(), False),
+        # exactly one shared job: no cycle can form (a bipartite cycle
+        # passes through two jobs at least), yet the canceller runs
+        ({(0, 0): F(1, 2), (1, 0): F(1, 3), (0, 1): F(3, 4), (1, 2): F(1)}, {0}, True),
+        # a 4-cycle through jobs 0 and 1, with private jobs on both machines
+        (
+            {(0, 0): F(1, 2), (1, 0): F(1, 2), (0, 1): F(1, 3), (1, 1): F(2, 3),
+             (0, 2): F(1), (1, 3): F(1, 2)},
+            {0, 1},
+            True,
+        ),
+    ],
+)
+def test_rounding_cancels_cycles_only_when_a_job_is_shared(monkeypatch, y, shared, cancels):
+    import santaclaus.rounding as rounding
+
+    calls = []
+    cancel = rounding.cancel_cycles
+
+    def counted(weights):
+        calls.append(weights)
+        return cancel(weights)
+
+    monkeypatch.setattr(rounding, "cancel_cycles", counted)
+    assert shared_jobs(y) == shared
+    kind, _ = assert_rounding_agrees(y, [4, 6, 5, 3])
+    assert kind == "ok"
+    assert len(calls) == cancels
 
 
 @pytest.mark.parametrize("scale", [7, 12])

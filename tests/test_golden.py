@@ -85,14 +85,14 @@ GOLDEN = [
         "all-unit-no-upper",
         all_unit_instance,
         '{"T":"15/1","branch":"no-upper","strategy":"matching","seed":0,'
-        '"branch_detail":"resolved small-only cover at rhs 1/2","min_value":"14/1",'
-        '"certified_ratio_bound":"15/14","owner":{"1":0,"2":0,"3":0,"4":0,"5":0,'
+        '"branch_detail":"resolved small-only cover at rhs 1/2","min_value":"15/1",'
+        '"certified_ratio_bound":"1/1","owner":{"1":0,"2":0,"3":0,"4":0,"5":0,'
         '"6":0,"7":0,"8":0,"9":0,"10":0,"11":0,"12":0,"13":0,"14":1,"15":1,'
         '"16":1,"17":1,"18":1,"19":1,"20":1,"21":1,"22":1,"23":1,"24":1,"25":1,'
-        '"26":1,"27":1,"28":1,"32":2,"33":2,"34":2,"35":2,"36":2,"37":2,"38":2,'
-        '"39":2,"40":2,"41":2,"42":2,"43":2,"44":2,"45":2,"46":0},'
-        '"counters":{"clp_solves":0,"master_solves":2,'
-        '"small_rounded_jobs":43,"t_search_lower":15,'
+        '"26":1,"27":1,"28":1,"30":2,"31":2,"32":2,"33":2,"34":2,"35":2,"36":2,'
+        '"37":2,"38":2,"39":2,"40":2,"41":2,"42":2,"43":2,"44":2,"45":0,"46":0},'
+        '"counters":{"clp_solves":0,"master_solves":1,'
+        '"small_rounded_jobs":45,"t_search_lower":15,'
         '"t_search_upper":15}}',
     ),
 ]
@@ -160,11 +160,12 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "846945217922df281199e507e96f687d6fffa240a9faba2da7225a918b72d627"
+BATCH_DIGEST = "2b0781e0c33fda6d0f51a727c260cc41c496bd62967f17b0e5b9dd654e7b9a1d"
 # The same over the batch solved with strategy="enumeration", whose clustered
 # solves test selections with eap's assignment LP at T/6: 28 of those LP
-# solves and 40 roundings, each on the forest that cycle cancelling leaves.
-ENUMERATION_DIGEST = "32e562f26309e6177a71eb442e6f77b84c3d2cd4906cfd522f9455867cc5b080"
+# solves and 40 roundings, each on a support forest (cycles cancelled
+# wherever a job is shared).
+ENUMERATION_DIGEST = "06fee1a5272ca9f6b46e7915bb6d5be34a43858f7a1034ef3761fc490a3fc168"
 
 
 def batch_digest(strategy):

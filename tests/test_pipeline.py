@@ -12,6 +12,7 @@ from santaclaus.instances import (
 )
 from santaclaus.pipeline import solve
 from conftest import mixed_instance, shared_big_instance, tiny_instance
+from test_golden import all_unit_instance
 
 F = Fraction
 
@@ -87,6 +88,18 @@ def test_no_big_job_skips_the_classifying_lp(monkeypatch, strategy):
     assert report.branch == "no-upper"
     assert all(12 * job.size < report.T for job in inst.jobs)
     assert calls == [F(1, 2)]
+
+
+@pytest.mark.parametrize("strategy", ["matching", "enumeration"])
+def test_no_upper_cover_starts_from_the_t_search_allocation(strategy):
+    # the local search's bundles reach T, so the rhs-1/2 cover LP seeded
+    # with them is optimal at its first master solve, prices nothing, and
+    # rounds to an allocation worth T on every machine
+    report = solve(all_unit_instance(), strategy=strategy)
+    assert report.branch == "no-upper"
+    assert report.counters["clp_solves"] == 0
+    assert report.counters["master_solves"] == 1
+    assert report.allocation.min_value == report.T
 
 
 @pytest.mark.parametrize("strategy", ["matching", "enumeration"])
