@@ -17,7 +17,6 @@ from .instances import (
 )
 from .configlp import find_T, solve_clp_feasibility
 from .pipeline import PipelineError, SolveReport, solve
-from .ratlp import LinearProgram, LpSolution, solve_feasibility
 
 __all__ = [
     "PipelineError",
@@ -30,8 +29,6 @@ __all__ = [
     "InstanceFormatError",
     "JobSpec",
     "OracleBudgetError",
-    "LinearProgram",
-    "LpSolution",
     "exact_optimum",
     "exact_optimum_with_witness",
     "generate_random",
@@ -39,6 +36,5 @@ __all__ = [
     "parse_instance",
     "serialize_allocation",
     "serialize_instance",
-    "solve_feasibility",
     "verify_allocation",
 ]

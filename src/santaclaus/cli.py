@@ -59,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance with the certified pipeline")
     p_solve.add_argument("--input", required=True, help="instance JSON file")
-    p_solve.add_argument(
-        "--strategy", choices=("matching", "enumeration"), default="matching"
-    )
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", required=True, help="allocation JSON output")
     p_solve.add_argument("--report", help="optional solve-report JSON output")
 
@@ -84,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="solve every instance in a directory")
     p_bench.add_argument("--suite", required=True, help="directory of instance JSON files")
     p_bench.add_argument("--out", required=True, help="CSV output path")
-    p_bench.add_argument(
-        "--strategy", choices=("matching", "enumeration"), default="matching"
-    )
     return parser
 
 
@@ -96,7 +89,7 @@ def _load_instance(path: str):
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
-    report = solve(inst, strategy=args.strategy, seed=args.seed)
+    report = solve(inst)
     Path(args.out).write_text(
         serialize_allocation(report.allocation) + "\n", encoding="utf-8"
     )
@@ -158,7 +151,7 @@ def cmd_bench(args) -> int:
     for path in suite:
         inst = _load_instance(str(path))
         started = time.perf_counter()
-        report = solve(inst, strategy=args.strategy)
+        report = solve(inst)
         millis = (time.perf_counter() - started) * 1000
         try:
             opt = rat_to_str(exact_optimum(inst))

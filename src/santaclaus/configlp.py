@@ -58,7 +58,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
-from .rat import ceil_frac, to_counts
+from .rat import ceil_frac
 from .ratlp import Tableau, solve_lp
 
 ZERO = Fraction(0)
@@ -672,11 +672,6 @@ class FractionalAssignment:
 
     counts: dict[tuple[int, int], int]
     scale: int
-
-    @classmethod
-    def from_y(cls, y: Mapping[tuple[int, int], Fraction]) -> FractionalAssignment:
-        counts, scale = to_counts(y)
-        return cls(counts=counts, scale=scale)
 
 
 def clp_to_alp(sol: ClpSolution, sizes: Sequence[int]) -> FractionalAssignment:

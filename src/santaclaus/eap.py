@@ -6,12 +6,13 @@ to one and the s-weighted total size collected from small jobs must reach
 T/6; per small job the shares sum to at most one.  The bilinear constraint
 is evaluated exactly, never linearised.
 
-Two constructive routes produce feasible points with integral s: reading
-one off a perfect bundle matching, and enumerating selections (one machine
-per composite) until the assignment LP at target T/6 is feasible.  The
-restriction step turns any feasible fractional-s point into an integral-s
-one by an averaging argument: some member of each composite already collects
-T/6 on its own.
+The pipeline builds its feasible point from a perfect bundle matching:
+integral s picks each composite's matched member, and u marks that member's
+bundle.  Two routes remain for the tests alone, as oracles: enumerating
+selections (one machine per composite) until the assignment LP at target
+T/6 is feasible, and a restriction step that turns any feasible
+fractional-s point into an integral-s one by an averaging argument: some
+member of each composite already collects T/6 on its own.
 """
 
 from __future__ import annotations
@@ -138,18 +139,17 @@ def select_by_enumeration(
     """Try selections (one machine per composite) in lexicographic order and
     return the first whose assignment LP reaches T/6 per selected machine.
 
-    The existence of a perfect bundle matching guarantees some selection is
-    feasible, so exhausting the space signals an upstream defect.
+    A test oracle for the bundle matching, exponential in the number of
+    composites; the pipeline never calls it.  The existence of a perfect
+    bundle matching guarantees some selection is feasible, so exhausting the
+    space signals an upstream defect.
     """
     composites = clusters.composites
     space = 1
     for comp in composites:
         space *= len(comp.machines)
         if space > budget:
-            raise EapError(
-                f"selection space exceeds budget {budget}; "
-                "use the matching strategy instead"
-            )
+            raise EapError(f"selection space exceeds budget {budget}")
     t6 = Fraction(T) / 6
     inst = clusters.gap.base
     small = clusters.job_classes.small

@@ -13,9 +13,12 @@ cover LP is not solved.  Then it branches:
   allocation's bundles among them;
 * otherwise: upper machines are clustered into super machines over the big
   support forest, composite machines are matched to disjoint small bundles
-  worth at least T/6 (or a selection is found by enumeration and rounded),
-  every non-selected super member receives a distinct big job from its
-  cluster, and saturated clusters pay every machine with a matched big job.
+  worth at least T/6 (an alternating-tree search for a perfect bundle
+  matching, read off as an integral point of the extended assignment
+  program), every non-selected super member receives a distinct big job
+  from its cluster, and saturated clusters pay every machine with a matched
+  big job.  Selection enumeration (`eap.select_by_enumeration`) serves only
+  as a test oracle.
 
 Every stage's output is re-validated as it is produced, and the final
 allocation is evaluated against the original instance; the run aborts rather
@@ -38,14 +41,16 @@ from .clustering import (
     extract_clusters,
 )
 from .configlp import (
-    FractionalAssignment,
     check_mclp,
     clp_to_alp,
     find_T_with_seeds,
     machine_pools,
     solve_clp_feasibility,
 )
-from .eap import EapSolution, check_eap, eap_from_matching, restrict_eap, select_by_enumeration
+from .eap import check_eap, eap_from_matching
+
+# Unused here: perfbench/layertrace.py's hook patches these bindings by name.
+from .eap import restrict_eap, select_by_enumeration  # noqa: F401
 from .gapclasses import ALPHA, build_gap_instance, classify_jobs, classify_machines
 from .instances import Allocation, Instance, verify_allocation
 from .matching import find_perfect_matching
@@ -53,8 +58,6 @@ from .rat import rat_to_str
 from .rounding import round_assignment
 
 ZERO = Fraction(0)
-
-STRATEGIES = ("matching", "enumeration")
 
 
 class PipelineError(RuntimeError):
@@ -67,9 +70,6 @@ class SolveReport:
     branch: str  # "trivial" | "no-upper" | "clustered"
     allocation: Allocation
     certified_ratio_bound: Fraction | None
-    strategy: str
-    seed: int
-    branch_detail: str
     counters: dict[str, int] = field(default_factory=dict)
     timings_ms: dict[str, float] = field(default_factory=dict)
 
@@ -77,9 +77,6 @@ class SolveReport:
         doc = {
             "T": rat_to_str(self.T),
             "branch": self.branch,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "branch_detail": self.branch_detail,
             "min_value": rat_to_str(self.allocation.min_value),
             "certified_ratio_bound": (
                 rat_to_str(self.certified_ratio_bound)
@@ -111,19 +108,14 @@ class _Stopwatch:
         self._mark = now
 
 
-def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveReport:
+def solve(inst: Instance) -> SolveReport:
     """Run the full pipeline and return a certified allocation report.
 
     The gap is fixed at ``gapclasses.ALPHA`` = 12, which the certified floors
     (T/2 - T/12 = 5T/12 without upper machines, T/12 otherwise) rely on.
-    ``strategy`` picks how the clustered branch serves composite machines:
-    bundle matching or selection enumeration, each under its own default
-    step budget.  ``seed`` is recorded in the report for reproducibility
-    bookkeeping; the pipeline itself is deterministic and draws no
-    randomness from it.
+    The pipeline is deterministic: equal instances give equal reports, apart
+    from wall-clock timings.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     watch = _Stopwatch()
     counters: dict[str, int] = {}
 
@@ -137,9 +129,6 @@ def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveRep
             branch="trivial",
             allocation=alloc,
             certified_ratio_bound=None,
-            strategy=strategy,
-            seed=seed,
-            branch_detail="uncoverable machine, optimum is zero",
             counters=counters,
             timings_ms=watch.timings_ms,
         )
@@ -160,13 +149,11 @@ def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveRep
     watch.lap("classify")
 
     if machine_classes is None or not machine_classes.upper:
-        owner, detail = _solve_no_upper(inst, job_classes, T, seeds, counters)
+        owner = _solve_no_upper(inst, job_classes, T, seeds, counters)
         branch = "no-upper"
         floor = T / 2 - T / ALPHA
     else:
-        owner, detail = _solve_clustered(
-            inst, gap, job_classes, machine_classes, x, T, strategy, counters
-        )
+        owner = _solve_clustered(inst, gap, job_classes, machine_classes, x, T, counters)
         branch = "clustered"
         floor = T / ALPHA
     watch.lap("branch")
@@ -184,9 +171,6 @@ def solve(inst: Instance, strategy: str = "matching", seed: int = 0) -> SolveRep
         branch=branch,
         allocation=alloc,
         certified_ratio_bound=ratio,
-        strategy=strategy,
-        seed=seed,
-        branch_detail=detail,
         counters=counters,
         timings_ms=watch.timings_ms,
     )
@@ -220,10 +204,10 @@ def _solve_no_upper(inst, job_classes, T, seeds, counters):
     assignment = clp_to_alp(z, inst.sizes())
     owner = round_assignment(assignment, inst.sizes())
     counters["small_rounded_jobs"] = len(owner)
-    return owner, "resolved small-only cover at rhs 1/2"
+    return owner
 
 
-def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, strategy, counters):
+def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, counters):
     graph = build_big_graph(gap, x, job_classes, machine_classes)
     forest, xstar = eliminate_cycles(graph, x, gap)
     clusters = extract_clusters(forest, xstar, job_classes, machine_classes, gap)
@@ -241,38 +225,16 @@ def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, strategy, co
             raise PipelineError(f"job {job} assigned twice during assembly")
         owner[job] = machine
 
-    if strategy == "matching":
-        state = find_perfect_matching(clusters, T)
-        counters["matching_steps"] = state.steps
-        eap = eap_from_matching(state, clusters)
-        ok, why = check_eap(eap, clusters, T)
-        if not ok:
-            raise PipelineError(f"assignment-program check failed: {why}")
-        selected = {d: e.member for d, e in state.matched.items()}
-        for d, e in sorted(state.matched.items()):
-            for j in e.bundle:
-                give(j, e.member)
-        detail = "perfect bundle matching"
-    else:
-        selection, shares = select_by_enumeration(clusters, T)
-        eap = EapSolution(
-            u=dict(shares),
-            s={
-                i: Fraction(1 if i == selection.chosen[d] else 0)
-                for d, comp in enumerate(clusters.composites)
-                for i in comp.machines
-            },
-        )
-        ok, why = check_eap(eap, clusters, T)
-        if not ok:
-            raise PipelineError(f"assignment-program check failed: {why}")
-        eap = restrict_eap(eap, clusters, T)
-        assignment = FractionalAssignment.from_y(eap.u)
-        rounded = round_assignment(assignment, inst.sizes())
-        for j, i in sorted(rounded.items()):
-            give(j, i)
-        selected = dict(selection.chosen)
-        detail = "selection enumeration plus rounding"
+    state = find_perfect_matching(clusters, T)
+    counters["matching_steps"] = state.steps
+    eap = eap_from_matching(state, clusters)
+    ok, why = check_eap(eap, clusters, T)
+    if not ok:
+        raise PipelineError(f"assignment-program check failed: {why}")
+    selected = {d: e.member for d, e in state.matched.items()}
+    for d, e in sorted(state.matched.items()):
+        for j in e.bundle:
+            give(j, e.member)
 
     # Non-selected super members each take a distinct big job of the cluster;
     # super machine d is composite d.
@@ -294,4 +256,4 @@ def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, strategy, co
         for i, j in cluster.assignment:
             give(j, i)
 
-    return owner, detail
+    return owner

@@ -126,8 +126,8 @@ class LpSolution:
 
     ``xs`` holds ``x * det * bden`` per column and ``objective`` holds
     ``c.x * det * bden``; ``ys`` holds ``y * det`` per row.  The rational
-    `values`, `objective_value` and `dual_values` are built on first read,
-    so a caller that only compares signs never makes a `Fraction`.
+    `values` are built on first read, so a caller that only compares signs
+    never makes a `Fraction`.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -153,18 +153,6 @@ class LpSolution:
             return None
         scale = self.det * self.bden
         return tuple([Fraction(v, scale) if v else ZERO for v in self.xs])
-
-    @cached_property
-    def objective_value(self) -> Fraction | None:
-        if self.objective is None:
-            return None
-        return Fraction(self.objective, self.det * self.bden)
-
-    @cached_property
-    def dual_values(self) -> tuple[Fraction, ...] | None:
-        if self.ys is None:
-            return None
-        return tuple([Fraction(y, self.det) for y in self.ys])
 
 
 class Tableau:

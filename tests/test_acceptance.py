@@ -348,11 +348,8 @@ def test_determinism(tmp_path):
     # library level: identical reports for identical inputs
     for seed in (3, 11):
         inst = generate_random(m=3, n=7, max_size=15, density=F(1, 2), seed=seed)
-        for strategy in ("matching", "enumeration"):
-            a = solve(inst, strategy=strategy, seed=seed)
-            b = solve(inst, strategy=strategy, seed=seed)
-            if a.canonical_json() != b.canonical_json():
-                mismatches.append(f"solve seed {seed} strategy {strategy}")
+        if solve(inst).canonical_json() != solve(inst).canonical_json():
+            mismatches.append(f"solve seed {seed}")
 
     # CLI level, across all subcommands; wall-clock fields are the one
     # sanctioned difference and are stripped before comparison
@@ -453,10 +450,10 @@ def test_package_has_no_bare_assert():
     from pathlib import Path
 
     package = Path(__file__).resolve().parent.parent / "src" / "santaclaus"
-    sources = sorted(package.glob("*.py"))
+    sources = sorted(package.rglob("*.py"))
     assert sources
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.relative_to(package)}:{node.lineno}"
         for path in sources
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)

@@ -38,6 +38,7 @@ from santaclaus.configlp import (
     check_mclp,
 )
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
+from santaclaus.rat import to_counts
 from santaclaus.rounding import RoundingError, _assert_forest, round_assignment
 from conftest import clp_from_weights, tiny_instance
 
@@ -414,8 +415,7 @@ def assert_cover_agrees(weights, tau, cover_rhs, pools, sizes, factor=1):
 
 
 def assert_rounding_agrees(y, sizes, factor=1):
-    fa = FractionalAssignment.from_y(y)
-    counts, scale = stretched(fa.counts, fa.scale, factor)
+    counts, scale = stretched(*to_counts(y), factor)
     got = outcome(round_assignment, FractionalAssignment(counts, scale), sizes)
     assert got == outcome(ref_round_assignment, y, sizes)
     return got

@@ -34,8 +34,7 @@ GOLDEN = [
     (
         "random-0",
         lambda: random_instance(0),
-        '{"T":"33/1","branch":"clustered","strategy":"matching","seed":0,'
-        '"branch_detail":"perfect bundle matching","min_value":"13/1",'
+        '{"T":"33/1","branch":"clustered","min_value":"13/1",'
         '"certified_ratio_bound":"33/13","owner":{"0":1,"1":3,"2":2,"7":0},'
         '"counters":{"clp_solves":2,"composites":0,"master_solves":11,'
         '"matching_steps":0,"saturated":4,"supers":0,'
@@ -44,8 +43,7 @@ GOLDEN = [
     (
         "random-3",
         lambda: random_instance(3),
-        '{"T":"23/1","branch":"clustered","strategy":"matching","seed":0,'
-        '"branch_detail":"perfect bundle matching","min_value":"5/1",'
+        '{"T":"23/1","branch":"clustered","min_value":"5/1",'
         '"certified_ratio_bound":"23/5","owner":{"0":3,"1":0,"3":2,"6":1},'
         '"counters":{"clp_solves":0,"composites":0,"master_solves":1,'
         '"matching_steps":0,"saturated":4,"supers":0,'
@@ -54,8 +52,7 @@ GOLDEN = [
     (
         "random-4",
         lambda: random_instance(4),
-        '{"T":"31/1","branch":"clustered","strategy":"matching","seed":0,'
-        '"branch_detail":"perfect bundle matching","min_value":"5/1",'
+        '{"T":"31/1","branch":"clustered","min_value":"5/1",'
         '"certified_ratio_bound":"31/5","owner":{"0":1,"1":0,"2":2,"3":3},'
         '"counters":{"clp_solves":1,"composites":0,"master_solves":6,'
         '"matching_steps":0,"saturated":4,"supers":0,'
@@ -64,8 +61,7 @@ GOLDEN = [
     (
         "random-10",
         lambda: random_instance(10),
-        '{"T":"31/1","branch":"clustered","strategy":"matching","seed":0,'
-        '"branch_detail":"perfect bundle matching","min_value":"6/1",'
+        '{"T":"31/1","branch":"clustered","min_value":"6/1",'
         '"certified_ratio_bound":"31/6","owner":{"0":3,"3":0,"5":2,"7":1},'
         '"counters":{"clp_solves":2,"composites":0,"master_solves":5,'
         '"matching_steps":0,"saturated":4,"supers":0,'
@@ -74,8 +70,7 @@ GOLDEN = [
     (
         "mixed-composite",
         lambda: mixed_instance(4, m=3, nbig=2, nsmall=14),
-        '{"T":"14/1","branch":"clustered","strategy":"matching","seed":0,'
-        '"branch_detail":"perfect bundle matching","min_value":"3/1",'
+        '{"T":"14/1","branch":"clustered","min_value":"3/1",'
         '"certified_ratio_bound":"14/3","owner":{"0":1,"1":2,"2":0,"3":0,"4":0},'
         '"counters":{"clp_solves":2,"composites":1,"master_solves":3,'
         '"matching_steps":1,"saturated":2,"supers":0,'
@@ -84,8 +79,7 @@ GOLDEN = [
     (
         "all-unit-no-upper",
         all_unit_instance,
-        '{"T":"15/1","branch":"no-upper","strategy":"matching","seed":0,'
-        '"branch_detail":"resolved small-only cover at rhs 1/2","min_value":"15/1",'
+        '{"T":"15/1","branch":"no-upper","min_value":"15/1",'
         '"certified_ratio_bound":"1/1","owner":{"1":0,"2":0,"3":0,"4":0,"5":0,'
         '"6":0,"7":0,"8":0,"9":0,"10":0,"11":0,"12":0,"13":0,"14":1,"15":1,'
         '"16":1,"17":1,"18":1,"19":1,"20":1,"21":1,"22":1,"23":1,"24":1,"25":1,'
@@ -160,33 +154,22 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "2b0781e0c33fda6d0f51a727c260cc41c496bd62967f17b0e5b9dd654e7b9a1d"
-# The same over the batch solved with strategy="enumeration", whose clustered
-# solves test selections with eap's assignment LP at T/6: 28 of those LP
-# solves and 40 roundings, each on a support forest (cycles cancelled
-# wherever a job is shared).
-ENUMERATION_DIGEST = "06fee1a5272ca9f6b46e7915bb6d5be34a43858f7a1034ef3761fc490a3fc168"
+BATCH_DIGEST = "571297941c0dc6b06278cdcac76207445ab42fa06104f5dad69d2e40f2f46c03"
 
 
-def batch_digest(strategy):
+def batch_digest():
     import hashlib
 
     batch = digest_batch()
     assert len(batch) == 40
     digest = hashlib.sha256()
     for inst in batch:
-        digest.update(solve(inst, strategy=strategy).canonical_json().encode() + b"\n")
+        digest.update(solve(inst).canonical_json().encode() + b"\n")
     return digest.hexdigest()
 
 
 def test_canonical_json_digest_over_generated_batch():
     # one hash over 40 reports pins a speed change to the same bytes on far
     # more instances than the six strings above
-    assert batch_digest("matching") == BATCH_DIGEST
+    assert batch_digest() == BATCH_DIGEST
 
-
-def test_canonical_json_digest_over_generated_batch_by_enumeration():
-    # the only pin on the vertex that eap's feasibility LP returns: a change
-    # to its column order or pivot rule moves these bytes; a change to the
-    # order in which rounding cancels cycles moves both digests
-    assert batch_digest("enumeration") == ENUMERATION_DIGEST

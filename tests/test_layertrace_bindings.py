@@ -31,9 +31,10 @@ def test_every_traced_binding_resolves():
 
 
 def test_feasibility_bindings_are_reached():
-    # eap calls solve_feasibility through the name the tracer patches, and
-    # solve_feasibility calls solve_lp through ratlp's own: every LP solve
-    # shows up in the trace, none bypasses it.  Rounding builds no LP.
+    # every LP the pipeline solves is a cover master, solved through the
+    # name the tracer patches, so each master solve shows up in the trace;
+    # the feasibility LP that eap and rounding keep for the tracer is never
+    # solved.  Only the no-upper branch rounds.
     from fractions import Fraction
 
     from santaclaus import Instance, JobSpec, generate_random, solve
@@ -44,16 +45,11 @@ def test_feasibility_bindings_are_reached():
     no_upper = Instance(machine_count=3, jobs=tuple(units))
     clustered = generate_random(m=4, n=14, max_size=20, density=Fraction(1, 2), seed=0)
     Tracer = _load_layertrace().Tracer
-    for inst, branch in ((no_upper, "no-upper"), (clustered, "clustered")):
+    for inst, branch, roundings in ((no_upper, "no-upper", 1), (clustered, "clustered", 0)):
         tracer = Tracer()
         with tracer.installed():
-            report = solve(inst, strategy="enumeration")
+            report = solve(inst)
         assert report.branch == branch
-        feasibility = tracer.calls("ratlp.solve_feasibility")
-        assert tracer.calls("rounding.round_assignment") == 1
-        assert tracer.calls("ratlp.solve_lp") == report.counters["master_solves"] + feasibility
-        if branch == "no-upper":
-            assert feasibility == 0
-        else:
-            # eap's assignment LPs alone
-            assert feasibility >= 1
+        assert tracer.calls("ratlp.solve_feasibility") == 0
+        assert tracer.calls("rounding.round_assignment") == roundings
+        assert tracer.calls("ratlp.solve_lp") == report.counters["master_solves"]

@@ -78,65 +78,57 @@ def _record_classification(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("strategy", ["matching", "enumeration"])
-def test_no_big_job_skips_the_classifying_lp(monkeypatch, strategy):
+def test_no_big_job_skips_the_classifying_lp(monkeypatch):
     # with every job below T/12 no machine can be upper, so the solve goes
     # straight to the small-only cover at rhs 1/2
     calls = _record_classification(monkeypatch)
     inst = tiny_instance([(1, [0])] * 13 + [(1, [1])] * 13 + [(1, [0, 1])] * 2, machines=2)
-    report = solve(inst, strategy=strategy)
+    report = solve(inst)
     assert report.branch == "no-upper"
     assert all(12 * job.size < report.T for job in inst.jobs)
     assert calls == [F(1, 2)]
 
 
-@pytest.mark.parametrize("strategy", ["matching", "enumeration"])
-def test_no_upper_cover_starts_from_the_t_search_allocation(strategy):
+def test_no_upper_cover_starts_from_the_t_search_allocation():
     # the local search's bundles reach T, so the rhs-1/2 cover LP seeded
     # with them is optimal at its first master solve, prices nothing, and
     # rounds to an allocation worth T on every machine
-    report = solve(all_unit_instance(), strategy=strategy)
+    report = solve(all_unit_instance())
     assert report.branch == "no-upper"
     assert report.counters["clp_solves"] == 0
     assert report.counters["master_solves"] == 1
     assert report.allocation.min_value == report.T
 
 
-@pytest.mark.parametrize("strategy", ["matching", "enumeration"])
-def test_one_big_job_still_classifies(monkeypatch, strategy):
+def test_one_big_job_still_classifies(monkeypatch):
     # a job of size 3 >= T/12 makes the classifying LP and its split the
     # only way to tell upper from middle, even when no machine comes out upper
     calls = _record_classification(monkeypatch)
     inst = tiny_instance([(1, [0])] * 13 + [(1, [1])] * 13 + [(3, [0])], machines=2)
-    report = solve(inst, strategy=strategy)
+    report = solve(inst)
     assert report.T == 13 and 12 * 3 >= report.T
     assert report.branch == "no-upper"
     assert calls == [1, "classify", F(1, 2)]
 
 
-def test_super_machine_instance_both_strategies():
+def test_super_machine_instance_certifies():
     inst = shared_big_instance(units=13)
-    for strategy in ("matching", "enumeration"):
-        report = solve(inst, strategy=strategy)
-        assert report.allocation.min_value >= report.T / 12, strategy
-        assert verify_allocation(inst, report.allocation) == report.allocation.min_value
+    report = solve(inst)
+    assert report.allocation.min_value >= report.T / 12
+    assert verify_allocation(inst, report.allocation) == report.allocation.min_value
 
 
-def test_strategies_agree_on_certification():
+def test_mixed_instances_certify():
     for seed in range(8):
         inst = mixed_instance(seed, m=2, nbig=1, nsmall=14, bigsize=18)
-        a = solve(inst, strategy="matching")
-        b = solve(inst, strategy="enumeration")
-        assert a.T == b.T
-        assert a.allocation.min_value >= a.T / 12
-        assert b.allocation.min_value >= b.T / 12
+        report = solve(inst)
+        assert report.allocation.min_value >= report.T / 12, seed
+        assert verify_allocation(inst, report.allocation) == report.allocation.min_value, seed
 
 
 def test_deterministic_reports():
     inst = generate_random(m=3, n=7, max_size=12, density=F(1, 2), seed=11)
-    a = solve(inst, strategy="matching", seed=5)
-    b = solve(inst, strategy="matching", seed=5)
-    assert a.canonical_json() == b.canonical_json()
+    assert solve(inst).canonical_json() == solve(inst).canonical_json()
 
 
 def test_report_serialization_shape():
@@ -256,8 +248,15 @@ def test_cli_solve_reports_solver_check_failures(tmp_path, capsys, monkeypatch, 
 
 
 def test_cli_usage_error_exit_code():
+    # a missing value, and each option that solve and bench no longer take
     from santaclaus.cli import run_cli
 
-    with pytest.raises(SystemExit) as err:
-        run_cli(["solve", "--input"])
-    assert err.value.code == 2
+    for argv in (
+        ["solve", "--input"],
+        ["solve", "--input", "i.json", "--out", "a.json", "--strategy", "enumeration"],
+        ["solve", "--input", "i.json", "--out", "a.json", "--seed", "1"],
+        ["bench", "--suite", "suite", "--out", "b.csv", "--strategy", "matching"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            run_cli(argv)
+        assert err.value.code == 2, argv

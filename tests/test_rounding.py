@@ -9,6 +9,7 @@ from santaclaus.configlp import (
     solve_clp_feasibility,
 )
 from santaclaus.instances import generate_random
+from santaclaus.rat import to_counts
 from santaclaus.rounding import RoundingError, round_assignment
 from conftest import weights_of
 
@@ -16,7 +17,7 @@ F = Fraction
 
 
 def fa(y):
-    return FractionalAssignment.from_y({k: F(v) for k, v in y.items()})
+    return FractionalAssignment(*to_counts(y))
 
 
 def test_integral_input_is_identity():
@@ -107,12 +108,13 @@ import sys
 from fractions import Fraction
 import santaclaus.rounding as rnd
 from santaclaus.configlp import FractionalAssignment
+from santaclaus.rat import to_counts
 assert sys.flags.optimize, "not running under -O"
 rnd.cancel_cycles = lambda weights: dict(weights)
 half = Fraction(1, 2)
 cycle = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
 try:
-    rnd.round_assignment(FractionalAssignment.from_y(cycle), [4, 4])
+    rnd.round_assignment(FractionalAssignment(*to_counts(cycle)), [4, 4])
 except rnd.RoundingError as exc:
     print("raised:", exc)
 else:
