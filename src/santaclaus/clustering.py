@@ -218,7 +218,7 @@ def eliminate_cycles(
     }
     for (i, j), c in forest.items():
         counts[(i, Configuration(jobs=(j,), total_size=t_int))] = c
-    xstar = ClpSolution(tau=x.tau, counts=counts, scale=x.scale, cover_rhs=x.cover_rhs)
+    xstar = ClpSolution(tau=x.tau, counts=counts, scale=x.scale)
     return forest, xstar
 
 

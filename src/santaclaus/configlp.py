@@ -35,10 +35,10 @@ against thresholds multiplied by the scale; a `Fraction` is built only for
 an error message.  Bundle totals are integers too, so every minimality test
 compares them with ceil(tau), computed once per cover LP.
 
-The same engine serves two covers, both with one cover row per machine: the
-configuration LP (cover >= 1) that the T search probes and, when some job is
-big, the gap instance is classified by, and the small-jobs-only variant with
-cover >= 1/2 used by the no-upper-class branch.
+Every cover LP is the configuration LP: one cover row per machine, cover
+>= 1.  The T search probes it over the instance's sizes, and the pipeline
+solves it once more at T over the gap instance's sizes; that one solution
+classifies machines and feeds either branch.
 
 The T search bisects only between two bounds that need no LP.  Below: the
 minimum load of a largest-first greedy allocation, improved by a move/swap
@@ -200,7 +200,6 @@ class ClpSolution:
     tau: Fraction
     counts: dict[tuple[int, Configuration], int]
     scale: int
-    cover_rhs: Fraction
 
     def carried(self, machine: int) -> list[tuple[Configuration, int]]:
         out = [(cfg, c) for (i, cfg), c in self.counts.items() if i == machine]
@@ -215,8 +214,8 @@ def check_cover_solution(
 ) -> tuple[bool, str | None]:
     """Exact feasibility check: cover, job usage, minimality, eligibility.
 
-    Every machine in ``pools`` must reach ``sol.cover_rhs``.  Sums and
-    thresholds are integers over ``sol.scale``.
+    Every machine in ``pools`` must reach cover 1.  Sums and thresholds are
+    integers over ``sol.scale``.
     """
     scale = sol.scale
     need = ceil_frac(sol.tau)
@@ -233,11 +232,10 @@ def check_cover_solution(
         cover[i] = cover.get(i, 0) + c
         for j in cfg.jobs:
             usage[j] = usage.get(j, 0) + c
-    rhs = sol.cover_rhs
     for i in sorted(pools):
         covered = cover.get(i, 0)
-        if covered * rhs.denominator < rhs.numerator * scale:
-            return False, f"machine {i} cover {Fraction(covered, scale)} < {rhs}"
+        if covered < scale:
+            return False, f"machine {i} cover {Fraction(covered, scale)} < 1"
     for j, used in sorted(usage.items()):
         if used > scale:
             return False, f"job {j} used {Fraction(used, scale)} > 1"
@@ -248,14 +246,13 @@ def solve_cover_lp(
     pools: Mapping[int, Sequence[int]],
     sizes: Sequence[int],
     tau: Fraction,
-    cover_rhs: Fraction = ONE,
     seeds: Mapping[int, Iterable[tuple[int, ...]]] | None = None,
     counters: dict[str, int] | None = None,
 ) -> ClpSolution | None:
     """Column generation for the covering LP; None means certified infeasible.
 
-    Every machine in ``pools`` gets one cover row, ``>= cover_rhs``, in
-    machine order; ``pools[i]`` lists the jobs machine i may bundle
+    Every machine in ``pools`` gets one cover row, ``>= 1``, in machine
+    order; ``pools[i]`` lists the jobs machine i may bundle
     (eligibility already applied), so a machine with an empty pool makes the
     LP infeasible.  ``seeds`` optionally warm-start the master with job
     bundles re-pruned to minimality at this tau.
@@ -304,7 +301,7 @@ def solve_cover_lp(
     job_rows = sorted({j for _, cfg in start for j in cfg.jobs})  # jobs with a row
     row_of = {j: nrows + k for k, j in enumerate(job_rows)}
     first_slack = base + len(start)
-    rows = [({r: 1, nrows + r: -1}, cover_rhs, r) for r in range(nrows)]
+    rows = [({r: 1, nrows + r: -1}, ONE, r) for r in range(nrows)]
     rows += [({first_slack + k: 1}, ONE, first_slack + k) for k in range(len(job_rows))]
     column_of: dict[tuple[int, Configuration], int] = {}  # in creation order
     for col, (i, cfg) in enumerate(start, base):
@@ -359,22 +356,15 @@ def solve_cover_lp(
             return None
         xs = sol.xs
         counts = {key: xs[col] for key, col in column_of.items() if xs[col]}
-        result = ClpSolution(
-            tau=tau, counts=counts, scale=sol.det * sol.bden, cover_rhs=Fraction(cover_rhs)
-        )
+        result = ClpSolution(tau=tau, counts=counts, scale=sol.det * sol.bden)
         ok, why = check_cover_solution(result, pools, sizes)
         if not ok:
             raise CoverLpError(f"cover LP postcondition violated: {why}")
         return result
 
 
-def machine_pools(inst: Instance, job_pool: Iterable[int] | None = None) -> dict[int, tuple[int, ...]]:
-    allowed = set(range(inst.job_count)) if job_pool is None else set(job_pool)
-    # tuple(list), not tuple(generator): see ratlp.LpSolution.
-    return {
-        i: tuple([j for j in inst.eligible_jobs(i) if j in allowed])
-        for i in range(inst.machine_count)
-    }
+def machine_pools(inst: Instance) -> dict[int, tuple[int, ...]]:
+    return {i: inst.eligible_jobs(i) for i in range(inst.machine_count)}
 
 
 def solve_clp_feasibility(
@@ -382,7 +372,6 @@ def solve_clp_feasibility(
     tau: Fraction,
     pools: Mapping[int, Sequence[int]] | None = None,
     sizes: Sequence[int] | None = None,
-    cover_rhs: Fraction = ONE,
     seeds: Mapping[int, Iterable[tuple[int, ...]]] | None = None,
     counters: dict[str, int] | None = None,
 ) -> ClpSolution | None:
@@ -399,7 +388,6 @@ def solve_clp_feasibility(
         pools=pools,
         sizes=sizes,
         tau=tau,
-        cover_rhs=cover_rhs,
         seeds=seeds,
         counters=counters,
     )
@@ -674,14 +662,14 @@ class FractionalAssignment:
     scale: int
 
 
-def clp_to_alp(sol: ClpSolution, sizes: Sequence[int]) -> FractionalAssignment:
+def clp_to_alp(sol: ClpSolution) -> FractionalAssignment:
     """Collapse configuration weights to job level: y[i,j] = sum of weights of
     machine i's carried configurations containing j, summed as counts over
     the solution's scale.
 
-    Per machine the value is at least cover * tau, so the assignment meets a
-    uniform floor of cover_rhs * tau; per job the mass stays within 1 because
-    the covering LP already charged each job at most once.
+    Each carried configuration reaches tau, so a machine's value is at least
+    its configuration weight times tau; per job the mass stays within 1
+    because the covering LP already charged each job at most once.
     """
     y: dict[tuple[int, int], int] = {}
     for (i, cfg), c in sol.counts.items():

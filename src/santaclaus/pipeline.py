@@ -1,16 +1,15 @@
 """End-to-end certified solver.
 
 The pipeline computes the largest threshold T with a feasible configuration
-LP, reshapes the instance through the 12-gap, and, when some job is big,
-classifies machines by where the gap instance's covering weight sits.  With
-no big job every configuration is small, so no machine can be upper and that
-cover LP is not solved.  Then it branches:
+LP, reshapes the instance through the 12-gap, solves the gap instance's
+configuration LP at T once (its master starts from the T search's columns,
+the local-search allocation's bundles among them), and classifies machines
+by where that covering weight sits.  Then it branches on the same solution:
 
-* no upper-class machines: every machine's cover is at least half small
-  bundles already, so a small-jobs-only cover at rhs 1/2 converts to a
-  fractional assignment worth T/2 per machine and rounds to at least 5T/12;
-  its master starts from the T search's columns, the local-search
-  allocation's bundles among them;
+* no upper-class machines: every machine carries small-bundle weight of at
+  least 1/2, and small jobs keep their sizes in the gap instance, so the
+  small bundles collapse to a fractional assignment worth T/2 per machine
+  and round to at least T/2 - T/12 = 5T/12;
 * otherwise: upper machines are clustered into super machines over the big
   support forest, composite machines are matched to disjoint small bundles
   worth at least T/6 (an alternating-tree search for a perfect bundle
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .clustering import (
@@ -135,21 +134,16 @@ def solve(inst: Instance) -> SolveReport:
 
     gap = build_gap_instance(inst, T)
     job_classes = classify_jobs(gap)
-    # With no big job every configuration is small, so no machine can be
-    # upper and the classifying LP would decide nothing.
-    machine_classes = None
-    if job_classes.big:
-        x = solve_clp_feasibility(
-            inst, T, pools=machine_pools(inst), sizes=gap.gap_size, seeds=seeds,
-            counters=counters,
-        )
-        if x is None:
-            raise PipelineError("gap-instance cover LP infeasible at T; T search bug")
-        machine_classes = classify_machines(gap, job_classes, x)
+    x = solve_clp_feasibility(
+        inst, T, pools=machine_pools(inst), sizes=gap.gap_size, seeds=seeds, counters=counters
+    )
+    if x is None:
+        raise PipelineError("gap-instance cover LP infeasible at T; T search bug")
+    machine_classes = classify_machines(gap, job_classes, x)
     watch.lap("classify")
 
-    if machine_classes is None or not machine_classes.upper:
-        owner = _solve_no_upper(inst, job_classes, T, seeds, counters)
+    if not machine_classes.upper:
+        owner = _solve_no_upper(inst, job_classes, x, counters)
         branch = "no-upper"
         floor = T / 2 - T / ALPHA
     else:
@@ -176,33 +170,18 @@ def solve(inst: Instance) -> SolveReport:
     )
 
 
-def _solve_no_upper(inst, job_classes, T, seeds, counters):
-    """Small-only cover at rhs 1/2, then loss-bounded rounding.
+def _solve_no_upper(inst, job_classes, x, counters):
+    """Round the small bundles of the classifying solution ``x``.
 
-    The cover is feasible.  With a big job, the classifying solution
-    witnesses it: each machine is middle, so its small weight already
-    reaches 1/2.  With none, every configuration is small and the gap sizes
-    are the instance's, so the configuration LP at T, whose feasibility the
-    T search certified, is itself a small-only cover at rhs 1 >= 1/2.
-    Re-solving over the small pool keeps this branch independent of where
-    any classifying weights happened to sit.
-
-    The master starts from the T search's ``seeds``: the local-search
-    allocation's bundles and the columns of its feasible probes, kept where
-    they use small jobs only and re-pruned at T.  When that allocation
-    reaches T on small jobs alone, its bundles cover every machine
-    disjointly, so the first master solve already has no shortfall; on
-    all-unit instances it is optimal, and nothing is priced.
+    Every machine is middle, so `classify_machines` has checked that its
+    small-bundle weight in ``x`` reaches 1/2.  Each small bundle is minimal
+    at T over sizes that small jobs keep in the gap instance, so it is worth
+    at least T, and the bundles collapse to a fractional assignment worth
+    T/2 per machine (T when no job is big, since then every bundle is
+    small).  Rounding loses less than T/12 per machine.  No LP is solved.
     """
-    pools = machine_pools(inst, job_pool=job_classes.small)
-    z = solve_clp_feasibility(
-        inst, T, pools=pools, sizes=inst.sizes(), cover_rhs=Fraction(1, 2),
-        seeds=seeds, counters=counters,
-    )
-    if z is None:
-        raise PipelineError("small-only cover at 1/2 infeasible; classification bug")
-    assignment = clp_to_alp(z, inst.sizes())
-    owner = round_assignment(assignment, inst.sizes())
+    small = {(i, cfg): c for (i, cfg), c in x.counts.items() if set(cfg.jobs) <= job_classes.small}
+    owner = round_assignment(clp_to_alp(replace(x, counts=small)), inst.sizes())
     counters["small_rounded_jobs"] = len(owner)
     return owner
 

@@ -10,13 +10,11 @@ from santaclaus.instances import Instance
 from santaclaus.rat import to_counts
 
 
-def clp_from_weights(weights, tau, cover_rhs=1):
+def clp_from_weights(weights, tau):
     """A `ClpSolution` holding the rational ``weights``, as counts over the
     lcm of their denominators."""
     counts, scale = to_counts(weights)
-    return ClpSolution(
-        tau=Fraction(tau), counts=counts, scale=scale, cover_rhs=Fraction(cover_rhs)
-    )
+    return ClpSolution(tau=Fraction(tau), counts=counts, scale=scale)
 
 
 def weights_of(sol):

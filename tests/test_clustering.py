@@ -342,7 +342,7 @@ def test_checker_rejects_small_starved_cluster():
     stripped = {
         key: w for key, w in weights_of(x).items() if set(key[1].jobs) <= jc.big
     }
-    hollow = clp_from_weights(stripped, x.tau, x.cover_rhs)
+    hollow = clp_from_weights(stripped, x.tau)
     bad = ClusterSet(
         supers=(Cluster(machines=(0,), jobs=()),),
         saturated=(),
@@ -384,7 +384,7 @@ graph = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
 found = iter([[(0, 0), (0, 1), (1, 1)], None])
 clu._find_cycle = lambda adj: next(found)
 inst = Instance(machine_count=2, jobs=(JobSpec(4, frozenset([0, 1])),) * 2)
-x = ClpSolution(tau=Fraction(4), counts={}, scale=2, cover_rhs=Fraction(1))
+x = ClpSolution(tau=Fraction(4), counts={}, scale=2)
 try:
     clu.eliminate_cycles(graph, x, build_gap_instance(inst, Fraction(4)))
 except clu.ClusteringError as exc:

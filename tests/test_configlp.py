@@ -548,9 +548,9 @@ else:
 def test_clp_to_alp_direct_sum():
     inst = tiny_instance([(3, [0]), (4, [0])], machines=1)
     sol = solve_clp_feasibility(inst, F(7))
-    fa = clp_to_alp(sol, inst.sizes())
+    fa = clp_to_alp(sol)
     assert weights_of(fa) == {(0, 0): F(1), (0, 1): F(1)}
-    # machine 0's value reaches the floor cover_rhs * tau
+    # machine 0's value reaches the floor tau
     assert sum(w * inst.jobs[j].size for (_, j), w in weights_of(fa).items()) == 7
 
 
@@ -560,7 +560,7 @@ def test_clp_to_alp_additivity():
         (0, Configuration(jobs=(0, 2), total_size=8)): F(1, 2),
     }
     sol = clp_from_weights(sol_weights, 7)
-    y = weights_of(clp_to_alp(sol, [3, 4, 5]))
+    y = weights_of(clp_to_alp(sol))
     assert y[(0, 0)] == 1
     assert y[(0, 1)] == F(1, 2)
     assert y[(0, 2)] == F(1, 2)
@@ -605,7 +605,7 @@ def test_clp_to_alp_meets_target_on_samples():
         if T == 0:
             continue
         sol = solve_clp_feasibility(inst, T)
-        fa = clp_to_alp(sol, inst.sizes())
+        fa = clp_to_alp(sol)
         per_machine = {}
         per_job = {}
         for (i, j), v in weights_of(fa).items():
@@ -614,7 +614,7 @@ def test_clp_to_alp_meets_target_on_samples():
             per_machine[i] = per_machine.get(i, F(0)) + v * inst.jobs[j].size
             per_job[j] = per_job.get(j, F(0)) + v
         for i in range(inst.machine_count):
-            assert per_machine.get(i, F(0)) >= sol.cover_rhs * sol.tau
+            assert per_machine.get(i, F(0)) >= sol.tau
         for j, mass in per_job.items():
             assert mass <= 1
         sizes_checked += 1

@@ -53,7 +53,7 @@ def ref_is_minimal(jobs, tau, sizes):
     return total >= tau and all(total - sizes[j] < tau for j in set(jobs))
 
 
-def ref_check_cover_solution(weights, tau, cover_rhs, pools, sizes):
+def ref_check_cover_solution(weights, tau, pools, sizes):
     cover, usage = {}, {}
     for (i, cfg), w in weights.items():
         if w < 0 or w > 1:
@@ -67,8 +67,8 @@ def ref_check_cover_solution(weights, tau, cover_rhs, pools, sizes):
             usage[j] = usage.get(j, ZERO) + w
     for i in sorted(pools):
         covered = cover.get(i, ZERO)
-        if covered < cover_rhs:
-            return False, f"machine {i} cover {covered} < {cover_rhs}"
+        if covered < 1:
+            return False, f"machine {i} cover {covered} < 1"
     for j, used in sorted(usage.items()):
         if used > 1:
             return False, f"job {j} used {used} > 1"
@@ -405,12 +405,12 @@ def stretched(counts, scale, factor):
     return {k: c * factor for k, c in counts.items()}, scale * factor
 
 
-def assert_cover_agrees(weights, tau, cover_rhs, pools, sizes, factor=1):
-    sol = clp_from_weights(weights, tau, cover_rhs)
+def assert_cover_agrees(weights, tau, pools, sizes, factor=1):
+    sol = clp_from_weights(weights, tau)
     counts, scale = stretched(sol.counts, sol.scale, factor)
-    sol = ClpSolution(tau=sol.tau, counts=counts, scale=scale, cover_rhs=sol.cover_rhs)
+    sol = ClpSolution(tau=sol.tau, counts=counts, scale=scale)
     got = check_cover_solution(sol, pools, sizes)
-    assert got == ref_check_cover_solution(weights, F(tau), F(cover_rhs), pools, sizes)
+    assert got == ref_check_cover_solution(weights, F(tau), pools, sizes)
     return got
 
 
@@ -451,8 +451,7 @@ def random_cover_case(rng):
         num = rng.randint(-1 if rng.random() < 0.1 else 0, den + (rng.random() < 0.1))
         cfg = Configuration(jobs=jobs, total_size=sum(sizes[j] for j in jobs))
         weights[(i, cfg)] = F(num, den)
-    cover_rhs = rng.choice([F(1), F(1, 2), F(rng.randint(1, 7), rng.randint(1, 7))])
-    return weights, tau, cover_rhs, pools, sizes
+    return weights, tau, pools, sizes
 
 
 def test_cover_check_matches_rational_reference_on_random_solutions():
@@ -470,21 +469,21 @@ def test_cover_check_matches_rational_reference_on_random_solutions():
 @pytest.mark.parametrize("d", [-1, 0, 1])
 def test_cover_check_boundaries_match_reference(scale, d):
     eps = F(d, scale)
-    one = Configuration(jobs=(0,), total_size=3)
-    pools, sizes, tau = {0: (0,), 1: (0,)}, [3], F(3)
-    # an entry at exactly 0 or 1, and one step either side
+    one, two, three = (Configuration(jobs=(j,), total_size=3) for j in range(3))
+    pools, sizes, tau = {0: (0, 1), 1: (0, 2)}, [3, 3, 3], F(3)
+    # an entry at exactly 0 or 1, and one step either side; job 1 covers
     for w in (eps, 1 + eps):
-        ok, why = assert_cover_agrees({(0, one): w}, tau, F(0), {0: (0,)}, sizes)
+        ok, why = assert_cover_agrees({(0, one): w, (0, two): F(1)}, tau, {0: (0, 1)}, sizes)
         assert ok == (0 <= w <= 1)
-    # a cover exactly at rhs, and one step either side
-    for rhs in (F(1, 2), F(1)):
-        ok, why = assert_cover_agrees(
-            {(0, one): rhs + eps}, tau, rhs, {0: (0,)}, sizes
-        )
-        assert ok == (d >= 0 and rhs + eps <= 1)
-    # usage exactly 1, and one step either side
+    # a cover exactly at 1, and one step either side
     ok, why = assert_cover_agrees(
-        {(0, one): F(1, 2), (1, one): F(1, 2) + eps}, tau, F(1, 3), pools, sizes, factor=3
+        {(0, one): F(1, 2) + eps, (0, two): F(1, 2)}, tau, {0: (0, 1)}, sizes
+    )
+    assert ok == (d >= 0)
+    # usage exactly 1, and one step either side; jobs 1 and 2 cover
+    ok, why = assert_cover_agrees(
+        {(0, one): F(1, 2), (1, one): F(1, 2) + eps, (0, two): F(1), (1, three): F(1)},
+        tau, pools, sizes, factor=3,
     )
     assert ok == (d <= 0)
     if d > 0:
@@ -690,7 +689,7 @@ def test_clustered_branch_matches_rational_reference_on_random_solutions():
         gap, weights = random_clustered_case(rng)
         x = clp_from_weights(weights, gap.tau)
         counts, scale = stretched(x.counts, x.scale, rng.randint(1, 5))
-        x = ClpSolution(tau=x.tau, counts=counts, scale=scale, cover_rhs=x.cover_rhs)
+        x = ClpSolution(tau=x.tau, counts=counts, scale=scale)
         graph, forest, xstar, got = run_clustered(gap, x)
         ref_graph, ref_forest, ref_xstar, want = ref_run_clustered(gap, weights)
         # the same support and the same weights, as counts over x's scale

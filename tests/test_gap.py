@@ -95,7 +95,7 @@ def test_gap_solution_transfers_from_original():
             pruned = prune_to_minimal(cfg.jobs, T, gap.gap_size)
             key = (i, pruned)
             transferred[key] = transferred.get(key, F(0)) + w
-        moved = clp_from_weights(transferred, original.tau, original.cover_rhs)
+        moved = clp_from_weights(transferred, original.tau)
         ok, why = check_cover_solution(moved, machine_pools(inst), gap.gap_size)
         assert ok, f"seed {seed}: {why}"
 
@@ -119,7 +119,7 @@ assert sys.flags.optimize, "not running under -O"
 inst = Instance(machine_count=1, jobs=(JobSpec(size=30, eligible=frozenset([0])), JobSpec(size=1, eligible=frozenset([0]))))
 gap = build_gap_instance(inst, Fraction(13))
 mixed = Configuration(jobs=(0, 1), total_size=14)
-x = ClpSolution(tau=Fraction(13), counts={(0, mixed): 1}, scale=1, cover_rhs=Fraction(1))
+x = ClpSolution(tau=Fraction(13), counts={(0, mixed): 1}, scale=1)
 try:
     classify_machines(gap, classify_jobs(gap), x)
 except GapClassError as exc:

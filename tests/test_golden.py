@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from santaclaus import Instance, JobSpec, generate_random, solve
-from conftest import mixed_instance
+from conftest import mixed_instance, tiny_instance
 
 
 def all_unit_instance():
@@ -24,6 +24,12 @@ def all_unit_instance():
         jobs += [JobSpec(size=1, eligible=frozenset([i])) for _ in range(14 + i)]
     jobs += [JobSpec(size=1, eligible=frozenset(range(3))) for _ in range(2)]
     return Instance(machine_count=3, jobs=tuple(jobs))
+
+
+def one_big_no_upper_instance():
+    """Two machines with 13 private unit jobs each, and a job of size 3 that
+    is big at T = 13 but too small to make machine 0 upper."""
+    return tiny_instance([(1, [0])] * 13 + [(1, [1])] * 13 + [(3, [0])], machines=2)
 
 
 def random_instance(seed):
@@ -88,6 +94,16 @@ GOLDEN = [
         '"counters":{"clp_solves":0,"master_solves":1,'
         '"small_rounded_jobs":45,"t_search_lower":15,'
         '"t_search_upper":15}}',
+    ),
+    (
+        "one-big-no-upper",
+        one_big_no_upper_instance,
+        '{"T":"13/1","branch":"no-upper","min_value":"13/1",'
+        '"certified_ratio_bound":"1/1","owner":{"0":0,"1":0,"2":0,"3":0,"4":0,'
+        '"5":0,"6":0,"7":0,"8":0,"9":0,"10":0,"11":0,"12":0,"13":1,"14":1,'
+        '"15":1,"16":1,"17":1,"18":1,"19":1,"20":1,"21":1,"22":1,"23":1,"24":1,'
+        '"25":1},"counters":{"clp_solves":0,"master_solves":1,'
+        '"small_rounded_jobs":26,"t_search_lower":13,"t_search_upper":13}}',
     ),
 ]
 

@@ -132,9 +132,7 @@ def test_blocked_step_then_augmenting_path():
     gap = build_gap_instance(inst, T)
     low = Configuration(jobs=(0, 1, 2), total_size=3)
     high = Configuration(jobs=(3, 4, 5), total_size=3)
-    xstar = ClpSolution(
-        tau=T, counts={(0, low): 1, (0, high): 1, (1, low): 1}, scale=2, cover_rhs=F(1)
-    )
+    xstar = ClpSolution(tau=T, counts={(0, low): 1, (0, high): 1, (1, low): 1}, scale=2)
     clusters = ClusterSet(
         supers=(),
         saturated=(),
@@ -235,8 +233,7 @@ T = Fraction(13)
 inst = Instance(machine_count=2, jobs=(JobSpec(1, frozenset([0, 1])),) * 6)
 gap = build_gap_instance(inst, T)
 low, high = Configuration(jobs=(0, 1, 2), total_size=3), Configuration(jobs=(3, 4, 5), total_size=3)
-xstar = ClpSolution(tau=T, counts={(0, low): 2, (1, low): 1, (1, high): 1}, scale=2,
-                    cover_rhs=Fraction(1))
+xstar = ClpSolution(tau=T, counts={(0, low): 2, (1, low): 1, (1, high): 1}, scale=2)
 clusters = ClusterSet(supers=(), saturated=(), xstar=xstar, gap=gap,
                       composites=(Composite(machines=(0,), kind="middle"),
                                   Composite(machines=(1,), kind="middle")),

@@ -12,7 +12,7 @@ from santaclaus.instances import (
 )
 from santaclaus.pipeline import solve
 from conftest import mixed_instance, shared_big_instance, tiny_instance
-from test_golden import all_unit_instance
+from test_golden import all_unit_instance, one_big_no_upper_instance
 
 F = Fraction
 
@@ -57,9 +57,7 @@ def test_no_upper_branch_reaches_five_twelfths():
 
 def _record_classification(monkeypatch):
     """Wrap the pipeline's bindings of `classify_machines` and the cover LP
-    and return the list of calls they see: "classify", or the cover LP's
-    right-hand side (1 for the classifying LP over the gap sizes, 1/2 for the
-    no-upper branch's small-only cover)."""
+    and return the list of calls they see, "classify" or "cover"."""
     import santaclaus.pipeline as pipeline
 
     calls = []
@@ -70,7 +68,7 @@ def _record_classification(monkeypatch):
         return classify(*args, **kwargs)
 
     def counted_cover(*args, **kwargs):
-        calls.append(kwargs.get("cover_rhs", 1))
+        calls.append("cover")
         return cover(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "classify_machines", counted_classify)
@@ -78,21 +76,21 @@ def _record_classification(monkeypatch):
     return calls
 
 
-def test_no_big_job_skips_the_classifying_lp(monkeypatch):
-    # with every job below T/12 no machine can be upper, so the solve goes
-    # straight to the small-only cover at rhs 1/2
+def test_no_big_job_rounds_the_classifying_lp(monkeypatch):
+    # with every job below T/12 no machine can be upper; the one cover LP
+    # still classifies, and its solution is what the branch rounds
     calls = _record_classification(monkeypatch)
     inst = tiny_instance([(1, [0])] * 13 + [(1, [1])] * 13 + [(1, [0, 1])] * 2, machines=2)
     report = solve(inst)
     assert report.branch == "no-upper"
     assert all(12 * job.size < report.T for job in inst.jobs)
-    assert calls == [F(1, 2)]
+    assert calls == ["cover", "classify"]
 
 
 def test_no_upper_cover_starts_from_the_t_search_allocation():
-    # the local search's bundles reach T, so the rhs-1/2 cover LP seeded
-    # with them is optimal at its first master solve, prices nothing, and
-    # rounds to an allocation worth T on every machine
+    # the local search's bundles reach T, so the cover LP seeded with them
+    # is optimal at its first master solve, prices nothing, and rounds to an
+    # allocation worth T on every machine
     report = solve(all_unit_instance())
     assert report.branch == "no-upper"
     assert report.counters["clp_solves"] == 0
@@ -102,13 +100,14 @@ def test_no_upper_cover_starts_from_the_t_search_allocation():
 
 def test_one_big_job_still_classifies(monkeypatch):
     # a job of size 3 >= T/12 makes the classifying LP and its split the
-    # only way to tell upper from middle, even when no machine comes out upper
+    # only way to tell upper from middle; no machine comes out upper, and
+    # the branch rounds that same solution without a second LP
     calls = _record_classification(monkeypatch)
-    inst = tiny_instance([(1, [0])] * 13 + [(1, [1])] * 13 + [(3, [0])], machines=2)
-    report = solve(inst)
+    report = solve(one_big_no_upper_instance())
     assert report.T == 13 and 12 * 3 >= report.T
     assert report.branch == "no-upper"
-    assert calls == [1, "classify", F(1, 2)]
+    assert calls == ["cover", "classify"]
+    assert report.counters["master_solves"] == 1
 
 
 def test_super_machine_instance_certifies():

@@ -74,7 +74,7 @@ def test_loss_bound_on_generated_assignments():
         if T == 0:
             continue
         sol = solve_clp_feasibility(inst, T)
-        assignment = clp_to_alp(sol, inst.sizes())
+        assignment = clp_to_alp(sol)
         sizes = inst.sizes()
         values = {}
         max_size = {}
