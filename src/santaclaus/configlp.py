@@ -40,13 +40,18 @@ Every cover LP is the configuration LP: one cover row per machine, cover
 solves it once more at T over the gap instance's sizes; that one solution
 classifies machines and feeds either branch.
 
-The T search bisects only between two bounds that need no LP.  Below: the
-minimum load of a largest-first greedy allocation, improved by a move/swap
-local search.  Above: the largest tau at which the assignment LP clipped at
-tau is feasible, which a max-flow decides exactly; every configuration-LP
-point gives such a flow, so the bound holds, and at tau = 1 the two LPs are
-the same, so the flow also decides whether T >= 1.  When the two bounds
-meet, T costs no LP at all.
+The T search probes only between two bounds that need no LP.  Above: the
+largest tau at which the assignment LP clipped at tau is feasible, which a
+max-flow decides exactly; every configuration-LP point gives such a flow,
+so the bound holds, and at tau = 1 the two LPs are the same, so the flow
+also decides whether T >= 1.  Below: the minimum load of an integral
+allocation, since its bundles, pruned, are a configuration-LP point there.
+A largest-first greedy allocation, improved by a move/swap local search,
+gives the first; while the bounds differ, a depth-first search with a fixed
+node budget looks for one whose minimum load is one higher.  The
+configuration LP's integrality gap is almost always 0, so the first LP
+probe goes just above the lower end, and only a feasible one leads to a
+bisection.  When the two bounds meet, T costs no LP at all.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ from .ratlp import Tableau, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Nodes that all of one T search's integral-search attempts share.
+LOWER_SEARCH_BUDGET = 2000
 
 
 class CoverLpError(RuntimeError):
@@ -479,6 +486,86 @@ def local_search_allocation(inst: Instance, owner: Mapping[int, int]) -> dict[in
                 insort(held[dst], job)
 
 
+def integral_allocation_at(
+    inst: Instance, tau: int, budget: int
+) -> tuple[dict[int, int] | None, int]:
+    """An owner map (job -> machine) with every machine's load >= tau, found
+    by a depth-first search of at most ``budget`` nodes; returns it, or None,
+    with the number of nodes visited.
+
+    Jobs go largest first (ties: lower index).  Each job branches onto its
+    eligible machines still below tau, least loaded first (ties: lower
+    index), and last onto no short machine: the first eligible machine
+    already at tau, or none.  A node is pruned when some short machine,
+    given every undecided job it may take, stays below tau, or when the
+    short machines' total deficit exceeds the undecided jobs' total size.
+    Once no machine is short, each undecided job goes to its first eligible
+    machine.  With an unlimited budget the search is exact: None then means
+    no allocation reaches tau.  A node is one job placed, so the node count
+    and the answer are deterministic.  The stack is explicit, so the depth
+    is not bound by Python's recursion limit.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    m = inst.machine_count
+    order = sorted(
+        (j for j in range(inst.job_count) if inst.jobs[j].eligible),
+        key=lambda j: (-inst.jobs[j].size, j),
+    )
+    size = [inst.jobs[j].size for j in order]
+    eligible = [sorted(inst.jobs[j].eligible) for j in order]
+    tail = list(accumulate(reversed(size), initial=0))[::-1]  # undecided total
+    loads = [0] * m
+    rest = [0] * m  # total size of the undecided jobs each machine may take
+    for s, elig in zip(size, eligible):
+        for i in elig:
+            rest[i] += s
+    deficit = m * tau  # sum over short machines of tau - load
+    if min(rest) < tau or deficit > tail[0]:
+        return None, 0
+
+    def options(k: int) -> list[int | None]:
+        short = [i for i in eligible[k] if loads[i] < tau]
+        short.sort(key=loads.__getitem__)  # stable: ties stay in index order
+        return short + [next((i for i in eligible[k] if loads[i] >= tau), None)]
+
+    nodes = 0
+    stack = [iter(options(0))]  # per depth, the choices not yet tried
+    placed: list[int | None] = []  # per depth, the choice being tried
+    while stack:
+        k = len(stack) - 1
+        s = size[k]
+        elig = eligible[k]
+        if len(placed) > k:  # undo the choice last tried at this depth
+            i = placed.pop()
+            for e in elig:
+                rest[e] += s
+            if i is not None:
+                loads[i] -= s
+                deficit += min(s, max(tau - loads[i], 0))
+        i = next(stack[-1], -1)
+        if i == -1:
+            stack.pop()
+            continue
+        if nodes == budget:
+            return None, nodes
+        nodes += 1
+        for e in elig:
+            rest[e] -= s
+        if i is not None:
+            deficit -= min(s, max(tau - loads[i], 0))
+            loads[i] += s
+        placed.append(i)
+        if deficit > tail[k + 1] or any(loads[e] + rest[e] < tau for e in elig):
+            continue
+        if deficit == 0:
+            owner = {order[q]: c for q, c in enumerate(placed) if c is not None}
+            owner.update((order[q], eligible[q][0]) for q in range(k + 1, len(order)))
+            return dict(sorted(owner.items())), nodes
+        stack.append(iter(options(k + 1)))
+    return None, nodes
+
+
 def assignment_flow_feasibility(inst: Instance) -> Callable[[int], bool]:
     """Whether the assignment LP clipped at tau is feasible, as a predicate
     on tau.
@@ -582,10 +669,11 @@ def find_T_with_seeds(
 
     Integer search is exact: with integer sizes the minimal-configuration
     family is constant on (k, k+1], so feasibility only changes at integers,
-    and it is monotone in tau, so T is unique.  The search bisects a bracket
-    that needs no LP.  Below: the minimum load of `greedy_allocation`
-    improved by `local_search_allocation`, as `verify_allocation` recomputes
-    it; its bundles, pruned, are a feasible point at that tau.  Above: the
+    and it is monotone in tau, so T is unique.  The search works in a
+    bracket that needs no LP.  An allocation's minimum load, as
+    `verify_allocation` recomputes it, is a lower end: its bundles, pruned,
+    are a feasible point at that tau.  The first allocation is
+    `greedy_allocation` improved by `local_search_allocation`.  Above: the
     largest tau in the bracket at which `assignment_flow_feasibility` holds,
     found by bisection, since the flow's feasibility is monotone in tau
     (sum_j min(p_j, tau) - |M'| tau is concave for every machine subset M').
@@ -594,11 +682,18 @@ def find_T_with_seeds(
     and runs only when the bracket is open.  At tau = 1 every minimal
     configuration is a single job, so both LPs are the same bipartite
     matching LP there: a flow bound of 0 closes the bracket at T = 0, and
-    one >= 1 raises a lower end of 0 to 1.  The allocation's bundles and the
-    columns found at each feasible tau seed the master at the next probe,
-    re-pruned.  ``counters`` gets the bracket (``t_search_lower``,
-    ``t_search_upper``) and the number of LP probes (``clp_solves``, 0 when
-    the bracket is closed).
+    one >= 1 raises a lower end of 0 to 1.  While the bracket is open,
+    `integral_allocation_at` tries the lower end plus one, all attempts
+    sharing ``LOWER_SEARCH_BUDGET`` nodes; each allocation it finds replaces
+    the last and raises the lower end to its minimum load, which must stay
+    within the bracket.  The integrality gap is almost always 0, so the LP
+    then probes the lower end plus one first: infeasible there, T is the
+    lower end; otherwise it bisects the rest of the bracket.  The last
+    allocation's bundles and the columns found at each feasible tau seed the
+    master at the next probe, re-pruned.  ``counters`` gets the bracket
+    (``t_search_lower``, ``t_search_upper``, after the integral search), the
+    integral search's nodes (``lower_search_nodes``) and the number of LP
+    probes (``clp_solves``, 0 when the bracket closes before any probe).
     """
     pools = machine_pools(inst)
     sizes = inst.sizes()
@@ -614,8 +709,23 @@ def find_T_with_seeds(
     if lo < hi:
         hi = _largest_holding(lo, hi, assignment_flow_feasibility(inst))
     lo = max(lo, min(hi, 1))
+    spent = 0
+    while lo < hi:
+        found, nodes = integral_allocation_at(inst, lo + 1, LOWER_SEARCH_BUDGET - spent)
+        spent += nodes
+        if found is None:
+            break
+        owner = found
+        load = int(verify_allocation(inst, Allocation(owner=owner, min_value=ZERO)))
+        if not lo < load <= hi:
+            raise CoverLpError(
+                f"T search lower end out of range: integral search {load} "
+                f"not in ({lo}, {hi}]"
+            )
+        lo = load
     if counters is not None:
         counters.setdefault("clp_solves", 0)
+        counters["lower_search_nodes"] = spent
         counters["t_search_lower"] = lo
         counters["t_search_upper"] = hi
     bundles: dict[int, list[int]] = {i: [] for i in pools}
@@ -635,12 +745,15 @@ def find_T_with_seeds(
             seeds[i].add(cfg.jobs)
         return True
 
-    return _largest_holding(lo, hi, feasible), seeds
+    if lo < hi and feasible(lo + 1):
+        lo = _largest_holding(lo + 1, hi, feasible)
+    return lo, seeds
 
 
 def _largest_holding(lo: int, hi: int, holds) -> int:
     """Bisection: the largest tau in [lo, hi] at which ``holds``, a predicate
-    that holds at lo and is monotone (true up to some tau, false above)."""
+    that is monotone (true up to some tau, false above) and known, without
+    a call, to hold at lo."""
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if holds(mid):

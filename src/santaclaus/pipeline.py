@@ -3,7 +3,7 @@
 The pipeline computes the largest threshold T with a feasible configuration
 LP, reshapes the instance through the 12-gap, solves the gap instance's
 configuration LP at T once (its master starts from the T search's columns,
-the local-search allocation's bundles among them), and classifies machines
+the bundles of its best allocation among them), and classifies machines
 by where that covering weight sits.  Then it branches on the same solution:
 
 * no upper-class machines: every machine carries small-bundle weight of at

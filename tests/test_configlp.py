@@ -8,6 +8,7 @@ from santaclaus.configlp import (
     find_T,
     find_T_with_seeds,
     greedy_allocation,
+    integral_allocation_at,
     is_minimal,
     local_search_allocation,
     machine_pools,
@@ -507,7 +508,9 @@ def test_closed_bracket_makes_no_probe_and_certifies():
     # an uncoverable machine closes the bracket at 0, still with the counter
     trivial = solve(tiny_instance([(5, [0])], machines=2))
     assert trivial.branch == "trivial"
-    assert trivial.counters == {"clp_solves": 0, "t_search_lower": 0, "t_search_upper": 0}
+    assert trivial.counters == {
+        "clp_solves": 0, "lower_search_nodes": 0, "t_search_lower": 0, "t_search_upper": 0
+    }
 
 
 def test_inverted_bracket_raises_under_python_O():
@@ -541,6 +544,130 @@ else:
     )
     assert proc.returncode == 0, proc.stderr
     assert "raised: T search bracket is inverted: greedy 1000000 > upper bound" in proc.stdout
+
+
+def test_integral_search_matches_exact_optimum():
+    from random import Random
+
+    rng = Random(19)
+    found = refused = 0
+    for _ in range(60):
+        shapes = list(bracket_shapes(rng))
+        shapes.append(generate_random(
+            m=rng.randint(1, 4), n=rng.randint(1, 8), max_size=12,
+            density=F(rng.randint(1, 3), 4), seed=rng.getrandbits(32),
+        ))
+        for inst in shapes:
+            opt = int(exact_optimum(inst))
+            for tau in range(1, opt + 3):
+                owner, nodes = integral_allocation_at(inst, tau, 10**9)
+                if tau <= opt:
+                    assert owner is not None, (inst, tau)
+                    value = verify_allocation(inst, Allocation(owner=owner, min_value=F(0)))
+                    assert value >= tau, (inst, tau)
+                    found += 1
+                else:
+                    assert owner is None, (inst, tau)
+                    refused += 1
+    assert min(found, refused) >= 300, (found, refused)
+
+
+def test_integral_search_budget_is_exact_and_deterministic():
+    inst = generate_random(m=4, n=14, max_size=20, density=F(1, 2), seed=10)
+    owner, nodes = integral_allocation_at(inst, 31, 10**9)
+    assert owner is not None and nodes == 81
+    # one node short of the search's path: None, after exactly the budget
+    assert integral_allocation_at(inst, 31, 80) == (None, 80)
+    assert integral_allocation_at(inst, 31, 80) == (None, 80)
+    assert integral_allocation_at(inst, 31, 81) == (owner, 81)
+
+
+def test_integral_search_is_not_bound_by_recursion_depth():
+    # every one of 2,000 jobs is placed before both machines reach tau, so
+    # the search is 2,000 deep: a recursive one would pass Python's limit
+    inst = tiny_instance([(1, [0, 1])] * 2000, machines=2)
+    owner, nodes = integral_allocation_at(inst, 1000, 10**9)
+    assert nodes == 2000
+    assert verify_allocation(inst, Allocation(owner=owner, min_value=F(0))) == 1000
+
+
+def test_lower_end_above_upper_bound_raises_under_python_O():
+    # an integral allocation the verifier "confirms" above the flow bound
+    # must stop the search with a named error, not be clipped to the bound
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+from fractions import Fraction
+import santaclaus.configlp as clp
+from santaclaus.instances import generate_random
+assert sys.flags.optimize, "not running under -O"
+real = clp.verify_allocation
+calls = []
+def verify(inst, alloc):
+    calls.append(alloc)
+    return real(inst, alloc) if len(calls) == 1 else Fraction(10**6)
+clp.verify_allocation = verify
+inst = generate_random(m=4, n=14, max_size=20, density=Fraction(1, 2), seed=10)
+try:
+    clp.find_T(inst)
+except clp.CoverLpError as exc:
+    print("raised:", exc)
+else:
+    sys.exit("the lower end above the upper bound went unnoticed")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (
+        "raised: T search lower end out of range: integral search 1000000 not in (28, 31]"
+        in proc.stdout
+    )
+
+
+def test_first_probe_is_just_above_the_lower_end(monkeypatch):
+    import santaclaus.configlp as clp
+    from random import Random
+
+    real = clp.solve_clp_feasibility
+    probes = []
+
+    def recording(inst, tau, **kwargs):
+        sol = real(inst, tau, **kwargs)
+        probes.append((tau, sol is not None))
+        return sol
+
+    monkeypatch.setattr(clp, "solve_clp_feasibility", recording)
+    rng = Random(7)
+    budget = clp.LOWER_SEARCH_BUDGET
+    at_lower = above_lower = 0
+    for k in range(80):
+        # without the integral search, the local search's lower end often
+        # sits below T
+        monkeypatch.setattr(clp, "LOWER_SEARCH_BUDGET", budget * (k % 2))
+        for inst in bracket_shapes(rng):
+            probes.clear()
+            counters = {}
+            T, _ = find_T_with_seeds(inst, counters)
+            lo, hi = counters["t_search_lower"], counters["t_search_upper"]
+            assert counters["clp_solves"] == len(probes)
+            if lo == hi:
+                assert probes == []
+                continue
+            assert probes[0][0] == lo + 1, inst
+            if T == lo:
+                # one infeasible probe, and nothing else
+                assert probes == [(lo + 1, False)], inst
+                at_lower += 1
+            else:
+                above_lower += 1
+    assert min(at_lower, above_lower) >= 10, (at_lower, above_lower)
 
 
 # ------------------------------------------------------------- clp -> alp

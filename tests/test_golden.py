@@ -3,9 +3,9 @@
 A change meant only to make the solver faster must not move the answer: the
 same T, branch, allocation, minimum value and ratio bound, byte for byte.
 The counters count the work done (T-search probes, master solves, the
-search's bracket), so a change to the search may move them, and nothing
-else.  The strings below were recorded from the solver and are compared
-verbatim.
+search's bracket, the lower search's nodes), so a change to the search may
+move them, and nothing else.  The strings below were recorded from the
+solver and are compared verbatim.
 """
 
 from fractions import Fraction
@@ -42,8 +42,8 @@ GOLDEN = [
         lambda: random_instance(0),
         '{"T":"33/1","branch":"clustered","min_value":"13/1",'
         '"certified_ratio_bound":"33/13","owner":{"0":1,"1":3,"2":2,"7":0},'
-        '"counters":{"clp_solves":2,"composites":0,"master_solves":11,'
-        '"matching_steps":0,"saturated":4,"supers":0,'
+        '"counters":{"clp_solves":1,"composites":0,"lower_search_nodes":94,'
+        '"master_solves":6,"matching_steps":0,"saturated":4,"supers":0,'
         '"t_search_lower":33,"t_search_upper":36}}',
     ),
     (
@@ -51,8 +51,8 @@ GOLDEN = [
         lambda: random_instance(3),
         '{"T":"23/1","branch":"clustered","min_value":"5/1",'
         '"certified_ratio_bound":"23/5","owner":{"0":3,"1":0,"3":2,"6":1},'
-        '"counters":{"clp_solves":0,"composites":0,"master_solves":1,'
-        '"matching_steps":0,"saturated":4,"supers":0,'
+        '"counters":{"clp_solves":0,"composites":0,"lower_search_nodes":0,'
+        '"master_solves":1,"matching_steps":0,"saturated":4,"supers":0,'
         '"t_search_lower":23,"t_search_upper":23}}',
     ),
     (
@@ -60,8 +60,8 @@ GOLDEN = [
         lambda: random_instance(4),
         '{"T":"31/1","branch":"clustered","min_value":"5/1",'
         '"certified_ratio_bound":"31/5","owner":{"0":1,"1":0,"2":2,"3":3},'
-        '"counters":{"clp_solves":1,"composites":0,"master_solves":6,'
-        '"matching_steps":0,"saturated":4,"supers":0,'
+        '"counters":{"clp_solves":1,"composites":0,"lower_search_nodes":56,'
+        '"master_solves":6,"matching_steps":0,"saturated":4,"supers":0,'
         '"t_search_lower":31,"t_search_upper":32}}',
     ),
     (
@@ -69,18 +69,18 @@ GOLDEN = [
         lambda: random_instance(10),
         '{"T":"31/1","branch":"clustered","min_value":"6/1",'
         '"certified_ratio_bound":"31/6","owner":{"0":3,"3":0,"5":2,"7":1},'
-        '"counters":{"clp_solves":2,"composites":0,"master_solves":5,'
-        '"matching_steps":0,"saturated":4,"supers":0,'
-        '"t_search_lower":28,"t_search_upper":31}}',
+        '"counters":{"clp_solves":0,"composites":0,"lower_search_nodes":115,'
+        '"master_solves":1,"matching_steps":0,"saturated":4,"supers":0,'
+        '"t_search_lower":31,"t_search_upper":31}}',
     ),
     (
         "mixed-composite",
         lambda: mixed_instance(4, m=3, nbig=2, nsmall=14),
         '{"T":"14/1","branch":"clustered","min_value":"3/1",'
         '"certified_ratio_bound":"14/3","owner":{"0":1,"1":2,"2":0,"3":0,"4":0},'
-        '"counters":{"clp_solves":2,"composites":1,"master_solves":3,'
-        '"matching_steps":1,"saturated":2,"supers":0,'
-        '"t_search_lower":11,"t_search_upper":14}}',
+        '"counters":{"clp_solves":0,"composites":1,"lower_search_nodes":15,'
+        '"master_solves":1,"matching_steps":1,"saturated":2,"supers":0,'
+        '"t_search_lower":14,"t_search_upper":14}}',
     ),
     (
         "all-unit-no-upper",
@@ -91,7 +91,7 @@ GOLDEN = [
         '"16":1,"17":1,"18":1,"19":1,"20":1,"21":1,"22":1,"23":1,"24":1,"25":1,'
         '"26":1,"27":1,"28":1,"30":2,"31":2,"32":2,"33":2,"34":2,"35":2,"36":2,'
         '"37":2,"38":2,"39":2,"40":2,"41":2,"42":2,"43":2,"44":2,"45":0,"46":0},'
-        '"counters":{"clp_solves":0,"master_solves":1,'
+        '"counters":{"clp_solves":0,"lower_search_nodes":0,"master_solves":1,'
         '"small_rounded_jobs":45,"t_search_lower":15,'
         '"t_search_upper":15}}',
     ),
@@ -102,8 +102,9 @@ GOLDEN = [
         '"certified_ratio_bound":"1/1","owner":{"0":0,"1":0,"2":0,"3":0,"4":0,'
         '"5":0,"6":0,"7":0,"8":0,"9":0,"10":0,"11":0,"12":0,"13":1,"14":1,'
         '"15":1,"16":1,"17":1,"18":1,"19":1,"20":1,"21":1,"22":1,"23":1,"24":1,'
-        '"25":1},"counters":{"clp_solves":0,"master_solves":1,'
-        '"small_rounded_jobs":26,"t_search_lower":13,"t_search_upper":13}}',
+        '"25":1},"counters":{"clp_solves":0,"lower_search_nodes":0,'
+        '"master_solves":1,"small_rounded_jobs":26,"t_search_lower":13,'
+        '"t_search_upper":13}}',
     ),
 ]
 
@@ -170,7 +171,7 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "571297941c0dc6b06278cdcac76207445ab42fa06104f5dad69d2e40f2f46c03"
+BATCH_DIGEST = "60bec6c55d22db42d586fe9c7c776704b9b0d0302407a549fd562099add220b7"
 
 
 def batch_digest():
