@@ -10,9 +10,8 @@ Solving works by column generation over one restricted master per cover LP
 call.  The master is an exact, fraction-free simplex tableau
 (`ratlp.Tableau`), written in one pass from the warm-start columns and kept
 for the whole call: pricing's improving columns are appended to it as
-B^-1 a at their place in the master's logical column order, a job's row
-enters with the first column that uses the job, and each round
-re-optimises from the previous optimal basis.  Pricing is a
+B^-1 a, a job's row enters with the first column that uses the job, and
+each round re-optimises from the previous optimal basis.  Pricing is a
 minimum-knapsack dynamic program over the master's dual values: a column
 prices in exactly when its jobs' dual cost is below the machine's cover
 dual.  The master hands out its duals as integers, scaled by its basis
@@ -26,14 +25,14 @@ shortfall objective is a proof of infeasibility, not a numeric judgement
 call.
 
 A solution leaves the master as it holds it: integer counts over one scale,
-the master's ``det * bden`` (`ClpSolution`), and no reader turns them back
+the master's ``det`` (`ClpSolution`), and no reader turns them back
 into rationals.  Its postcondition (`check_cover_solution`), the collapse to
 a job-level assignment (`clp_to_alp`, whose `FractionalAssignment` keeps the
 same scale), the T search's seed harvest, the classification, clustering
 and the composite cover check (`check_mclp`) all compare integer sums
 against thresholds multiplied by the scale; a `Fraction` is built only for
-an error message.  Bundle totals are integers too, so every minimality test
-compares them with ceil(tau), computed once per cover LP.
+an error message.  Bundle totals are integers, and so is the tau a cover LP
+is solved at, so every minimality test compares integers.
 
 Every cover LP is the configuration LP: one cover row per machine, cover
 >= 1.  The T search probes it over the instance's sizes, and the pipeline
@@ -56,7 +55,7 @@ bisection.  When the two bounds meet, T costs no LP at all.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -67,7 +66,6 @@ from .rat import ceil_frac
 from .ratlp import Tableau, solve_lp
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 # Nodes that all of one T search's integral-search attempts share.
 LOWER_SEARCH_BUDGET = 2000
 
@@ -200,11 +198,11 @@ class ClpSolution:
     """Feasible point of a covering LP: (machine, configuration) -> weight.
 
     Weight ``counts[key] / scale``: integer counts over one positive scale,
-    the master's ``det * bden``, which every reader compares against
-    thresholds multiplied by the scale.
+    the master's ``det``, which every reader compares against thresholds
+    multiplied by the scale.
     """
 
-    tau: Fraction
+    tau: int
     counts: dict[tuple[int, Configuration], int]
     scale: int
 
@@ -252,11 +250,12 @@ def check_cover_solution(
 def solve_cover_lp(
     pools: Mapping[int, Sequence[int]],
     sizes: Sequence[int],
-    tau: Fraction,
+    tau: int,
     seeds: Mapping[int, Iterable[tuple[int, ...]]] | None = None,
     counters: dict[str, int] | None = None,
 ) -> ClpSolution | None:
-    """Column generation for the covering LP; None means certified infeasible.
+    """Column generation for the covering LP at the integer threshold
+    ``tau``; None means certified infeasible.
 
     Every machine in ``pools`` gets one cover row, ``>= 1``, in machine
     order; ``pools[i]`` lists the jobs machine i may bundle
@@ -264,24 +263,23 @@ def solve_cover_lp(
     LP infeasible.  ``seeds`` optionally warm-start the master with job
     bundles re-pruned to minimality at this tau.
     """
-    tau = Fraction(tau)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    need = ceil_frac(tau)
     machines = sorted(pools)
     cover_row = {i: r for r, i in enumerate(machines)}
 
-    # The master keeps one tableau for the whole call.  Its columns are, in
-    # logical order: shortfall a_i, excess e_i, the configurations in
-    # creation order, then job slacks s_j by job id.  Every row is an
+    # The master keeps one tableau for the whole call.  Its columns are, by
+    # id: shortfall a_i, excess e_i, the warm-start configurations, the
+    # warm-start jobs' slacks s_j by job id, then each priced configuration
+    # followed by the slacks of the jobs it brings in.  Every row is an
     # equality whose own a_i or s_j is a unit column, so the master starts on
     # that identity basis (feasible, no phase 1) and the tableau columns of
     # a_i and s_j always hold B^-1: a priced column enters as B^-1 a, and the
     # row of a job seen for the first time touches only new, nonbasic
     # columns, so it enters as written with s_j basic.  Each round then
     # re-optimises from the previous optimal basis.  Pivot tie-breaks read
-    # the logical order, so each solve pivots exactly as a solve of the same
-    # master written out from scratch in that order, on that basis, would.
+    # the column id, so each solve pivots exactly as a solve of the same
+    # master written out from scratch, on that basis, would.
     nrows = len(machines)
     base = 2 * nrows
 
@@ -296,20 +294,20 @@ def solve_cover_lp(
             for jobs in sorted(set(tuple(sorted(js)) for js in seeds[i])):
                 if not set(jobs) <= pool:
                     continue
-                if sum(sizes[j] for j in jobs) >= need:
-                    start[(i, prune_to_minimal(jobs, need, sizes))] = None
+                if sum(sizes[j] for j in jobs) >= tau:
+                    start[(i, prune_to_minimal(jobs, tau, sizes))] = None
     for i in machines:
         pool = sorted(pools[i])
-        if pool and sum(sizes[j] for j in pool) >= need:
-            start[(i, prune_to_minimal(pool, need, sizes))] = None
+        if pool and sum(sizes[j] for j in pool) >= tau:
+            start[(i, prune_to_minimal(pool, tau, sizes))] = None
 
     # The warm-start master in one pass: cover rows in machine order, then
     # one row per job some start column uses, by job id.
     job_rows = sorted({j for _, cfg in start for j in cfg.jobs})  # jobs with a row
     row_of = {j: nrows + k for k, j in enumerate(job_rows)}
     first_slack = base + len(start)
-    rows = [({r: 1, nrows + r: -1}, ONE, r) for r in range(nrows)]
-    rows += [({first_slack + k: 1}, ONE, first_slack + k) for k in range(len(job_rows))]
+    rows = [({r: 1, nrows + r: -1}, 1, r) for r in range(nrows)]
+    rows += [({first_slack + k: 1}, 1, first_slack + k) for k in range(len(job_rows))]
     column_of: dict[tuple[int, Configuration], int] = {}  # in creation order
     for col, (i, cfg) in enumerate(start, base):
         column_of[(i, cfg)] = col
@@ -321,13 +319,11 @@ def solve_cover_lp(
     def add_column(i: int, cfg: Configuration) -> None:
         entries = {row_of[j]: 1 for j in cfg.jobs if j in row_of}
         entries[cover_row[i]] = 1
-        col = column_of[(i, cfg)] = master.insert_column(base + len(column_of), entries)
+        col = column_of[(i, cfg)] = master.insert_column(entries)
         for j in cfg.jobs:
             if j not in row_of:
-                k = bisect_left(job_rows, j)
-                job_rows.insert(k, j)
-                slack = master.insert_column(base + len(column_of) + k, {})
-                row_of[j] = master.add_row({col: 1, slack: 1}, ONE, basic=slack)
+                slack = master.insert_column({})
+                row_of[j] = master.add_row({col: 1, slack: 1}, 1, basic=slack)
 
     while True:
         if counters is not None:
@@ -363,7 +359,7 @@ def solve_cover_lp(
             return None
         xs = sol.xs
         counts = {key: xs[col] for key, col in column_of.items() if xs[col]}
-        result = ClpSolution(tau=tau, counts=counts, scale=sol.det * sol.bden)
+        result = ClpSolution(tau=tau, counts=counts, scale=sol.det)
         ok, why = check_cover_solution(result, pools, sizes)
         if not ok:
             raise CoverLpError(f"cover LP postcondition violated: {why}")
@@ -376,7 +372,7 @@ def machine_pools(inst: Instance) -> dict[int, tuple[int, ...]]:
 
 def solve_clp_feasibility(
     inst: Instance,
-    tau: Fraction,
+    tau: int,
     pools: Mapping[int, Sequence[int]] | None = None,
     sizes: Sequence[int] | None = None,
     seeds: Mapping[int, Iterable[tuple[int, ...]]] | None = None,
@@ -737,7 +733,7 @@ def find_T_with_seeds(
         if counters is not None:
             counters["clp_solves"] += 1
         sol = solve_clp_feasibility(
-            inst, Fraction(tau), pools=pools, sizes=sizes, seeds=seeds, counters=counters
+            inst, tau, pools=pools, sizes=sizes, seeds=seeds, counters=counters
         )
         if sol is None:
             return False

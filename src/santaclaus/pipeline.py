@@ -135,7 +135,7 @@ def solve(inst: Instance) -> SolveReport:
     gap = build_gap_instance(inst, T)
     job_classes = classify_jobs(gap)
     x = solve_clp_feasibility(
-        inst, T, pools=machine_pools(inst), sizes=gap.gap_size, seeds=seeds, counters=counters
+        inst, T_int, pools=machine_pools(inst), sizes=gap.gap_size, seeds=seeds, counters=counters
     )
     if x is None:
         raise PipelineError("gap-instance cover LP infeasible at T; T search bug")

@@ -7,6 +7,7 @@ There is deliberately no float anywhere in the pipeline.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Hashable, Mapping, TypeVar
@@ -21,18 +22,13 @@ def rat_to_str(x: int | Fraction) -> str:
 
 
 def rat_from_str(text: str) -> Fraction:
-    """Parse a ``"p/q"`` rational; the denominator must be positive."""
-    num, sep, den = text.partition("/")
-    if not sep:
+    """Parse a ``"p/q"`` rational: p an optional minus and ASCII digits, q
+    ASCII digits, both without leading zeros, and q positive."""
+    # int() would also read " 3", "+3", "03", "3_0" or non-ASCII digits.
+    if not re.fullmatch("-?(0|[1-9][0-9]*)/[1-9][0-9]*", text):
         raise ValueError(f"expected 'p/q' rational, got {text!r}")
-    try:
-        n = int(num)
-        d = int(den)
-    except ValueError as exc:
-        raise ValueError(f"expected 'p/q' rational, got {text!r}") from exc
-    if d <= 0:
-        raise ValueError(f"denominator must be positive in {text!r}")
-    return Fraction(n, d)
+    num, den = text.split("/")
+    return Fraction(int(num), int(den))
 
 
 def ceil_frac(x: int | Fraction) -> int:

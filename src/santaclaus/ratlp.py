@@ -1,7 +1,7 @@
 """Exact linear programming: primal simplex on kept fraction-free tableaus.
 
 Every LP in the package reads ``maximize c.x  s.t.  rows, x >= 0`` with
-integer coefficients and costs and a non-negative rational right-hand side
+integer coefficients and costs and a non-negative integer right-hand side
 on every row, and is solved as a `Tableau`: an equality-form LP kept in
 basic form, which starts on an identity basis of unit columns and so never
 needs a phase 1.  It comes from one of two places:
@@ -10,36 +10,33 @@ needs a phase 1.  It comes from one of two places:
   keeps it between solves, adding each priced column as B^-1 a and each new
   row in basic form, and `solve_lp` re-optimises from the basis the previous
   solve left;
-* `solve_feasibility` takes a `LinearProgram` of ``<=`` and ``>=`` rows and
-  builds the same kind of tableau with `Tableau.from_rows`: a slack or
-  surplus column per row and a shortfall column of cost -1 per ``>=`` row,
-  each row basic on its slack or its shortfall.  The rows are feasible
-  exactly when the least total shortfall, the optimum, is 0.
+* `solve_feasibility` takes a `LinearProgram` of ``<=`` and ``>=`` rows with
+  rational right-hand sides, scales each row by its right-hand side's
+  denominator, and builds the same kind of tableau with `Tableau.from_rows`:
+  a slack or surplus column per row and a shortfall column of cost -1 per
+  ``>=`` row, each row basic on its slack or its shortfall.  The rows are
+  feasible exactly when the least total shortfall, the optimum, is 0.
 
 The tableau is fraction-free (Edmonds/Bareiss integer-preserving
-Gauss-Jordan): it holds the integers ``det * B^-1 [A | b * bden]``, where
-``det = |det B|`` and ``bden`` is the common denominator of the right-hand
-side, and each pivot divides exactly by the previous determinant.  Every
-reduced-cost sign and ratio-test comparison reads the same as over the
-rationals ``B^-1 [A | b]``, so pivoting is deterministic and identical to an
-exact-rational simplex (Dantzig entering, falling back to Bland's
-anti-cycling rule).
+Gauss-Jordan): it holds the integers ``det * B^-1 [A | b]``, where
+``det = |det B|``, and each pivot divides exactly by the previous
+determinant.  Every reduced-cost sign and ratio-test comparison reads the
+same as over the rationals ``B^-1 [A | b]``, so pivoting is deterministic
+and identical to an exact-rational simplex (Dantzig entering, falling back
+to Bland's anti-cycling rule).
 
-Columns are appended to the tableau in the order they arrive, so adding one
-costs an append per row and never renumbers the basis.  The caller names
-each column's place in a logical order, and every tie-break (Dantzig's and
-Bland's entering column, the ratio test's smallest basic variable) reads
-that order: a kept master pivots exactly as the same LP written out in
-logical order would.
+A column is known by its id, the order it arrived in, and every tie-break
+(Dantzig's and Bland's entering column, the ratio test's smallest basic
+variable) reads the column id.  Columns are appended, so adding one costs
+an append per row and never renumbers the basis.
 
-An optimal `LpSolution` carries integers: ``x * det * bden`` and
-``y * det``.  Column-generation pricing compares signs on those directly,
-and the cover LP hands its ``xs`` on with the scale ``det * bden`` as
-integer weights to every reader downstream; the `fractions.Fraction`
-values are built only when read.  Dual values drive pricing, so every
-optimal solve checks the original rows exactly and checks strong duality,
-over integers, and raises `LpError` (not an ``assert``, which ``python -O``
-strips) when either fails.
+An optimal `LpSolution` carries integers: ``x * det`` and ``y * det``.
+Column-generation pricing compares signs on those directly, and the cover
+LP hands its ``xs`` on with the scale ``det`` as integer weights to every
+reader downstream; the `fractions.Fraction` values are built only when
+read.  Dual values drive pricing, so every optimal solve checks the
+original rows exactly and checks strong duality, over integers, and raises
+`LpError` (not an ``assert``, which ``python -O`` strips) when either fails.
 
 The tableau's rows are stored dense, but the work follows the nonzeros:
 `Tableau.from_rows` writes each row of A once, a column added later is a
@@ -57,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
 from operator import itemgetter
 from typing import Mapping
 
@@ -86,10 +82,9 @@ def _integer(a, what: str) -> int:
     return f.numerator
 
 
-def _rhs(b) -> Fraction:
-    if type(b) is not Fraction:
-        b = Fraction(b)
-    if b.numerator < 0:
+def _rhs(b) -> int:
+    b = _integer(b, "right-hand side")
+    if b < 0:
         raise ValueError("right-hand side must be non-negative")
     return b
 
@@ -109,7 +104,9 @@ class LinearProgram:
     def add_constraint(self, coeffs: Mapping[int, int], relation: str, rhs) -> None:
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        rhs = _rhs(rhs)
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            raise ValueError("right-hand side must be non-negative")
         row = {}
         for v, a in coeffs.items():
             if v < 0 or v >= self.variable_count:
@@ -124,10 +121,10 @@ class LinearProgram:
 class LpSolution:
     """A solve's outcome; an optimal one holds integers over a common scale.
 
-    ``xs`` holds ``x * det * bden`` per column and ``objective`` holds
-    ``c.x * det * bden``; ``ys`` holds ``y * det`` per row.  The rational
-    `values` are built on first read, so a caller that only compares signs
-    never makes a `Fraction`.
+    ``xs`` holds ``x * det`` per column, ``objective`` holds ``c.x * det``
+    and ``ys`` holds ``y * det`` per row.  The rational `values` are built
+    on first read, so a caller that only compares signs never makes a
+    `Fraction`.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -135,7 +132,6 @@ class LpSolution:
     objective: int | None = None
     ys: tuple[int, ...] | None = None
     det: int = 1
-    bden: int = 1
 
     @property
     def is_optimal(self) -> bool:
@@ -151,16 +147,16 @@ class LpSolution:
     def values(self) -> tuple[Fraction, ...] | None:
         if self.xs is None:
             return None
-        scale = self.det * self.bden
-        return tuple([Fraction(v, scale) if v else ZERO for v in self.xs])
+        det = self.det
+        return tuple([Fraction(v, det) if v else ZERO for v in self.xs])
 
 
 class Tableau:
     """``maximize cost.x  s.t.  A x = b, x >= 0``, kept in basic form.
 
     ``rows`` hold the integers ``det * B^-1 A`` and ``xb`` the integers
-    ``det * B^-1 b * bden``, with ``det = |det B| > 0`` and ``bden`` the
-    common denominator of ``b``.  Every row owns a unit column: one whose
+    ``det * B^-1 b``, with ``det = |det B| > 0`` and ``b`` an integer
+    right-hand side.  Every row owns a unit column: one whose
     original column is the unit vector of that row.  Its tableau column is
     therefore ``det`` times the row's column of B^-1, which brings a column
     inserted later into basic form (B^-1 a) and reads the row's dual off the
@@ -168,11 +164,10 @@ class Tableau:
 
     A column is known by its id, the order it arrived in: ``columns``,
     ``cost`` and every row are indexed by id, and a new column is appended,
-    so ``basis`` and ``unit`` never shift.  The caller still names each
-    column's position in a logical order, kept in ``order`` (ids, logically
-    first to last), and every pivot tie-break reads that order, so pivots do
-    not depend on when a column arrived.  Rows are appended, since no pivot
-    rule reads row order.
+    so ``basis`` and ``unit`` never shift.  Every pivot tie-break reads the
+    column id, so a tableau grown column by column pivots exactly as the
+    same LP written out by `from_rows` in id order.  Rows are appended,
+    since no pivot rule reads row order.
 
     `from_rows` builds a tableau on the identity basis in one pass;
     `insert_column` and `add_row` serve the columns and rows that arrive
@@ -181,34 +176,30 @@ class Tableau:
 
     def __init__(self) -> None:
         self.rows: list[list[int]] = []  # det * B^-1 A, by column id
-        self.xb: list[int] = []  # per row, det * B^-1 b * bden
+        self.xb: list[int] = []  # per row, det * B^-1 b
         self.det = 1  # |det B|
-        self.bden = 1  # common denominator of the rhs
         self.basis: list[int] = []  # per row, the column basic there
         self.basic: set[int] = set()  # the same columns, as a set
         self.unit: list[int] = []  # per row, its unit column
-        self.rhs: list[Fraction] = []  # per row, the original b
+        self.rhs: list[int] = []  # per row, the original b
         self.columns: list[dict[int, int]] = []  # original A, row -> a
         self.cost: list[int] = []
-        self.order: list[int] = []  # column ids in logical order
 
     @classmethod
     def from_rows(cls, cost, rows) -> "Tableau":
         """The tableau of ``maximize cost.x  s.t.  rows, x >= 0`` on the
         identity basis of its rows' basic columns.
 
-        ``cost`` lists the integer column costs in logical order, so column
-        ids are logical positions.  Each row is a triple ``(coeffs, rhs,
-        basic)``: integer coefficients by column id, a right-hand side >= 0,
-        and the column basic in the row, which must have coefficient 1 there
-        and no entry in any other row.  Then B = I and ``det`` is 1, so the
-        tableau rows are the rows of A and ``xb`` is ``b * bden``, written
-        in one pass.
+        ``cost`` lists the integer column costs by column id.  Each row is a
+        triple ``(coeffs, rhs, basic)``: integer coefficients by column id,
+        an integer right-hand side >= 0, and the column basic in the row,
+        which must have coefficient 1 there and no entry in any other row.
+        Then B = I and ``det`` is 1, so the tableau rows are the rows of A
+        and ``xb`` is ``b``, written in one pass.
         """
         t = cls()
         n = len(cost)
         t.cost = [_integer(c, "cost") for c in cost]
-        t.order = list(range(n))
         t.columns = columns = [{} for _ in range(n)]
         for r, (coeffs, rhs, basic) in enumerate(rows):
             t.rhs.append(_rhs(rhs))
@@ -220,8 +211,7 @@ class Tableau:
         for r, basic in enumerate(t.basis):
             if columns[basic] != {r: 1}:
                 raise ValueError("a row's basic column must be a unit column of that row only")
-        t.bden = bden = lcm(*[b.denominator for b in t.rhs])
-        t.xb = [b.numerator * (bden // b.denominator) for b in t.rhs]
+        t.xb = list(t.rhs)
         t.basic = set(t.basis)
         t.unit = list(t.basis)
         return t
@@ -231,7 +221,7 @@ class Tableau:
         return len(self.columns)
 
     @property
-    def constraints(self) -> list[tuple[dict[int, int], str, Fraction]]:
+    def constraints(self) -> list[tuple[dict[int, int], str, int]]:
         """The original rows, as equalities over every column id."""
         rows: list[dict[int, int]] = [{} for _ in self.rhs]
         for c, col in enumerate(self.columns):
@@ -239,10 +229,10 @@ class Tableau:
                 rows[r][c] = a
         return [(row, "=", b) for row, b in zip(rows, self.rhs)]
 
-    def insert_column(self, pos: int, coeffs: Mapping[int, int], cost=0) -> int:
-        """Add the 0/1 column with a 1 in each row of ``coeffs`` (row -> 1)
-        and integer ``cost`` at logical position ``pos``, entering the
-        tableau as B^-1 a; it starts nonbasic.  Returns its id.
+    def insert_column(self, coeffs: Mapping[int, int], cost=0) -> int:
+        """Append the 0/1 column with a 1 in each row of ``coeffs`` (row ->
+        1) and integer ``cost``, entering the tableau as B^-1 a; it starts
+        nonbasic.  Returns its id.
 
         Each row's entry of ``det * B^-1 a`` is the sum of its entries in the
         unit columns of the column's rows, read by one `operator.itemgetter`
@@ -267,7 +257,6 @@ class Tableau:
         c = len(self.columns)
         self.columns.append(dict.fromkeys(coeffs, 1))
         self.cost.append(cost)
-        self.order.insert(pos, c)
         return c
 
     def add_row(self, coeffs: Mapping[int, int], rhs, basic: int) -> int:
@@ -285,17 +274,13 @@ class Tableau:
             raise ValueError("the basic column must be a fresh unit column of the row")
         if any(c in self.basic for c in coeffs):
             raise ValueError("a new row may touch no basic column but its own")
-        scale = rhs.denominator // gcd(rhs.denominator, self.bden)
-        if scale != 1:
-            self.bden *= scale
-            self.xb = [v * scale for v in self.xb]
         r = len(self.rows)
         row = [0] * len(self.cost)
         for c, a in coeffs.items():
             row[c] = self.det * a
             self.columns[c][r] = a
         self.rows.append(row)
-        self.xb.append(self.det * rhs.numerator * (self.bden // rhs.denominator))
+        self.xb.append(self.det * rhs)
         self.basis.append(basic)
         self.basic.add(basic)
         self.unit.append(basic)
@@ -307,12 +292,11 @@ class Tableau:
         status, z = self._simplex()
         if status == "unbounded":
             return LpSolution(status="unbounded")
-        det, bden = self.det, self.bden
-        # x = xs / (det * bden), exactly.
+        det = self.det
+        # x = xs / det, exactly.
         xs = [0] * len(self.cost)
         for v, c in zip(self.xb, self.basis):
             xs[c] = v
-        b_scaled = [b.numerator * (bden // b.denominator) for b in self.rhs]  # b * bden
 
         # Exact feasibility of every original row.
         activity = [0] * len(self.rhs)
@@ -320,13 +304,13 @@ class Tableau:
             if v:
                 for r, a in col.items():
                     activity[r] += a * v
-        if activity != [det * b for b in b_scaled] or any(v < 0 for v in xs):
+        if activity != [det * b for b in self.rhs] or any(v < 0 for v in xs):
             raise LpError("optimal solution violates a constraint; simplex bug")
 
         # Row r's unit column u prices at z[u] / det = cost[u] - y_r.
         ys = [det * self.cost[u] - z[u] for u in self.unit]  # y * det
-        objective = sum(c * v for c, v in zip(self.cost, xs) if v)  # * det * bden
-        if sum(y * b for y, b in zip(ys, b_scaled)) != objective:
+        objective = sum(c * v for c, v in zip(self.cost, xs) if v)  # * det
+        if sum(y * b for y, b in zip(ys, self.rhs)) != objective:
             raise LpError("duality gap at optimum; simplex bug")
         # tuple(list), not tuple(generator): see LpSolution.
         return LpSolution(
@@ -335,15 +319,7 @@ class Tableau:
             objective=objective,
             ys=tuple(ys),
             det=det,
-            bden=bden,
         )
-
-    def _rank(self) -> list[int]:
-        """Per column id, its logical position."""
-        rank = [0] * len(self.order)
-        for k, c in enumerate(self.order):
-            rank[c] = k
-        return rank
 
     def _simplex(self):
         """Primal simplex from the current basic form; returns the status and
@@ -351,40 +327,32 @@ class Tableau:
 
         The reduced-cost row ``z`` holds ``det * (cost - cost_B B^-1 A)``, so
         its signs and order are those of the rational reduced costs.
-        Dantzig entering (largest reduced cost, logically first on ties)
-        until DANTZIG_PIVOT_LIMIT, then Bland's rule (logically first
-        improving column); the ratio test cross-multiplies, and leaving rows
-        break ratio ties on the logically smallest basic variable, completing
-        Bland's anti-cycling guarantee.
+        Dantzig entering (largest reduced cost, lowest id on ties) until
+        DANTZIG_PIVOT_LIMIT, then Bland's rule (lowest-id improving column);
+        the ratio test cross-multiplies, and leaving rows break ratio ties on
+        the basic variable of lowest id, completing Bland's anti-cycling
+        guarantee.
         """
-        rows, xb, basis, order, cost = self.rows, self.xb, self.basis, self.order, self.cost
+        rows, xb, basis, cost = self.rows, self.xb, self.basis, self.cost
         det = self.det
         z = [det * c for c in cost]
         for row, b in zip(rows, basis):
             cb = cost[b]
             if cb:
                 z = [zj - cb * a for zj, a in zip(z, row)]
-        rank = None
         pivots = 0
         while True:
-            enter = -1
-            if pivots < DANTZIG_PIVOT_LIMIT:
-                best = 0
-                for j in order:
-                    if z[j] > best:
-                        best = z[j]
-                        enter = j
-            else:
-                for j in order:
-                    if z[j] > 0:
-                        enter = j
-                        break
-            if enter < 0:
+            best = max(z, default=0)
+            if best <= 0:
                 status = "optimal"
                 break
+            if pivots < DANTZIG_PIVOT_LIMIT:
+                enter = z.index(best)
+            else:
+                enter = next(j for j, zj in enumerate(z) if zj > 0)
             pivots += 1
             # Ratio test xb/a, compared as cross products (every a > 0); ties
-            # resolved by the logically smallest basic variable.
+            # resolved by the basic variable of lowest id.
             leave = -1
             for r, row in enumerate(rows):
                 a = row[enter]
@@ -394,13 +362,8 @@ class Tableau:
                         continue
                     lhs = xb[r] * den
                     rhs = num * a
-                    if lhs < rhs:
+                    if lhs < rhs or lhs == rhs and basis[r] < basis[leave]:
                         leave, num, den = r, xb[r], a
-                    elif lhs == rhs:
-                        if rank is None:
-                            rank = self._rank()
-                        if rank[basis[r]] < rank[basis[leave]]:
-                            leave, num, den = r, xb[r], a
             if leave < 0:
                 status = "unbounded"
                 break
@@ -412,12 +375,15 @@ class Tableau:
 def solve_feasibility(lp: LinearProgram) -> LpSolution:
     """A vertex of the rows of ``lp``, or "infeasible".
 
-    The tableau's columns, in logical order, are the structural ones, one
-    per row (a slack, +1, on a ``<=`` row; a surplus, -1, on a ``>=`` row)
-    and a shortfall (+1, cost -1) per ``>=`` row.  Each row starts basic on
-    its slack or its shortfall, and the solve maximises minus the total
-    shortfall, which is 0 exactly when the rows are feasible.  The solution
-    holds the structural columns' values and no duals.
+    Each row is first multiplied by its right-hand side's denominator, which
+    leaves every coefficient and right-hand side an integer and the
+    structural solutions as they were.  The tableau's columns, by id, are
+    the structural ones, one per row (a slack, +1, on a ``<=`` row; a
+    surplus, -1, on a ``>=`` row) and a shortfall (+1, cost -1) per ``>=``
+    row.  Each row starts basic on its slack or its shortfall, and the solve
+    maximises minus the total shortfall, which is 0 exactly when the rows
+    are feasible.  The solution holds the structural columns' values and no
+    duals.
     """
     n, rows = lp.variable_count, lp.constraints
     first = n + len(rows)  # the first shortfall column
@@ -425,17 +391,18 @@ def solve_feasibility(lp: LinearProgram) -> LpSolution:
     shortfall = {r: first + k for k, r in enumerate(ge)}
     tableau_rows = []
     for r, (row, relation, b) in enumerate(rows):
-        coeffs = dict(row)
+        d = b.denominator
+        coeffs = {v: a * d for v, a in row.items()}
         coeffs[n + r] = 1 if relation == "<=" else -1
         if r in shortfall:
             coeffs[shortfall[r]] = 1
-        tableau_rows.append((coeffs, b, shortfall.get(r, n + r)))
+        tableau_rows.append((coeffs, b.numerator, shortfall.get(r, n + r)))
     sol = solve_lp(Tableau.from_rows([0] * first + [-1] * len(ge), tableau_rows))
     if not sol.is_optimal:
         raise LpError("the shortfall LP came out unbounded, although its objective is bounded by 0")
     if sol.objective:
         return LpSolution(status="infeasible")
-    return LpSolution(status="optimal", xs=sol.xs[:n], objective=0, det=sol.det, bden=sol.bden)
+    return LpSolution(status="optimal", xs=sol.xs[:n], objective=0, det=sol.det)
 
 
 def solve_lp(tableau: Tableau) -> LpSolution:

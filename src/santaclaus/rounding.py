@@ -4,7 +4,7 @@ Takes a fractional machine-job assignment in which every machine reaches
 some value and returns an integral assignment in which every machine loses
 at most its largest fractionally-held job size.  The assignment arrives as
 integer counts over one scale (for the no-upper branch, the cover master's
-``det * bden``), and the rounding stays in integers over that scale; no
+``det``), and the rounding stays in integers over that scale; no
 `fractions.Fraction` is built unless an error message needs one.  First each
 support job's mass is raised to exactly 1 on its lowest-id support machine,
 which can only raise machine values.  Then the cycles of the support are

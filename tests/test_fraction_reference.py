@@ -401,7 +401,7 @@ def outcome(fn, *args):
 
 def stretched(counts, scale, factor):
     # the same rationals over a scale that is not the lcm, as a master's
-    # det * bden usually is not
+    # det usually is not
     return {k: c * factor for k, c in counts.items()}, scale * factor
 
 

@@ -171,7 +171,7 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "60bec6c55d22db42d586fe9c7c776704b9b0d0302407a549fd562099add220b7"
+BATCH_DIGEST = "67e372fd8e37b04857d7ca9a36cb95ecfafcb0e7ce714d16b0acb252b3588b93"
 
 
 def batch_digest():

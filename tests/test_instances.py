@@ -148,6 +148,14 @@ def test_parse_allocation_rejects_bad_rational():
         parse_allocation('{"owner":{},"min_value":"1.5"}')
 
 
+@pytest.mark.parametrize("raw", [" 3/1", "3_0/1", "+3/1", "03/1", "\u0663/1"])
+def test_parse_allocation_rejects_non_canonical_rational(raw):
+    # int() reads each of these, "3_0" as 30: a min_value the file does not
+    # spell in "p/q" form must not parse
+    with pytest.raises(InstanceFormatError, match="min_value"):
+        parse_allocation('{"owner":{},"min_value":"%s"}' % raw)
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_single_machine_sums():
