@@ -20,7 +20,9 @@ feed its left-out machine with small jobs; in that case the machines must all
 be paid with big jobs instead.  Such clusters are "saturated": every machine
 is matched to a distinct eligible big job (a Hall-style argument guarantees a
 matching exists exactly when the small weight falls under 1/2 and the
-candidate jobs are free), and they drop out of the composite-machine list.
+candidate jobs are free), whose smallest job is as large as any matching
+allows, and they drop out of the composite-machine list.  Every matching is
+one `configlp.route` max-flow.
 Every cluster set is re-validated before it is returned; a failed property is
 raised as a defect, never silently accepted.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configlp import ClpSolution, Configuration
+from .configlp import ClpSolution, Configuration, route
 from .gapclasses import GapInstance, JobClasses, MachineClasses
 
 
@@ -75,23 +77,15 @@ class ClusterSet:
     machine_classes: MachineClasses
 
 
-def bipartite_match(left: list[int], adj: dict[int, list[int]]) -> dict[int, int]:
-    """Maximum matching saturating as much of ``left`` as possible (Kuhn's)."""
-    match_right: dict[int, int] = {}
-
-    def try_augment(u: int, seen: set[int]) -> bool:
+def bipartite_match(left: list[int], adj: dict[int, list[int]]) -> dict[int, int] | None:
+    """A matching of every vertex of ``left`` to a distinct neighbour, or
+    None: one `route` call, each neighbour a source of supply 1."""
+    feeds: dict[int, list[int]] = {}
+    for k, u in enumerate(left):
         for v in adj.get(u, ()):
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_right or try_augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in sorted(left):
-        try_augment(u, set())
-    return {u: v for v, u in match_right.items()}
+            feeds.setdefault(v, []).append(k)
+    flows = route(list(feeds.values()), [1] * len(feeds), [1] * len(left))
+    return None if flows is None else {left[k]: v for v, f in zip(feeds, flows) for k in f}
 
 
 def build_big_graph(
@@ -250,7 +244,11 @@ def extract_clusters(
 
     Clusters whose total small-configuration weight falls below 1/2 are
     repaired jointly afterwards: their machines are matched to distinct
-    eligible big jobs that no surviving cluster claims as a connector.  A
+    eligible big jobs that no surviving cluster claims as a connector, the
+    flow's sources taken largest first; then, while one exists, a matching
+    on jobs strictly larger than the smallest job now matched replaces it.
+    Each such machine's load is its one job and no other load depends on
+    the choice, so this raises the saturated floor and lowers no load.  A
     failed repair or a failed property check raises, because the final
     allocation could not certify its floor otherwise.
     """
@@ -348,21 +346,21 @@ def extract_clusters(
         candidates = set(job_classes.big) - claimed
         inst = gap.base
         left = sorted(i for c in defects for i in c["machines"])
-        adj = {
-            i: sorted(j for j in candidates if i in inst.jobs[j].eligible)
-            for i in left
-        }
-        matching = bipartite_match(left, adj)
+        jobs = sorted(candidates, key=lambda j: (-inst.jobs[j].size, j))
+        reach = [[k for k, i in enumerate(left) if i in inst.jobs[j].eligible] for j in jobs]
+        # Largest first, so the jobs larger than the smallest one matched are a prefix.
+        matching, cut = None, len(jobs)
+        while (flows := route(reach[:cut], [1] * cut, [1] * len(left))) is not None:
+            matching = {left[k]: j for j, f in zip(jobs, flows) for k in f}
+            low = min(inst.jobs[j].size for j in matching.values())
+            cut = next(g for g, j in enumerate(jobs) if inst.jobs[j].size <= low)
+        if matching is None:
+            raise ClusteringError(
+                f"clustering postcondition violated: machines {left} of clusters with "
+                "small weight below 1/2 have no big-job matching"
+            )
         for c in defects:
-            pairs = []
-            for i in sorted(c["machines"]):
-                if i not in matching:
-                    raise ClusteringError(
-                        "clustering postcondition violated: cluster with machines "
-                        f"{sorted(c['machines'])} has small weight below 1/2 and no "
-                        f"big-job matching for machine {i}"
-                    )
-                pairs.append((i, matching[i]))
+            pairs = [(i, matching[i]) for i in sorted(c["machines"])]
             saturated.append(
                 SaturatedCluster(
                     machines=tuple(sorted(c["machines"])),
@@ -430,11 +428,8 @@ def check_cluster_properties(clusters: ClusterSet, gap: GapInstance) -> tuple[bo
         members = set(cluster.machines)
         for leave_out in cluster.machines:
             targets = members - {leave_out}
-            adj = {
-                j: sorted(inst.jobs[j].eligible & targets) for j in cluster.jobs
-            }
-            matching = bipartite_match(list(cluster.jobs), adj)
-            if len(matching) != len(cluster.jobs):
+            adj = {j: sorted(inst.jobs[j].eligible & targets) for j in cluster.jobs}
+            if bipartite_match(list(cluster.jobs), adj) is None:
                 return False, (
                     f"cluster {k}: property 2 fails leaving out machine {leave_out}"
                 )

@@ -40,8 +40,9 @@ solves it once more at T over the gap instance's sizes; that one solution
 classifies machines and feeds either branch.
 
 The T search probes only between two bounds that need no LP.  Above: the
-largest tau at which the assignment LP clipped at tau is feasible, which a
-max-flow decides exactly; every configuration-LP point gives such a flow,
+largest tau at which the assignment LP clipped at tau is feasible, which
+`route`, the package's one max-flow, decides exactly (clustering's
+matchings call it too); every configuration-LP point gives such a flow,
 so the bound holds, and at tau = 1 the two LPs are the same, so the flow
 also decides whether T >= 1.  Below: the minimum load of an integral
 allocation, since its bundles, pruned, are a configuration-LP point there.
@@ -575,10 +576,8 @@ def assignment_flow_feasibility(inst: Instance) -> Callable[[int], bool]:
     alone.  Jobs with the same eligible set are one source, with their
     capacities summed, which changes no cut.  The sources are grouped here,
     once, with each source's sizes sorted and prefix-summed, so a call
-    clips a source's capacity at tau with one bisection.  The flow is exact
-    over integers: a greedy start, then shortest augmenting paths from every
-    source with supply left to a machine still short, where a path may
-    shift a source's flow from one of its machines to another.
+    clips a source's capacity at tau with one bisection, and `route` finds
+    the flow.
     """
     m = inst.machine_count
     grouped: dict[frozenset[int], list[int]] = {}
@@ -595,15 +594,21 @@ def assignment_flow_feasibility(inst: Instance) -> Callable[[int], bool]:
         for sizes, total in zip(sources, totals):
             k = bisect_right(sizes, tau)
             rest.append(total[k] + (len(sizes) - k) * tau)
-        return _flow_meets(machines, rest, m, tau)
+        return route(machines, rest, [tau] * m) is not None
 
     return feasible
 
 
-def _flow_meets(machines: list[list[int]], rest: list[int], m: int, tau: int) -> bool:
-    """Whether sources with supplies ``rest``, source g sending to the
-    machines ``machines[g]``, can bring every one of ``m`` machines tau."""
-    need = [tau] * m
+def route(
+    machines: list[list[int]], supply: list[int], demand: list[int]
+) -> list[dict[int, int]] | None:
+    """The package's one flow routine.  Source g sends at most ``supply[g]``
+    to the machines ``machines[g]``, and machine i must receive exactly
+    ``demand[i]``.  Returns each source's flow as machine -> amount, or None
+    when no flow meets every demand.  Exact over integers: a greedy start,
+    then shortest augmenting paths, searched in an explicit loop."""
+    rest = list(supply)
+    need = list(demand)
     sent: list[dict[int, int]] = [{} for _ in machines]  # source -> machine -> flow
     for g, elig in enumerate(machines):
         for i in elig:
@@ -636,7 +641,7 @@ def _flow_meets(machines: list[list[int]], rest: list[int], m: int, tau: int) ->
                             via[k] = (i, g)
                             queue.append(k)
         if target is None:
-            return False
+            return None
         path = []
         d = need[target]
         i = target
@@ -655,7 +660,7 @@ def _flow_meets(machines: list[list[int]], rest: list[int], m: int, tau: int) ->
                 rest[g] -= d
             else:
                 sent[g][prev] -= d
-    return True
+    return [{i: d for i, d in flow.items() if d} for flow in sent]
 
 
 def find_T_with_seeds(

@@ -16,8 +16,9 @@ by where that covering weight sits.  Then it branches on the same solution:
   matching, read off as an integral point of the extended assignment
   program), every non-selected super member receives a distinct big job
   from its cluster, and saturated clusters pay every machine with a matched
-  big job.  Selection enumeration (`eap.select_by_enumeration`) serves only
-  as a test oracle.
+  big job, the smallest one matched as large as possible.  Every big-job
+  matching is a `configlp.route` max-flow.  Selection enumeration
+  (`eap.select_by_enumeration`) serves only as a test oracle.
 
 Every stage's output is re-validated as it is produced, and the final
 allocation is evaluated against the original instance; the run aborts rather
@@ -220,11 +221,9 @@ def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, counters):
     for d, cluster in enumerate(clusters.supers):
         chosen = selected[d]
         rest = [i for i in cluster.machines if i != chosen]
-        adj = {
-            j: sorted(inst.jobs[j].eligible & set(rest)) for j in cluster.jobs
-        }
+        adj = {j: sorted(inst.jobs[j].eligible & set(rest)) for j in cluster.jobs}
         placement = bipartite_match(list(cluster.jobs), adj)
-        if len(placement) != len(cluster.jobs):
+        if placement is None:
             raise PipelineError(
                 f"big-job placement failed for super machine {cluster.machines}"
             )

@@ -357,9 +357,44 @@ def test_checker_rejects_small_starved_cluster():
 
 
 def test_bipartite_match_small_cases():
-    assert bipartite_match([0, 1], {0: [10], 1: [10]}) in ({0: 10}, {1: 10})
-    full = bipartite_match([0, 1], {0: [10, 11], 1: [10]})
-    assert full == {0: 11, 1: 10} or full == {1: 10, 0: 11}
+    # a matching that leaves a vertex of ``left`` out is no answer
+    assert bipartite_match([0, 1], {0: [10], 1: [10]}) is None
+    assert bipartite_match([0, 1], {0: [10, 11]}) is None
+    assert bipartite_match([0, 1], {0: [10, 11], 1: [10]}) == {0: 11, 1: 10}
+    assert bipartite_match([], {}) == {}
+
+
+def best_bottleneck(inst, T):
+    """The largest, over injective maps of machines to eligible big jobs
+    (size >= T/12), of the smallest job mapped; None if there is no map."""
+    from itertools import permutations
+
+    big = [j for j, job in enumerate(inst.jobs) if 12 * job.size >= T]
+    best = None
+    for jobs in permutations(big, inst.machine_count):
+        if all(i in inst.jobs[j].eligible for i, j in enumerate(jobs)):
+            low = min(inst.jobs[j].size for j in jobs)
+            best = low if best is None else max(best, low)
+    return best
+
+
+def test_saturated_clusters_keep_their_largest_big_jobs():
+    # with no super and no composite every machine is saturated and holds
+    # exactly its one matched big job, so min_value is the matching's
+    # smallest job, and the raising rule must make that the best possible
+    from santaclaus import generate_random, solve
+
+    checked = 0
+    for seed in range(30):
+        inst = generate_random(m=4, n=14, max_size=20, density=F(1, 2), seed=seed)
+        report = solve(inst)
+        if report.branch != "clustered":
+            continue
+        if report.counters["supers"] or report.counters["composites"]:
+            continue
+        assert report.allocation.min_value == best_bottleneck(inst, report.T), seed
+        checked += 1
+    assert checked >= 20, checked
 
 
 

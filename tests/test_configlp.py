@@ -14,6 +14,7 @@ from santaclaus.configlp import (
     machine_pools,
     price_min_knapsack,
     prune_to_minimal,
+    route,
     solve_clp_feasibility,
     solve_cover_lp,
 )
@@ -446,6 +447,54 @@ def test_flow_bound_matches_hall_subset_oracle():
             below += bound < trivial_upper_bound(inst)
     assert below >= 10, below
     assert mixed >= 500, mixed
+
+
+def test_route_meets_demands_exactly_when_hall_holds():
+    # random grouped sources with supplies 0-4 and demands 0-3; the last
+    # machine is fed by no source in every other case.  A flow must keep to
+    # each source's supply and machines and deliver each demand exactly;
+    # None must come back exactly when some machine subset S asks for more
+    # than the sources feeding S hold
+    from random import Random
+
+    rng = Random(11)
+    answered = {True: 0, False: 0}
+    for case in range(400):
+        m = rng.randint(1, 5)
+        fed = range(m - 1) if case % 2 and m > 1 else range(m)
+        machines = [sorted(rng.sample(fed, rng.randint(1, len(fed)))) for _ in range(rng.randint(0, 4))]
+        supply = [rng.randint(0, 4) for _ in machines]
+        demand = [rng.randint(0, 3) for _ in range(m)]
+        args = ([list(e) for e in machines], list(supply), list(demand))
+        flows = route(*args)
+        assert args == (machines, supply, demand)  # inputs untouched
+        hall = all(
+            sum(demand[i] for i in range(m) if mask >> i & 1)
+            <= sum(s for e, s in zip(machines, supply) if any(mask >> i & 1 for i in e))
+            for mask in range(1, 1 << m)
+        )
+        assert (flows is not None) == hall, (machines, supply, demand)
+        answered[hall] += 1
+        if flows is None:
+            continue
+        got = [0] * m
+        for e, s, flow in zip(machines, supply, flows):
+            assert set(flow) <= set(e) and all(d > 0 for d in flow.values())
+            assert sum(flow.values()) <= s
+            for i, d in flow.items():
+                got[i] += d
+        assert got == demand
+    assert min(answered.values()) >= 100, answered
+
+
+def test_route_reroutes_along_a_long_chain_without_recursion():
+    # source k feeds machines k and k+1, and a last source feeds machine 0:
+    # the greedy start leaves machine n short, and the one augmenting path
+    # shifts every source one machine along the whole chain
+    n = 1500
+    machines = [[k, k + 1] for k in range(n)] + [[0]]
+    flows = route(machines, [1] * (n + 1), [1] * (n + 1))
+    assert flows == [{k + 1: 1} for k in range(n)] + [{0: 1}]
 
 
 def local_key(inst, owner):

@@ -36,6 +36,7 @@ from santaclaus.configlp import (
     FractionalAssignment,
     check_cover_solution,
     check_mclp,
+    route,
 )
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
 from santaclaus.rat import to_counts
@@ -310,18 +311,26 @@ def ref_extract_clusters(forest, xstar, job_classes, machine_classes, gap):
     if defects:
         candidates = set(job_classes.big) - {j for c in keep for j in c.jobs}
         left = sorted(i for c in defects for i in c["machines"])
-        adj = {i: sorted(j for j in candidates if i in gap.base.jobs[j].eligible) for i in left}
-        matching = bipartite_match(left, adj)
+        # the same raising rule through the same flow, sources largest
+        # first: while a matching on jobs larger than the smallest one
+        # matched exists, take it
+        size = {j: gap.base.jobs[j].size for j in candidates}
+        matching, low = None, 0
+        while True:
+            jobs = sorted((j for j in candidates if size[j] > low), key=lambda j: (-size[j], j))
+            reach = [[k for k, i in enumerate(left) if i in gap.base.jobs[j].eligible] for j in jobs]
+            flows = route(reach, [1] * len(jobs), [1] * len(left))
+            if flows is None:
+                break
+            matching = {left[k]: j for j, f in zip(jobs, flows) for k in f}
+            low = min(size[j] for j in matching.values())
+        if matching is None:
+            raise ClusteringError(
+                f"clustering postcondition violated: machines {left} of clusters with "
+                "small weight below 1/2 have no big-job matching"
+            )
         for c in defects:
-            pairs = []
-            for i in sorted(c["machines"]):
-                if i not in matching:
-                    raise ClusteringError(
-                        "clustering postcondition violated: cluster with machines "
-                        f"{sorted(c['machines'])} has small weight below 1/2 and no "
-                        f"big-job matching for machine {i}"
-                    )
-                pairs.append((i, matching[i]))
+            pairs = [(i, matching[i]) for i in sorted(c["machines"])]
             saturated.append(
                 SaturatedCluster(
                     machines=tuple(sorted(c["machines"])),
@@ -363,7 +372,7 @@ def ref_check_cluster_properties(supers, xstar, job_classes, gap):
         for leave_out in cluster.machines:
             targets = set(cluster.machines) - {leave_out}
             adj = {j: sorted(gap.base.jobs[j].eligible & targets) for j in cluster.jobs}
-            if len(bipartite_match(list(cluster.jobs), adj)) != len(cluster.jobs):
+            if bipartite_match(list(cluster.jobs), adj) is None:
                 return False, f"cluster {k}: property 2 fails leaving out machine {leave_out}"
         total_small = sum((small_mass.get(i, ZERO) for i in cluster.machines), ZERO)
         if total_small < F(1, 2):

@@ -40,8 +40,8 @@ GOLDEN = [
     (
         "random-0",
         lambda: random_instance(0),
-        '{"T":"33/1","branch":"clustered","min_value":"13/1",'
-        '"certified_ratio_bound":"33/13","owner":{"0":1,"1":3,"2":2,"7":0},'
+        '{"T":"33/1","branch":"clustered","min_value":"17/1",'
+        '"certified_ratio_bound":"33/17","owner":{"2":0,"3":3,"6":2,"10":1},'
         '"counters":{"clp_solves":1,"composites":0,"lower_search_nodes":94,'
         '"master_solves":6,"matching_steps":0,"saturated":4,"supers":0,'
         '"t_search_lower":33,"t_search_upper":36}}',
@@ -49,8 +49,8 @@ GOLDEN = [
     (
         "random-3",
         lambda: random_instance(3),
-        '{"T":"23/1","branch":"clustered","min_value":"5/1",'
-        '"certified_ratio_bound":"23/5","owner":{"0":3,"1":0,"3":2,"6":1},'
+        '{"T":"23/1","branch":"clustered","min_value":"12/1",'
+        '"certified_ratio_bound":"23/12","owner":{"1":0,"8":3,"10":1,"12":2},'
         '"counters":{"clp_solves":0,"composites":0,"lower_search_nodes":0,'
         '"master_solves":1,"matching_steps":0,"saturated":4,"supers":0,'
         '"t_search_lower":23,"t_search_upper":23}}',
@@ -58,8 +58,8 @@ GOLDEN = [
     (
         "random-4",
         lambda: random_instance(4),
-        '{"T":"31/1","branch":"clustered","min_value":"5/1",'
-        '"certified_ratio_bound":"31/5","owner":{"0":1,"1":0,"2":2,"3":3},'
+        '{"T":"31/1","branch":"clustered","min_value":"13/1",'
+        '"certified_ratio_bound":"31/13","owner":{"2":2,"6":0,"8":1,"9":3},'
         '"counters":{"clp_solves":1,"composites":0,"lower_search_nodes":56,'
         '"master_solves":6,"matching_steps":0,"saturated":4,"supers":0,'
         '"t_search_lower":31,"t_search_upper":32}}',
@@ -67,8 +67,8 @@ GOLDEN = [
     (
         "random-10",
         lambda: random_instance(10),
-        '{"T":"31/1","branch":"clustered","min_value":"6/1",'
-        '"certified_ratio_bound":"31/6","owner":{"0":3,"3":0,"5":2,"7":1},'
+        '{"T":"31/1","branch":"clustered","min_value":"15/1",'
+        '"certified_ratio_bound":"31/15","owner":{"0":3,"11":2,"12":1,"13":0},'
         '"counters":{"clp_solves":0,"composites":0,"lower_search_nodes":115,'
         '"master_solves":1,"matching_steps":0,"saturated":4,"supers":0,'
         '"t_search_lower":31,"t_search_upper":31}}',
@@ -171,7 +171,7 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "67e372fd8e37b04857d7ca9a36cb95ecfafcb0e7ce714d16b0acb252b3588b93"
+BATCH_DIGEST = "73ef298625b0ac4c8e5471604e9cc20d94dc8c3cc07ec47233a337b0ae4ef3d6"
 
 
 def batch_digest():
