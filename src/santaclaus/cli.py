@@ -102,7 +102,9 @@ def cmd_solve(args) -> int:
         f"T={rat_to_str(report.T)} branch={report.branch} "
         f"min_value={rat_to_str(report.allocation.min_value)} "
         f"t_search_lower={report.counters['t_search_lower']} "
-        f"t_search_upper={report.counters['t_search_upper']}"
+        f"t_search_upper={report.counters['t_search_upper']} "
+        f"clp_solves={report.counters['clp_solves']} "
+        f"price_proofs={report.counters['price_proofs']}"
     )
     return 0
 

@@ -52,6 +52,12 @@ node budget looks for one whose minimum load is one higher.  The
 configuration LP's integrality gap is almost always 0, so the first LP
 probe goes just above the lower end, and only a feasible one leads to a
 bisection.  When the two bounds meet, T costs no LP at all.
+
+Each probe first tries a proof of infeasibility that needs no LP
+(`halves_refute`): job prices of 0, 1/2 or 1 by size against tau, each
+machine's cheapest cover under them in closed form, and one `route` call,
+whose failure names machines that need more than their jobs are worth, a
+Farkas certificate.  Only a probe the prices do not refute solves an LP.
 """
 
 from __future__ import annotations
@@ -606,7 +612,10 @@ def route(
     to the machines ``machines[g]``, and machine i must receive exactly
     ``demand[i]``.  Returns each source's flow as machine -> amount, or None
     when no flow meets every demand.  Exact over integers: a greedy start,
-    then shortest augmenting paths, searched in an explicit loop."""
+    then shortest augmenting paths, searched in an explicit loop.  The
+    search reaches a machine's sources through an index of them by machine,
+    in ascending order, built only once the greedy start leaves a demand
+    unmet."""
     rest = list(supply)
     need = list(demand)
     sent: list[dict[int, int]] = [{} for _ in machines]  # source -> machine -> flow
@@ -617,7 +626,13 @@ def route(
                 sent[g][i] = d
                 rest[g] -= d
                 need[i] -= d
+    feeds: list[list[int]] | None = None  # machine -> the sources that may send to it
     while any(need):
+        if feeds is None:
+            feeds = [[] for _ in need]
+            for g, elig in enumerate(machines):
+                for i in elig:
+                    feeds[i].append(g)
         # Breadth first over machines; a machine is reached from a source
         # with supply left, or from a reached machine i through a source
         # that sends to i and may send to this machine instead.
@@ -634,9 +649,9 @@ def route(
             if need[i]:
                 target = i
                 break
-            for g, elig in enumerate(machines):
+            for g in feeds[i]:
                 if sent[g].get(i):
-                    for k in elig:
+                    for k in machines[g]:
                         if k not in via:
                             via[k] = (i, g)
                             queue.append(k)
@@ -663,6 +678,57 @@ def route(
     return [{i: d for i, d in flow.items() if d} for flow in sent]
 
 
+def halves_flow(
+    inst: Instance, tau: int
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """The halves prices at ``tau`` as `route` input: each priced job's
+    eligible machines and price, and each machine's cheapest cover under
+    the prices.
+
+    Job j costs mu_j = min(2, floor(2 p_j / tau)) halves: 2 when p_j >= tau,
+    1 when p_j >= tau/2, and 0 below, so a free job is no flow source.  With
+    Z_i the total size of machine i's free jobs and H_i its largest job of
+    price 1, a cover costs kappa_i = 0 when Z_i >= tau, else 1 when
+    Z_i + H_i >= tau, else 2: one job of size >= tau, or two of size >=
+    tau/2, covers on its own, and a machine with neither has no cover at all.
+    """
+    free = [0] * inst.machine_count
+    half = [0] * inst.machine_count
+    sources: list[list[int]] = []
+    supply: list[int] = []
+    for job in inst.jobs:
+        size = job.size
+        if 2 * size < tau:
+            for i in job.eligible:
+                free[i] += size
+            continue
+        if size < tau:
+            for i in job.eligible:
+                if half[i] < size:
+                    half[i] = size
+        sources.append(sorted(job.eligible))
+        supply.append(1 if size < tau else 2)
+    covers = [0 if z >= tau else 1 if z + h >= tau else 2 for z, h in zip(free, half)]
+    return sources, supply, covers
+
+
+def halves_refute(inst: Instance, tau: int) -> bool:
+    """Whether the halves prices (`halves_flow`) prove the configuration LP
+    at ``tau`` infeasible, with no LP.
+
+    Any job prices mu >= 0 give a Farkas certificate: take a machine set M'
+    whose cheapest covers cost more in total than the jobs N(M') they may
+    hold, sum_{M'} kappa_i > mu(N(M')).  A configuration-LP point covers
+    each machine of M' at least once with configurations costing at least
+    kappa_i, so it would pay at least sum_{M'} kappa_i for jobs of N(M'),
+    but it uses each job at most once, so it pays at most mu(N(M')).  By
+    Hall's theorem such an M' exists exactly when no flow sends each priced
+    job's mu_j to its eligible machines so that machine i receives kappa_i,
+    which `route` decides.
+    """
+    return route(*halves_flow(inst, tau)) is None
+
+
 def find_T_with_seeds(
     inst: Instance, counters: dict[str, int] | None = None
 ) -> tuple[int, dict[int, set[tuple[int, ...]]]]:
@@ -687,14 +753,18 @@ def find_T_with_seeds(
     `integral_allocation_at` tries the lower end plus one, all attempts
     sharing ``LOWER_SEARCH_BUDGET`` nodes; each allocation it finds replaces
     the last and raises the lower end to its minimum load, which must stay
-    within the bracket.  The integrality gap is almost always 0, so the LP
-    then probes the lower end plus one first: infeasible there, T is the
-    lower end; otherwise it bisects the rest of the bracket.  The last
-    allocation's bundles and the columns found at each feasible tau seed the
-    master at the next probe, re-pruned.  ``counters`` gets the bracket
+    within the bracket.  The integrality gap is almost always 0, so the
+    search then probes the lower end plus one first: infeasible there, T is
+    the lower end; otherwise it bisects the rest of the bracket.  A probe
+    first tries `halves_refute`, which proves infeasibility by job prices
+    with no LP, and solves the configuration LP only when that fails.  The
+    last allocation's bundles and the columns found at each feasible tau
+    seed the master at the next probe, re-pruned; an infeasible probe adds
+    no seeds, so the prices change no answer.  ``counters`` gets the bracket
     (``t_search_lower``, ``t_search_upper``, after the integral search), the
-    integral search's nodes (``lower_search_nodes``) and the number of LP
-    probes (``clp_solves``, 0 when the bracket closes before any probe).
+    integral search's nodes (``lower_search_nodes``), the number of LP
+    probes (``clp_solves``) and of probes the prices refuted
+    (``price_proofs``), both 0 when the bracket closes before any probe.
     """
     pools = machine_pools(inst)
     sizes = inst.sizes()
@@ -726,6 +796,7 @@ def find_T_with_seeds(
         lo = load
     if counters is not None:
         counters.setdefault("clp_solves", 0)
+        counters.setdefault("price_proofs", 0)
         counters["lower_search_nodes"] = spent
         counters["t_search_lower"] = lo
         counters["t_search_upper"] = hi
@@ -735,6 +806,10 @@ def find_T_with_seeds(
     seeds = {i: {tuple(b)} if b else set() for i, b in bundles.items()}
 
     def feasible(tau: int) -> bool:
+        if halves_refute(inst, tau):
+            if counters is not None:
+                counters["price_proofs"] += 1
+            return False
         if counters is not None:
             counters["clp_solves"] += 1
         sol = solve_clp_feasibility(

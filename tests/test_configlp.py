@@ -8,6 +8,8 @@ from santaclaus.configlp import (
     find_T,
     find_T_with_seeds,
     greedy_allocation,
+    halves_flow,
+    halves_refute,
     integral_allocation_at,
     is_minimal,
     local_search_allocation,
@@ -558,7 +560,11 @@ def test_closed_bracket_makes_no_probe_and_certifies():
     trivial = solve(tiny_instance([(5, [0])], machines=2))
     assert trivial.branch == "trivial"
     assert trivial.counters == {
-        "clp_solves": 0, "lower_search_nodes": 0, "t_search_lower": 0, "t_search_upper": 0
+        "clp_solves": 0,
+        "lower_search_nodes": 0,
+        "price_proofs": 0,
+        "t_search_lower": 0,
+        "t_search_upper": 0,
     }
 
 
@@ -695,7 +701,7 @@ def test_first_probe_is_just_above_the_lower_end(monkeypatch):
     monkeypatch.setattr(clp, "solve_clp_feasibility", recording)
     rng = Random(7)
     budget = clp.LOWER_SEARCH_BUDGET
-    at_lower = above_lower = 0
+    at_lower = above_lower = refuted = 0
     for k in range(80):
         # without the integral search, the local search's lower end often
         # sits below T
@@ -707,16 +713,85 @@ def test_first_probe_is_just_above_the_lower_end(monkeypatch):
             lo, hi = counters["t_search_lower"], counters["t_search_upper"]
             assert counters["clp_solves"] == len(probes)
             if lo == hi:
-                assert probes == []
+                assert probes == [] and counters["price_proofs"] == 0
+                continue
+            if not probes:
+                # the prices refuted lo + 1, and the plain LP agrees
+                assert T == lo and counters["price_proofs"] == 1, inst
+                assert real(inst, lo + 1) is None, inst
+                refuted += 1
                 continue
             assert probes[0][0] == lo + 1, inst
             if T == lo:
                 # one infeasible probe, and nothing else
                 assert probes == [(lo + 1, False)], inst
+                assert counters["price_proofs"] == 0, inst
                 at_lower += 1
             else:
                 above_lower += 1
-    assert min(at_lower, above_lower) >= 10, (at_lower, above_lower)
+    assert min(at_lower, above_lower, refuted) >= 10, (at_lower, above_lower, refuted)
+
+
+def unit_clustered_shape(rng):
+    """Three machines, two big jobs of size 18-23 and 6-18 unit jobs, on 3/4
+    eligibility coins: the shape on which the halves prices refute most."""
+    def coin():
+        return frozenset(i for i in range(3) if rng.randrange(4) < 3)
+
+    jobs = [JobSpec(size=18 + rng.randrange(6), eligible=coin()) for _ in range(2)]
+    jobs += [JobSpec(size=1, eligible=coin()) for _ in range(rng.randint(6, 18))]
+    return Instance(machine_count=3, jobs=tuple(jobs))
+
+
+def test_halves_refutation_is_a_sound_farkas_proof():
+    # at every tau up to one past the flow bound: each machine's closed-form
+    # cover price equals the pricing DP's cheapest cover under the halves
+    # prices; the refutation fires exactly when a brute force over machine
+    # subsets finds M' whose covers cost more than the jobs N(M') are worth;
+    # and whenever it fires, the unseeded configuration LP is infeasible
+    from random import Random
+
+    rng = Random(23)
+    fired = held = 0
+    for _ in range(40):
+        shapes = [*bracket_shapes(rng), unit_clustered_shape(rng)]
+        shapes.append(generate_random(
+            m=rng.randint(1, 4), n=rng.randint(1, 10), max_size=20,
+            density=F(rng.randint(1, 3), 4), seed=rng.getrandbits(32),
+        ))
+        for inst in shapes:
+            m = inst.machine_count
+            pools = machine_pools(inst)
+            sizes = inst.sizes()
+            flow = assignment_flow_feasibility(inst)
+            bound = max((t for t in range(1, inst.total_size() + 1) if flow(t)), default=0)
+            for tau in range(1, bound + 2):
+                mu = {j: min(2, 2 * p // tau) for j, p in enumerate(sizes)}
+                sources, supply, covers = halves_flow(inst, tau)
+                priced = [j for j in mu if mu[j]]
+                assert sources == [sorted(inst.jobs[j].eligible) for j in priced]
+                assert supply == [mu[j] for j in priced]
+                kappa = []
+                for i in range(m):
+                    cfg = price_min_knapsack(pools[i], sizes, mu, F(tau))
+                    # a machine no configuration covers constrains no price,
+                    # and the closed form charges it 2
+                    kappa.append(2 if cfg is None else sum(mu[j] for j in cfg.jobs))
+                assert covers == kappa, (inst, tau)
+                hall_fails = any(
+                    sum(kappa[i] for i in range(m) if mask >> i & 1)
+                    > sum(mu[j] for j, job in enumerate(inst.jobs)
+                          if any(mask >> i & 1 for i in job.eligible))
+                    for mask in range(1, 1 << m)
+                )
+                refuted = halves_refute(inst, tau)
+                assert refuted == hall_fails, (inst, tau)
+                if refuted:
+                    assert solve_clp_feasibility(inst, tau) is None, (inst, tau)
+                    fired += 1
+                else:
+                    held += 1
+    assert min(fired, held) >= 10, (fired, held)
 
 
 # ------------------------------------------------------------- clp -> alp

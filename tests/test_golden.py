@@ -43,7 +43,7 @@ GOLDEN = [
         '{"T":"33/1","branch":"clustered","min_value":"17/1",'
         '"certified_ratio_bound":"33/17","owner":{"2":0,"3":3,"6":2,"10":1},'
         '"counters":{"clp_solves":1,"composites":0,"lower_search_nodes":94,'
-        '"master_solves":6,"matching_steps":0,"saturated":4,"supers":0,'
+        '"master_solves":6,"matching_steps":0,"price_proofs":0,"saturated":4,"supers":0,'
         '"t_search_lower":33,"t_search_upper":36}}',
     ),
     (
@@ -52,7 +52,7 @@ GOLDEN = [
         '{"T":"23/1","branch":"clustered","min_value":"12/1",'
         '"certified_ratio_bound":"23/12","owner":{"1":0,"8":3,"10":1,"12":2},'
         '"counters":{"clp_solves":0,"composites":0,"lower_search_nodes":0,'
-        '"master_solves":1,"matching_steps":0,"saturated":4,"supers":0,'
+        '"master_solves":1,"matching_steps":0,"price_proofs":0,"saturated":4,"supers":0,'
         '"t_search_lower":23,"t_search_upper":23}}',
     ),
     (
@@ -61,7 +61,7 @@ GOLDEN = [
         '{"T":"31/1","branch":"clustered","min_value":"13/1",'
         '"certified_ratio_bound":"31/13","owner":{"2":2,"6":0,"8":1,"9":3},'
         '"counters":{"clp_solves":1,"composites":0,"lower_search_nodes":56,'
-        '"master_solves":6,"matching_steps":0,"saturated":4,"supers":0,'
+        '"master_solves":6,"matching_steps":0,"price_proofs":0,"saturated":4,"supers":0,'
         '"t_search_lower":31,"t_search_upper":32}}',
     ),
     (
@@ -70,7 +70,7 @@ GOLDEN = [
         '{"T":"31/1","branch":"clustered","min_value":"15/1",'
         '"certified_ratio_bound":"31/15","owner":{"0":3,"11":2,"12":1,"13":0},'
         '"counters":{"clp_solves":0,"composites":0,"lower_search_nodes":115,'
-        '"master_solves":1,"matching_steps":0,"saturated":4,"supers":0,'
+        '"master_solves":1,"matching_steps":0,"price_proofs":0,"saturated":4,"supers":0,'
         '"t_search_lower":31,"t_search_upper":31}}',
     ),
     (
@@ -79,7 +79,7 @@ GOLDEN = [
         '{"T":"14/1","branch":"clustered","min_value":"3/1",'
         '"certified_ratio_bound":"14/3","owner":{"0":1,"1":2,"2":0,"3":0,"4":0},'
         '"counters":{"clp_solves":0,"composites":1,"lower_search_nodes":15,'
-        '"master_solves":1,"matching_steps":1,"saturated":2,"supers":0,'
+        '"master_solves":1,"matching_steps":1,"price_proofs":0,"saturated":2,"supers":0,'
         '"t_search_lower":14,"t_search_upper":14}}',
     ),
     (
@@ -92,7 +92,7 @@ GOLDEN = [
         '"26":1,"27":1,"28":1,"30":2,"31":2,"32":2,"33":2,"34":2,"35":2,"36":2,'
         '"37":2,"38":2,"39":2,"40":2,"41":2,"42":2,"43":2,"44":2,"45":0,"46":0},'
         '"counters":{"clp_solves":0,"lower_search_nodes":0,"master_solves":1,'
-        '"small_rounded_jobs":45,"t_search_lower":15,'
+        '"price_proofs":0,"small_rounded_jobs":45,"t_search_lower":15,'
         '"t_search_upper":15}}',
     ),
     (
@@ -103,7 +103,7 @@ GOLDEN = [
         '"5":0,"6":0,"7":0,"8":0,"9":0,"10":0,"11":0,"12":0,"13":1,"14":1,'
         '"15":1,"16":1,"17":1,"18":1,"19":1,"20":1,"21":1,"22":1,"23":1,"24":1,'
         '"25":1},"counters":{"clp_solves":0,"lower_search_nodes":0,'
-        '"master_solves":1,"small_rounded_jobs":26,"t_search_lower":13,'
+        '"master_solves":1,"price_proofs":0,"small_rounded_jobs":26,"t_search_lower":13,'
         '"t_search_upper":13}}',
     ),
 ]
@@ -171,7 +171,7 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "73ef298625b0ac4c8e5471604e9cc20d94dc8c3cc07ec47233a337b0ae4ef3d6"
+BATCH_DIGEST = "cd649d796e46a1b8fef880ba3fcb4b724bd3a2f2a75bbabad63236d203d8ebd3"
 
 
 def batch_digest():

@@ -171,6 +171,23 @@ def test_cli_round_trip(tmp_path):
     assert run_cli(["exact", "--input", str(inst_file)]) == 0
 
 
+def test_cli_solve_summary_line(tmp_path, capsys):
+    # the bracket is [7, 9]; at tau = 8 every job costs one half and no job
+    # is free, so each machine's cover costs two halves: four wanted from
+    # the three the jobs hold refutes tau = 8 with no LP solved
+    from santaclaus.cli import run_cli
+
+    inst = tiny_instance([(7, [0, 1]), (5, [1]), (7, [0, 1])], machines=2)
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(serialize_instance(inst))
+    argv = ["solve", "--input", str(inst_file), "--out", str(tmp_path / "alloc.json")]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == (
+        "T=7/1 branch=clustered min_value=7/1 t_search_lower=7 t_search_upper=9 "
+        "clp_solves=0 price_proofs=1\n"
+    )
+
+
 def test_cli_verify_flags_mismatch(tmp_path, capsys):
     from santaclaus.cli import run_cli
 
