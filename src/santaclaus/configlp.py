@@ -54,10 +54,10 @@ probe goes just above the lower end, and only a feasible one leads to a
 bisection.  When the two bounds meet, T costs no LP at all.
 
 Each probe first tries a proof of infeasibility that needs no LP
-(`halves_refute`): job prices of 0, 1/2 or 1 by size against tau, each
-machine's cheapest cover under them in closed form, and one `route` call,
-whose failure names machines that need more than their jobs are worth, a
-Farkas certificate.  Only a probe the prices do not refute solves an LP.
+(`price_refute`): each machine takes the jobs it cannot be covered without,
+and the rest are priced in halves, then by size clipped at tau, each with a
+`route` call whose failure, a Farkas certificate, names machines that need
+more than their jobs are worth.  Only a probe it does not refute solves an LP.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
 from .rat import ceil_frac
@@ -678,55 +678,91 @@ def route(
     return [{i: d for i, d in flow.items() if d} for flow in sent]
 
 
-def halves_flow(
-    inst: Instance, tau: int
-) -> tuple[list[list[int]], list[int], list[int]]:
-    """The halves prices at ``tau`` as `route` input: each priced job's
-    eligible machines and price, and each machine's cheapest cover under
-    the prices.
-
-    Job j costs mu_j = min(2, floor(2 p_j / tau)) halves: 2 when p_j >= tau,
-    1 when p_j >= tau/2, and 0 below, so a free job is no flow source.  With
-    Z_i the total size of machine i's free jobs and H_i its largest job of
-    price 1, a cover costs kappa_i = 0 when Z_i >= tau, else 1 when
-    Z_i + H_i >= tau, else 2: one job of size >= tau, or two of size >=
-    tau/2, covers on its own, and a machine with neither has no cover at all.
-    """
-    free = [0] * inst.machine_count
-    half = [0] * inst.machine_count
-    sources: list[list[int]] = []
-    supply: list[int] = []
-    for job in inst.jobs:
-        size = job.size
-        if 2 * size < tau:
-            for i in job.eligible:
-                free[i] += size
+def forced_residual(inst: Instance, tau: int) -> tuple | None:
+    """Step 1 of `price_refute`: the forced (job, machine) pairs in order, and
+    each remaining machine's pool and need; None when a pool falls short."""
+    sizes = inst.sizes()
+    need = dict.fromkeys(range(inst.machine_count), tau)
+    pools: dict[int, list[int]] = {i: [] for i in need}
+    total = dict.fromkeys(need, 0)
+    for j, job in enumerate(inst.jobs):
+        for i in job.eligible:
+            pools[i].append(j)
+            total[i] += sizes[j]
+    forced = []
+    todo = list(need)  # machines to check, again each time their pool shrinks
+    for i in todo:
+        if i not in need:
             continue
-        if size < tau:
-            for i in job.eligible:
-                if half[i] < size:
-                    half[i] = size
-        sources.append(sorted(job.eligible))
-        supply.append(1 if size < tau else 2)
-    covers = [0 if z >= tau else 1 if z + h >= tau else 2 for z, h in zip(free, half)]
-    return sources, supply, covers
+        slack = total[i] - need[i]
+        if slack < 0:
+            return None
+        # forcing j lowers S_i and n_i alike, so i's slack stays put
+        for j in [j for j in pools[i] if sizes[j] > slack]:
+            forced.append((j, i))
+            need[i] -= sizes[j]
+            for k in inst.jobs[j].eligible & pools.keys():
+                pools[k].remove(j)
+                total[k] -= sizes[j]
+                todo.append(k)
+        if need[i] <= 0:
+            del need[i], pools[i]
+    return forced, pools, need
 
 
-def halves_refute(inst: Instance, tau: int) -> bool:
-    """Whether the halves prices (`halves_flow`) prove the configuration LP
-    at ``tau`` infeasible, with no LP.
+def price_flows(inst: Instance, tau: int, pools: dict, need: dict) -> Iterator[tuple]:
+    """Steps 2 and 3 of `price_refute` on a `forced_residual` residual, lazily,
+    as `route` input: priced jobs' machines and prices, and cheapest covers."""
+    sizes = inst.sizes()
+    held: dict[int, list[int]] = {}  # job -> the machines whose pool holds it
+    covers = [0] * inst.machine_count
+    for i, pool in pools.items():
+        free = half = 0  # Z_i and H_i
+        for j in pool:
+            held.setdefault(j, []).append(i)
+            if 2 * sizes[j] < tau:
+                free += sizes[j]
+            elif half < sizes[j] < tau:
+                half = sizes[j]
+        covers[i] = 0 if free >= need[i] else 1 if free + half >= need[i] else 2
+    jobs = sorted(held)
+    mu = [min(2, 2 * sizes[j] // tau) for j in jobs]
+    yield [held[j] for j, c in zip(jobs, mu) if c], [c for c in mu if c], covers
+    clipped = {j: min(sizes[j], tau) for j in jobs}
+    covers = [0] * inst.machine_count
+    for i, pool in pools.items():
+        bits = 1  # bit s: some subset's clipped total is s
+        for j in pool:
+            bits |= bits << clipped[j]
+        bits >>= need[i]
+        covers[i] = need[i] + (bits & -bits).bit_length() - 1
+    yield [held[j] for j in jobs], list(clipped.values()), covers
 
-    Any job prices mu >= 0 give a Farkas certificate: take a machine set M'
-    whose cheapest covers cost more in total than the jobs N(M') they may
-    hold, sum_{M'} kappa_i > mu(N(M')).  A configuration-LP point covers
-    each machine of M' at least once with configurations costing at least
-    kappa_i, so it would pay at least sum_{M'} kappa_i for jobs of N(M'),
-    but it uses each job at most once, so it pays at most mu(N(M')).  By
-    Hall's theorem such an M' exists exactly when no flow sends each priced
-    job's mu_j to its eligible machines so that machine i receives kappa_i,
-    which `route` decides.
+
+def price_refute(inst: Instance, tau: int) -> bool:
+    """Whether a proof with no LP refutes the configuration LP at ``tau``, in
+    three steps on residual pools and needs n_i, each need starting at tau.
+
+    1. Forced jobs.  With S_i machine i's pool total, S_i < n_i refutes; a
+       job with p_j > S_i - n_i is in every cover, so every LP point gives it
+       wholly to i: n_i falls by p_j and j leaves every pool, until nothing
+       changes, and a machine with n_i <= 0 leaves.  The residual LP is
+       feasible exactly when the original is.
+    2. Halves, mu_j = min(2, floor(2 p_j / tau)): with Z_i the free jobs'
+       total and H_i the largest job of price 1, the cheapest cover kappa_i
+       is 0 if Z_i >= n_i, else 1 if Z_i + H_i >= n_i, else 2.
+    3. Sizes clipped at tau, mu_j = min(p_j, tau): kappa_i is the least
+       clipped subset total that reaches n_i.
+
+    Prices refute when some machines M' need more than their jobs N(M') are
+    worth, sum_{M'} kappa_i > mu(N(M')), a Farkas certificate: an LP point
+    pays at least kappa_i per machine but uses each job at most once.  By
+    Hall's theorem, `route` fails exactly when such an M' exists.
     """
-    return route(*halves_flow(inst, tau)) is None
+    residual = forced_residual(inst, tau)
+    return residual is None or any(
+        route(*flow) is None for flow in price_flows(inst, tau, *residual[1:])
+    )
 
 
 def find_T_with_seeds(
@@ -756,14 +792,14 @@ def find_T_with_seeds(
     within the bracket.  The integrality gap is almost always 0, so the
     search then probes the lower end plus one first: infeasible there, T is
     the lower end; otherwise it bisects the rest of the bracket.  A probe
-    first tries `halves_refute`, which proves infeasibility by job prices
-    with no LP, and solves the configuration LP only when that fails.  The
-    last allocation's bundles and the columns found at each feasible tau
-    seed the master at the next probe, re-pruned; an infeasible probe adds
-    no seeds, so the prices change no answer.  ``counters`` gets the bracket
+    first tries `price_refute`, which proves infeasibility with no LP, and
+    solves the configuration LP only when that fails.  The last
+    allocation's bundles and the columns found at each feasible tau seed the
+    master at the next probe, re-pruned; an infeasible probe adds no seeds,
+    so the proof changes no answer.  ``counters`` gets the bracket
     (``t_search_lower``, ``t_search_upper``, after the integral search), the
     integral search's nodes (``lower_search_nodes``), the number of LP
-    probes (``clp_solves``) and of probes the prices refuted
+    probes (``clp_solves``) and of probes refuted with no LP
     (``price_proofs``), both 0 when the bracket closes before any probe.
     """
     pools = machine_pools(inst)
@@ -806,7 +842,7 @@ def find_T_with_seeds(
     seeds = {i: {tuple(b)} if b else set() for i, b in bundles.items()}
 
     def feasible(tau: int) -> bool:
-        if halves_refute(inst, tau):
+        if price_refute(inst, tau):
             if counters is not None:
                 counters["price_proofs"] += 1
             return False

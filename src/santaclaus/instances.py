@@ -43,8 +43,9 @@ class JobSpec:
     eligible: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("size must be positive")
+        # type(...) is int also turns away bool, whose type is its own
+        if type(self.size) is not int or self.size < 1:
+            raise ValueError("size must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class Instance:
     jobs: tuple[JobSpec, ...]
 
     def __post_init__(self) -> None:
-        if self.machine_count < 1:
-            raise ValueError("machine_count must be positive")
+        if type(self.machine_count) is not int or self.machine_count < 1:
+            raise ValueError("machine_count must be a positive integer")
         for k, job in enumerate(self.jobs):
             bad = [i for i in job.eligible if i < 0 or i >= self.machine_count]
             if bad:

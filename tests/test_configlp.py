@@ -7,14 +7,15 @@ from santaclaus.configlp import (
     clp_to_alp,
     find_T,
     find_T_with_seeds,
+    forced_residual,
     greedy_allocation,
-    halves_flow,
-    halves_refute,
     integral_allocation_at,
     is_minimal,
     local_search_allocation,
     machine_pools,
+    price_flows,
     price_min_knapsack,
+    price_refute,
     prune_to_minimal,
     route,
     solve_clp_feasibility,
@@ -701,8 +702,10 @@ def test_first_probe_is_just_above_the_lower_end(monkeypatch):
     monkeypatch.setattr(clp, "solve_clp_feasibility", recording)
     rng = Random(7)
     budget = clp.LOWER_SEARCH_BUDGET
-    at_lower = above_lower = refuted = 0
-    for k in range(80):
+    at_lower = above_lower = refuted = beyond_halves = 0
+    # the prices settle most probes at lo + 1, so it takes 400 rounds to
+    # see ten that only the LP refutes
+    for k in range(400):
         # without the integral search, the local search's lower end often
         # sits below T
         monkeypatch.setattr(clp, "LOWER_SEARCH_BUDGET", budget * (k % 2))
@@ -720,6 +723,7 @@ def test_first_probe_is_just_above_the_lower_end(monkeypatch):
                 assert T == lo and counters["price_proofs"] == 1, inst
                 assert real(inst, lo + 1) is None, inst
                 refuted += 1
+                beyond_halves += not halves_refute_reference(inst, lo + 1)
                 continue
             assert probes[0][0] == lo + 1, inst
             if T == lo:
@@ -730,6 +734,8 @@ def test_first_probe_is_just_above_the_lower_end(monkeypatch):
             else:
                 above_lower += 1
     assert min(at_lower, above_lower, refuted) >= 10, (at_lower, above_lower, refuted)
+    # forced jobs and clipped-size prices refute probes the halves alone do not
+    assert beyond_halves >= 5, beyond_halves
 
 
 def unit_clustered_shape(rng):
@@ -743,16 +749,50 @@ def unit_clustered_shape(rng):
     return Instance(machine_count=3, jobs=tuple(jobs))
 
 
-def test_halves_refutation_is_a_sound_farkas_proof():
-    # at every tau up to one past the flow bound: each machine's closed-form
-    # cover price equals the pricing DP's cheapest cover under the halves
-    # prices; the refutation fires exactly when a brute force over machine
-    # subsets finds M' whose covers cost more than the jobs N(M') are worth;
-    # and whenever it fires, the unseeded configuration LP is infeasible
+def halves_refute_reference(inst, tau):
+    """The halves check on the whole pools, with no forced jobs: prices
+    min(2, floor(2 p_j / tau)), each machine's cover priced in closed form
+    against tau (2 when it has no cover), and one `route` call."""
+    m = inst.machine_count
+    free, half = [0] * m, [0] * m
+    sources, supply = [], []
+    for job in inst.jobs:
+        if 2 * job.size < tau:
+            for i in job.eligible:
+                free[i] += job.size
+            continue
+        if job.size < tau:
+            for i in job.eligible:
+                half[i] = max(half[i], job.size)
+        sources.append(sorted(job.eligible))
+        supply.append(1 if job.size < tau else 2)
+    covers = [0 if z >= tau else 1 if z + h >= tau else 2 for z, h in zip(free, half)]
+    return route(sources, supply, covers) is None
+
+
+def subset_totals(jobs, sizes):
+    """Every subset total of ``jobs``, by enumeration."""
+    totals = {0}
+    for j in jobs:
+        totals |= {t + sizes[j] for t in totals}
+    return totals
+
+
+def test_price_refutation_is_a_sound_farkas_proof():
+    # at every tau up to one past the flow bound: each job step 1 forces is in
+    # every cover of its machine at that machine's residual need, and the
+    # residual is a fixed point; on the residual, each machine's cover price
+    # under the halves and under the clipped sizes equals the pricing DP's
+    # cheapest cover, and each route call fails exactly when a brute force
+    # over machine subsets finds M' whose covers cost more than the jobs
+    # N(M') are worth; whenever the proof fires, the unseeded configuration
+    # LP is infeasible; and it fires whenever the halves on the whole pools
+    # or the assignment flow refute tau
     from random import Random
 
     rng = Random(23)
-    fired = held = 0
+    fired = [0, 0, 0]  # by the step that refutes
+    held = forcings = 0
     for _ in range(40):
         shapes = [*bracket_shapes(rng), unit_clustered_shape(rng)]
         shapes.append(generate_random(
@@ -761,37 +801,73 @@ def test_halves_refutation_is_a_sound_farkas_proof():
         ))
         for inst in shapes:
             m = inst.machine_count
-            pools = machine_pools(inst)
             sizes = inst.sizes()
             flow = assignment_flow_feasibility(inst)
             bound = max((t for t in range(1, inst.total_size() + 1) if flow(t)), default=0)
             for tau in range(1, bound + 2):
-                mu = {j: min(2, 2 * p // tau) for j, p in enumerate(sizes)}
-                sources, supply, covers = halves_flow(inst, tau)
-                priced = [j for j in mu if mu[j]]
-                assert sources == [sorted(inst.jobs[j].eligible) for j in priced]
-                assert supply == [mu[j] for j in priced]
-                kappa = []
-                for i in range(m):
-                    cfg = price_min_knapsack(pools[i], sizes, mu, F(tau))
-                    # a machine no configuration covers constrains no price,
-                    # and the closed form charges it 2
-                    kappa.append(2 if cfg is None else sum(mu[j] for j in cfg.jobs))
-                assert covers == kappa, (inst, tau)
-                hall_fails = any(
-                    sum(kappa[i] for i in range(m) if mask >> i & 1)
-                    > sum(mu[j] for j, job in enumerate(inst.jobs)
-                          if any(mask >> i & 1 for i in job.eligible))
-                    for mask in range(1, 1 << m)
-                )
-                refuted = halves_refute(inst, tau)
-                assert refuted == hall_fails, (inst, tau)
+                residual = forced_residual(inst, tau)
+                step = 0
+                if residual is not None:
+                    forced, pools, need = residual
+                    forcings += len(forced)
+                    want_pools = {i: list(inst.eligible_jobs(i)) for i in range(m)}
+                    want_need = dict.fromkeys(range(m), tau)
+                    for j, i in forced:
+                        rest = [k for k in want_pools[i] if k != j]
+                        assert j in want_pools[i], (inst, tau, j, i)
+                        assert max(subset_totals(rest, sizes)) < want_need[i], (inst, tau, j, i)
+                        want_need[i] -= sizes[j]
+                        for pool in want_pools.values():
+                            if j in pool:
+                                pool.remove(j)
+                        if want_need[i] <= 0:
+                            del want_pools[i], want_need[i]
+                    assert (pools, need) == (want_pools, want_need), (inst, tau)
+                    for i in need:
+                        # a fixed point: each pool reaches its need, and no
+                        # job is in every cover
+                        assert 0 < need[i] <= max(subset_totals(pools[i], sizes)), (inst, tau)
+                        for j in pools[i]:
+                            rest = [k for k in pools[i] if k != j]
+                            assert max(subset_totals(rest, sizes)) >= need[i], (inst, tau, j)
+                    jobs = sorted(set().union(*pools.values()))
+                    prices = [
+                        {j: min(2, 2 * sizes[j] // tau) for j in jobs},
+                        {j: min(sizes[j], tau) for j in jobs},
+                    ]
+                    flows = list(price_flows(inst, tau, pools, need))
+                    assert len(flows) == 2
+                    step = None
+                    for k, (mu, (sources, supply, covers)) in enumerate(zip(prices, flows), 2):
+                        priced = [j for j in jobs if mu[j]]
+                        assert sources == [
+                            sorted(i for i in pools if j in pools[i]) for j in priced
+                        ], (inst, tau, k)
+                        assert supply == [mu[j] for j in priced], (inst, tau, k)
+                        kappa = [0] * m
+                        for i in need:
+                            cfg = price_min_knapsack(pools[i], sizes, mu, F(need[i]))
+                            kappa[i] = sum(mu[j] for j in cfg.jobs)
+                        assert covers == kappa, (inst, tau, k)
+                        hall_fails = any(
+                            sum(kappa[i] for i in range(m) if mask >> i & 1)
+                            > sum(mu[j] for j in jobs
+                                  if any(mask >> i & 1 and j in pools[i] for i in pools))
+                            for mask in range(1, 1 << m)
+                        )
+                        assert (route(sources, supply, covers) is None) == hall_fails
+                        if hall_fails and step is None:
+                            step = k - 1
+                refuted = price_refute(inst, tau)
+                assert refuted == (step is not None), (inst, tau)
                 if refuted:
                     assert solve_clp_feasibility(inst, tau) is None, (inst, tau)
-                    fired += 1
+                    fired[step] += 1
                 else:
                     held += 1
-    assert min(fired, held) >= 10, (fired, held)
+                if halves_refute_reference(inst, tau) or not flow(tau):
+                    assert refuted, (inst, tau)
+    assert min(*fired, held, forcings) >= 10, (fired, held, forcings)
 
 
 # ------------------------------------------------------------- clp -> alp

@@ -171,7 +171,7 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "cd649d796e46a1b8fef880ba3fcb4b724bd3a2f2a75bbabad63236d203d8ebd3"
+BATCH_DIGEST = "82fff9bc6f369de89cba556678ab9a7e3641982e44b6711c67f57d5d634ba7aa"
 
 
 def batch_digest():

@@ -43,6 +43,20 @@ def test_parse_rejects_zero_size():
     assert "jobs[0].size" in str(err.value)
 
 
+@pytest.mark.parametrize("size", [2.5, 3.0, Fraction(5, 2), True, 0, -1])
+def test_jobspec_rejects_a_size_that_is_not_a_positive_int(size):
+    # the T search assumes integer sizes: sizes 2.5 and 3 on one machine
+    # would give T = 5 against an optimum of 5.5
+    with pytest.raises(ValueError, match="size must be a positive integer"):
+        JobSpec(size=size, eligible=frozenset({0}))
+
+
+@pytest.mark.parametrize("count", [2.5, 1.0, Fraction(2), True, 0])
+def test_instance_rejects_a_machine_count_that_is_not_a_positive_int(count):
+    with pytest.raises(ValueError, match="machine_count must be a positive integer"):
+        Instance(machine_count=count, jobs=())
+
+
 def test_parse_rejects_out_of_range_machine():
     with pytest.raises(InstanceFormatError, match="machine index out of range") as err:
         parse_instance('{"machines":2,"jobs":[{"size":1,"eligible":[2]}]}')

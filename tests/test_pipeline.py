@@ -172,9 +172,9 @@ def test_cli_round_trip(tmp_path):
 
 
 def test_cli_solve_summary_line(tmp_path, capsys):
-    # the bracket is [7, 9]; at tau = 8 every job costs one half and no job
-    # is free, so each machine's cover costs two halves: four wanted from
-    # the three the jobs hold refutes tau = 8 with no LP solved
+    # the bracket is [7, 9]; at tau = 8 machine 0 cannot be covered without
+    # both jobs of size 7, which leaves machine 1 only the 5: forced jobs
+    # refute tau = 8 with no LP solved
     from santaclaus.cli import run_cli
 
     inst = tiny_instance([(7, [0, 1]), (5, [1]), (7, [0, 1])], machines=2)
