@@ -39,34 +39,32 @@ Every cover LP is the configuration LP: one cover row per machine, cover
 solves it once more at T over the gap instance's sizes; that one solution
 classifies machines and feeds either branch.
 
-The T search probes only between two bounds that need no LP.  Above: the
-largest tau at which the assignment LP clipped at tau is feasible, which
-`route`, the package's one max-flow, decides exactly (clustering's
-matchings call it too); every configuration-LP point gives such a flow,
-so the bound holds, and at tau = 1 the two LPs are the same, so the flow
-also decides whether T >= 1.  Below: the minimum load of an integral
-allocation, since its bundles, pruned, are a configuration-LP point there.
-A largest-first greedy allocation, improved by a move/swap local search,
-gives the first; while the bounds differ, a depth-first search with a fixed
-node budget looks for one whose minimum load is one higher.  The
-configuration LP's integrality gap is almost always 0, so the first LP
-probe goes just above the lower end, and only a feasible one leads to a
-bisection.  When the two bounds meet, T costs no LP at all.
-
-Each probe first tries a proof of infeasibility that needs no LP
-(`price_refute`): each machine takes the jobs it cannot be covered without,
-and the rest are priced in halves, then by size clipped at tau, each with a
-`route` call whose failure, a Farkas certificate, names machines that need
-more than their jobs are worth.  Only a probe it does not refute solves an LP.
+The T search probes only between two bounds that need no LP.  Below: the
+minimum load of an integral allocation, since its bundles, pruned, are a
+configuration-LP point there.  A largest-first greedy allocation, improved
+by a move/swap local search, gives the first.  Above: the smallest pool
+total and floor(S / m), lowered by a bisection with `price_refute`, the
+package's one proof of infeasibility that needs no LP.  Each machine takes
+the jobs it cannot be covered without, and the rest are priced in halves,
+then by size clipped at tau, each with a call to `route`, the package's one
+max-flow (clustering's matchings call it too), whose failure, a Farkas
+certificate, names machines that need more than their jobs are worth.  The
+clipped prices refute every tau at which the assignment LP clipped at tau
+is infeasible, and at tau = 1 that LP is the configuration LP, so the upper
+end also decides whether T >= 1.  While the bounds differ, a depth-first
+search with a fixed node budget looks for an allocation whose minimum load
+is one higher.  The configuration LP's integrality gap is almost always 0,
+so the first LP probe goes just above the lower end, and only a feasible
+one leads to a bisection.  When the two bounds meet, T costs no LP at all.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
 from .rat import ceil_frac
@@ -569,42 +567,6 @@ def integral_allocation_at(
     return None, nodes
 
 
-def assignment_flow_feasibility(inst: Instance) -> Callable[[int], bool]:
-    """Whether the assignment LP clipped at tau is feasible, as a predicate
-    on tau.
-
-    That LP asks for a fractional assignment in which every machine receives
-    at least tau, counting job j as min(p_j, tau) and using each job at most
-    once in total.  It is feasible exactly when the network source -> job j
-    (capacity min(p_j, tau)) -> each eligible machine -> sink (capacity tau)
-    carries m * tau.  Every configuration-LP point at tau gives such a flow,
-    since a minimal configuration holding a job of size >= tau is that job
-    alone.  Jobs with the same eligible set are one source, with their
-    capacities summed, which changes no cut.  The sources are grouped here,
-    once, with each source's sizes sorted and prefix-summed, so a call
-    clips a source's capacity at tau with one bisection, and `route` finds
-    the flow.
-    """
-    m = inst.machine_count
-    grouped: dict[frozenset[int], list[int]] = {}
-    for job in inst.jobs:
-        if job.eligible:
-            grouped.setdefault(job.eligible, []).append(job.size)
-    machines = [sorted(eligible) for eligible in grouped]
-    sources = [sorted(sizes) for sizes in grouped.values()]
-    totals = [list(accumulate(sizes, initial=0)) for sizes in sources]
-
-    def feasible(tau: int) -> bool:
-        # sum_j min(p_j, tau): the sizes up to tau, then tau for each larger one.
-        rest = []
-        for sizes, total in zip(sources, totals):
-            k = bisect_right(sizes, tau)
-            rest.append(total[k] + (len(sizes) - k) * tau)
-        return route(machines, rest, [tau] * m) is not None
-
-    return feasible
-
-
 def route(
     machines: list[list[int]], supply: list[int], demand: list[int]
 ) -> list[dict[int, int]] | None:
@@ -678,17 +640,14 @@ def route(
     return [{i: d for i, d in flow.items() if d} for flow in sent]
 
 
-def forced_residual(inst: Instance, tau: int) -> tuple | None:
+def forced_residual(
+    pools: Mapping[int, Sequence[int]], sizes: Sequence[int], tau: int
+) -> tuple | None:
     """Step 1 of `price_refute`: the forced (job, machine) pairs in order, and
     each remaining machine's pool and need; None when a pool falls short."""
-    sizes = inst.sizes()
-    need = dict.fromkeys(range(inst.machine_count), tau)
-    pools: dict[int, list[int]] = {i: [] for i in need}
-    total = dict.fromkeys(need, 0)
-    for j, job in enumerate(inst.jobs):
-        for i in job.eligible:
-            pools[i].append(j)
-            total[i] += sizes[j]
+    need = dict.fromkeys(pools, tau)
+    pools = {i: list(pool) for i, pool in pools.items()}
+    total = {i: sum(sizes[j] for j in pool) for i, pool in pools.items()}
     forced = []
     todo = list(need)  # machines to check, again each time their pool shrinks
     for i in todo:
@@ -701,21 +660,23 @@ def forced_residual(inst: Instance, tau: int) -> tuple | None:
         for j in [j for j in pools[i] if sizes[j] > slack]:
             forced.append((j, i))
             need[i] -= sizes[j]
-            for k in inst.jobs[j].eligible & pools.keys():
-                pools[k].remove(j)
-                total[k] -= sizes[j]
-                todo.append(k)
+            for k, pool in pools.items():
+                if j in pool:
+                    pool.remove(j)
+                    total[k] -= sizes[j]
+                    todo.append(k)
         if need[i] <= 0:
             del need[i], pools[i]
     return forced, pools, need
 
 
-def price_flows(inst: Instance, tau: int, pools: dict, need: dict) -> Iterator[tuple]:
+def price_flows(sizes: Sequence[int], tau: int, pools: dict, need: dict) -> Iterator[tuple]:
     """Steps 2 and 3 of `price_refute` on a `forced_residual` residual, lazily,
-    as `route` input: priced jobs' machines and prices, and cheapest covers."""
-    sizes = inst.sizes()
+    as `route` input: priced jobs' machines and prices, and cheapest covers
+    by machine index up to the last machine left (0 for one that left)."""
     held: dict[int, list[int]] = {}  # job -> the machines whose pool holds it
-    covers = [0] * inst.machine_count
+    m = max(pools, default=-1) + 1
+    covers = [0] * m
     for i, pool in pools.items():
         free = half = 0  # Z_i and H_i
         for j in pool:
@@ -729,7 +690,7 @@ def price_flows(inst: Instance, tau: int, pools: dict, need: dict) -> Iterator[t
     mu = [min(2, 2 * sizes[j] // tau) for j in jobs]
     yield [held[j] for j, c in zip(jobs, mu) if c], [c for c in mu if c], covers
     clipped = {j: min(sizes[j], tau) for j in jobs}
-    covers = [0] * inst.machine_count
+    covers = [0] * m
     for i, pool in pools.items():
         bits = 1  # bit s: some subset's clipped total is s
         for j in pool:
@@ -739,9 +700,10 @@ def price_flows(inst: Instance, tau: int, pools: dict, need: dict) -> Iterator[t
     yield [held[j] for j in jobs], list(clipped.values()), covers
 
 
-def price_refute(inst: Instance, tau: int) -> bool:
-    """Whether a proof with no LP refutes the configuration LP at ``tau``, in
-    three steps on residual pools and needs n_i, each need starting at tau.
+def price_refute(pools: Mapping[int, Sequence[int]], sizes: Sequence[int], tau: int) -> bool:
+    """Whether a proof with no LP refutes the configuration LP at ``tau``
+    over machine pools ``pools``, in three steps on residual pools and needs
+    n_i, each need starting at tau.
 
     1. Forced jobs.  With S_i machine i's pool total, S_i < n_i refutes; a
        job with p_j > S_i - n_i is in every cover, so every LP point gives it
@@ -758,10 +720,17 @@ def price_refute(inst: Instance, tau: int) -> bool:
     worth, sum_{M'} kappa_i > mu(N(M')), a Farkas certificate: an LP point
     pays at least kappa_i per machine but uses each job at most once.  By
     Hall's theorem, `route` fails exactly when such an M' exists.
+
+    The proof refutes every tau at which the assignment LP clipped at tau,
+    in which every machine receives tau counting job j as min(p_j, tau) and
+    each job is used at most once, is infeasible: a flow of step 3 gives each
+    remaining machine at least its need, and each forced job, clipped, added
+    to its machine tops every machine up to tau.  The proof need not be
+    monotone in tau.
     """
-    residual = forced_residual(inst, tau)
+    residual = forced_residual(pools, sizes, tau)
     return residual is None or any(
-        route(*flow) is None for flow in price_flows(inst, tau, *residual[1:])
+        route(*flow) is None for flow in price_flows(sizes, tau, *residual[1:])
     )
 
 
@@ -777,30 +746,32 @@ def find_T_with_seeds(
     `verify_allocation` recomputes it, is a lower end: its bundles, pruned,
     are a feasible point at that tau.  The first allocation is
     `greedy_allocation` improved by `local_search_allocation`.  Above: the
-    largest tau in the bracket at which `assignment_flow_feasibility` holds,
-    found by bisection, since the flow's feasibility is monotone in tau
-    (sum_j min(p_j, tau) - |M'| tau is concave for every machine subset M').
-    The flow bisection starts from the smallest pool total and
-    floor(S / m), with S the total size of the jobs some machine may take,
-    and runs only when the bracket is open.  At tau = 1 every minimal
-    configuration is a single job, so both LPs are the same bipartite
-    matching LP there: a flow bound of 0 closes the bracket at T = 0, and
-    one >= 1 raises a lower end of 0 to 1.  While the bracket is open,
+    smallest pool total and floor(S / m), with S the total size of the jobs
+    some machine may take; while the bracket is open, a bisection lowers it
+    to a tau r that `price_refute` does not refute.  The proof need not be
+    monotone in tau, but r is still an upper bound on T: either r is the
+    starting upper end, or the proof refuted r + 1, and the configuration
+    LP's feasibility is monotone.  The proof refutes every tau at which the
+    assignment LP clipped at tau is infeasible, and that LP's feasibility is
+    monotone (sum_j min(p_j, tau) - |M'| tau is concave for every machine
+    subset M'), so r is never above the largest tau at which that LP is
+    feasible.  At tau = 1 every minimal configuration is a single job, so
+    both LPs are the same bipartite matching LP there: if the configuration
+    LP is infeasible at 1, the proof refutes every tau >= 1 and r is 0, so
+    an upper end of 0 closes the bracket at T = 0, and one >= 1 raises a
+    lower end of 0 to 1.  While the bracket is open,
     `integral_allocation_at` tries the lower end plus one, all attempts
     sharing ``LOWER_SEARCH_BUDGET`` nodes; each allocation it finds replaces
     the last and raises the lower end to its minimum load, which must stay
     within the bracket.  The integrality gap is almost always 0, so the
-    search then probes the lower end plus one first: infeasible there, T is
-    the lower end; otherwise it bisects the rest of the bracket.  A probe
-    first tries `price_refute`, which proves infeasibility with no LP, and
-    solves the configuration LP only when that fails.  The last
-    allocation's bundles and the columns found at each feasible tau seed the
-    master at the next probe, re-pruned; an infeasible probe adds no seeds,
-    so the proof changes no answer.  ``counters`` gets the bracket
-    (``t_search_lower``, ``t_search_upper``, after the integral search), the
-    integral search's nodes (``lower_search_nodes``), the number of LP
-    probes (``clp_solves``) and of probes refuted with no LP
-    (``price_proofs``), both 0 when the bracket closes before any probe.
+    search then probes the lower end plus one first with the configuration
+    LP: infeasible there, T is the lower end; otherwise it bisects the rest
+    of the bracket.  The last allocation's bundles and the columns found at
+    each feasible tau seed the master at the next probe, re-pruned.
+    ``counters`` gets the bracket (``t_search_lower``, ``t_search_upper``,
+    after the integral search), the integral search's nodes
+    (``lower_search_nodes``), the number of LP probes (``clp_solves``) and of
+    taus the upper end's bisection refuted (``price_proofs``).
     """
     pools = machine_pools(inst)
     sizes = inst.sizes()
@@ -812,9 +783,16 @@ def find_T_with_seeds(
     )
     if lo > hi:
         raise CoverLpError(f"T search bracket is inverted: greedy {lo} > upper bound {hi}")
-    # The allocation gives a flow at its minimum load.
-    if lo < hi:
-        hi = _largest_holding(lo, hi, assignment_flow_feasibility(inst))
+    refuted = []  # the taus the upper end's bisection refuted
+
+    def unrefuted(tau: int) -> bool:
+        if price_refute(pools, sizes, tau):
+            refuted.append(tau)
+            return False
+        return True
+
+    # The allocation is a feasible point at its minimum load.
+    hi = _largest_holding(lo, hi, unrefuted)
     lo = max(lo, min(hi, 1))
     spent = 0
     while lo < hi:
@@ -832,7 +810,7 @@ def find_T_with_seeds(
         lo = load
     if counters is not None:
         counters.setdefault("clp_solves", 0)
-        counters.setdefault("price_proofs", 0)
+        counters["price_proofs"] = len(refuted)
         counters["lower_search_nodes"] = spent
         counters["t_search_lower"] = lo
         counters["t_search_upper"] = hi
@@ -842,10 +820,6 @@ def find_T_with_seeds(
     seeds = {i: {tuple(b)} if b else set() for i, b in bundles.items()}
 
     def feasible(tau: int) -> bool:
-        if price_refute(inst, tau):
-            if counters is not None:
-                counters["price_proofs"] += 1
-            return False
         if counters is not None:
             counters["clp_solves"] += 1
         sol = solve_clp_feasibility(
@@ -863,9 +837,11 @@ def find_T_with_seeds(
 
 
 def _largest_holding(lo: int, hi: int, holds) -> int:
-    """Bisection: the largest tau in [lo, hi] at which ``holds``, a predicate
-    that is monotone (true up to some tau, false above) and known, without
-    a call, to hold at lo."""
+    """Bisection over [lo, hi] with a predicate ``holds`` known, without a
+    call, to hold at lo.  The result r is lo or a tau at which ``holds`` was
+    true, and r is hi or ``holds`` was false at r + 1; so when ``holds`` is
+    true up to some tau and false above, r is the largest tau at which it
+    holds."""
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if holds(mid):

@@ -57,9 +57,9 @@ class Instance:
         if type(self.machine_count) is not int or self.machine_count < 1:
             raise ValueError("machine_count must be a positive integer")
         for k, job in enumerate(self.jobs):
-            bad = [i for i in job.eligible if i < 0 or i >= self.machine_count]
+            bad = [i for i in job.eligible if type(i) is not int or not 0 <= i < self.machine_count]
             if bad:
-                raise ValueError(f"jobs[{k}]: machine index out of range: {sorted(bad)}")
+                raise ValueError(f"jobs[{k}]: machine index not an int in range: {sorted(bad)}")
 
     @property
     def job_count(self) -> int:

@@ -3,7 +3,6 @@ from fractions import Fraction
 from santaclaus.configlp import (
     Configuration,
     check_cover_solution,
-    assignment_flow_feasibility,
     clp_to_alp,
     find_T,
     find_T_with_seeds,
@@ -366,7 +365,7 @@ def greedy_min_load(inst):
 
 def trivial_upper_bound(inst):
     """The smallest pool total and floor(S / m): the bracket's upper end
-    before the flow bound."""
+    before the prices lower it."""
     pools = machine_pools(inst)
     sizes = inst.sizes()
     return min(
@@ -379,7 +378,7 @@ def test_bracketed_find_T_matches_plain_bisection():
     from random import Random
 
     rng = Random(2024)
-    checked = empty_pool = greedy_raised = flow_below = closed = 0
+    checked = empty_pool = greedy_raised = priced_below = closed = 0
     while checked < 220:
         for inst in bracket_shapes(rng):
             counters = {}
@@ -387,15 +386,15 @@ def test_bracketed_find_T_matches_plain_bisection():
             assert T == plain_bisection_T(inst), inst
             lo, hi = counters["t_search_lower"], counters["t_search_upper"]
             assert lo <= T <= hi
-            # the flow decides T >= 1, so a lower end of 0 is a closed bracket
+            # the upper end decides T >= 1, so a lower end of 0 is a closed bracket
             assert not lo == 0 < hi, inst
             checked += 1
             empty_pool += any(not p for p in machine_pools(inst).values())
             greedy_raised += greedy_min_load(inst) == 0 < lo
-            flow_below += hi < trivial_upper_bound(inst)
+            priced_below += hi < trivial_upper_bound(inst)
             closed += lo == hi
     # the corner cases the bracket must get right all occur
-    counts = (empty_pool, greedy_raised, flow_below, closed)
+    counts = (empty_pool, greedy_raised, priced_below, closed)
     assert min(counts) >= 10, counts
 
 
@@ -412,44 +411,50 @@ def hall_feasible(inst, tau):
 
 
 def shared_source_shape(rng):
-    """Jobs of mixed sizes on a few shared eligible sets, so that one flow
-    source holds jobs on both sides of most tau."""
+    """Jobs of mixed sizes on a few shared eligible sets, so that the jobs on
+    one set fall on both sides of most tau."""
     m = rng.randint(2, 4)
     sets = [frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(rng.randint(1, 3))]
     jobs = [JobSpec(size=rng.randint(1, 12), eligible=rng.choice(sets)) for _ in range(rng.randint(3, 10))]
     return Instance(machine_count=m, jobs=tuple(jobs))
 
 
-def test_flow_bound_matches_hall_subset_oracle():
-    # one predicate per instance, grouped once, asked at every tau up to one
-    # past the bound in shuffled order: each verdict must match the subset
-    # oracle whatever tau it was asked at before
+def clipped_flow_feasible(inst, tau):
+    """The assignment LP clipped at tau, by one `route` call: job j sends
+    min(p_j, tau) to its eligible machines, and each machine receives tau."""
+    jobs = [job for job in inst.jobs if job.eligible]
+    return route(
+        [sorted(job.eligible) for job in jobs],
+        [min(job.size, tau) for job in jobs],
+        [tau] * inst.machine_count,
+    ) is not None
+
+
+def test_upper_end_lies_between_T_and_the_hall_subset_oracle():
+    # the bracket's upper end r is at least T and at most the largest tau at
+    # which the clipped assignment LP is feasible, which the subset oracle
+    # gives (and the test-local flow matches); when r is below the starting
+    # upper end, the prices refute r + 1, and r is often strictly tighter
+    # than the oracle
     from random import Random
 
     rng = Random(7)
     below = 0
-    mixed = 0
     for _ in range(60):
         for inst in [*bracket_shapes(rng), shared_source_shape(rng)]:
             if inst.machine_count > 4:
                 continue
             bound = max(t for t in range(inst.total_size() + 1) if hall_feasible(inst, t))
+            for tau in range(1, bound + 2):
+                assert clipped_flow_feasible(inst, tau) == (tau <= bound), (inst, tau)
             counters = {}
-            find_T_with_seeds(inst, counters)
-            assert counters["t_search_upper"] == bound, inst
-            feasible = assignment_flow_feasibility(inst)
-            sources = {}
-            for job in inst.jobs:
-                sources.setdefault(job.eligible, []).append(job.size)
-            taus = list(range(1, bound + 2))
-            rng.shuffle(taus)
-            for tau in taus:
-                assert feasible(tau) == (tau <= bound), (inst, tau)
-                # some source holds jobs both at most tau and above it
-                mixed += any(min(sizes) <= tau < max(sizes) for sizes in sources.values())
-            below += bound < trivial_upper_bound(inst)
+            T, _ = find_T_with_seeds(inst, counters)
+            upper = counters["t_search_upper"]
+            assert T <= upper <= bound, inst
+            if upper < trivial_upper_bound(inst):
+                assert price_refute(machine_pools(inst), inst.sizes(), upper + 1), inst
+            below += upper < bound
     assert below >= 10, below
-    assert mixed >= 500, mixed
 
 
 def test_route_meets_demands_exactly_when_hall_holds():
@@ -648,7 +653,7 @@ def test_integral_search_is_not_bound_by_recursion_depth():
 
 
 def test_lower_end_above_upper_bound_raises_under_python_O():
-    # an integral allocation the verifier "confirms" above the flow bound
+    # an integral allocation the verifier "confirms" above the upper end
     # must stop the search with a named error, not be clipped to the bound
     import os
     import subprocess
@@ -702,10 +707,10 @@ def test_first_probe_is_just_above_the_lower_end(monkeypatch):
     monkeypatch.setattr(clp, "solve_clp_feasibility", recording)
     rng = Random(7)
     budget = clp.LOWER_SEARCH_BUDGET
-    at_lower = above_lower = refuted = beyond_halves = 0
-    # the prices settle most probes at lo + 1, so it takes 400 rounds to
-    # see ten that only the LP refutes
-    for k in range(400):
+    at_lower = above_lower = closed = beyond_halves = 0
+    # the prices close most brackets at T, so it takes 320 rounds to see ten
+    # brackets that only the LP closes at lo + 1
+    for k in range(320):
         # without the integral search, the local search's lower end often
         # sits below T
         monkeypatch.setattr(clp, "LOWER_SEARCH_BUDGET", budget * (k % 2))
@@ -715,26 +720,27 @@ def test_first_probe_is_just_above_the_lower_end(monkeypatch):
             T, _ = find_T_with_seeds(inst, counters)
             lo, hi = counters["t_search_lower"], counters["t_search_upper"]
             assert counters["clp_solves"] == len(probes)
+            # the prices run only on the upper end: they would settle no probe
+            pools, sizes = machine_pools(inst), inst.sizes()
+            assert not any(price_refute(pools, sizes, tau) for tau, _ in probes), inst
             if lo == hi:
-                assert probes == [] and counters["price_proofs"] == 0
-                continue
-            if not probes:
-                # the prices refuted lo + 1, and the plain LP agrees
-                assert T == lo and counters["price_proofs"] == 1, inst
-                assert real(inst, lo + 1) is None, inst
-                refuted += 1
-                beyond_halves += not halves_refute_reference(inst, lo + 1)
+                assert probes == [], inst
+                if hi < trivial_upper_bound(inst):
+                    # the prices closed the bracket, and the plain LP agrees
+                    assert counters["price_proofs"] >= 1, inst
+                    assert real(inst, hi + 1) is None, inst
+                    closed += 1
+                    beyond_halves += not halves_refute_reference(inst, hi + 1)
                 continue
             assert probes[0][0] == lo + 1, inst
             if T == lo:
                 # one infeasible probe, and nothing else
                 assert probes == [(lo + 1, False)], inst
-                assert counters["price_proofs"] == 0, inst
                 at_lower += 1
             else:
                 above_lower += 1
-    assert min(at_lower, above_lower, refuted) >= 10, (at_lower, above_lower, refuted)
-    # forced jobs and clipped-size prices refute probes the halves alone do not
+    assert min(at_lower, above_lower, closed) >= 10, (at_lower, above_lower, closed)
+    # forced jobs and clipped-size prices close brackets the halves alone do not
     assert beyond_halves >= 5, beyond_halves
 
 
@@ -779,15 +785,15 @@ def subset_totals(jobs, sizes):
 
 
 def test_price_refutation_is_a_sound_farkas_proof():
-    # at every tau up to one past the flow bound: each job step 1 forces is in
-    # every cover of its machine at that machine's residual need, and the
-    # residual is a fixed point; on the residual, each machine's cover price
-    # under the halves and under the clipped sizes equals the pricing DP's
-    # cheapest cover, and each route call fails exactly when a brute force
-    # over machine subsets finds M' whose covers cost more than the jobs
-    # N(M') are worth; whenever the proof fires, the unseeded configuration
-    # LP is infeasible; and it fires whenever the halves on the whole pools
-    # or the assignment flow refute tau
+    # at every tau up to one past the clipped-flow bound: each job step 1
+    # forces is in every cover of its machine at that machine's residual
+    # need, and the residual is a fixed point; on the residual, each
+    # machine's cover price under the halves and under the clipped sizes
+    # equals the pricing DP's cheapest cover, and each route call fails
+    # exactly when a brute force over machine subsets finds M' whose covers
+    # cost more than the jobs N(M') are worth; whenever the proof fires, the
+    # unseeded configuration LP is infeasible; and it fires whenever the
+    # halves on the whole pools or the clipped assignment flow refute tau
     from random import Random
 
     rng = Random(23)
@@ -802,10 +808,13 @@ def test_price_refutation_is_a_sound_farkas_proof():
         for inst in shapes:
             m = inst.machine_count
             sizes = inst.sizes()
-            flow = assignment_flow_feasibility(inst)
-            bound = max((t for t in range(1, inst.total_size() + 1) if flow(t)), default=0)
+            machine_pool = machine_pools(inst)
+            bound = max(
+                (t for t in range(1, inst.total_size() + 1) if clipped_flow_feasible(inst, t)),
+                default=0,
+            )
             for tau in range(1, bound + 2):
-                residual = forced_residual(inst, tau)
+                residual = forced_residual(machine_pool, sizes, tau)
                 step = 0
                 if residual is not None:
                     forced, pools, need = residual
@@ -835,7 +844,7 @@ def test_price_refutation_is_a_sound_farkas_proof():
                         {j: min(2, 2 * sizes[j] // tau) for j in jobs},
                         {j: min(sizes[j], tau) for j in jobs},
                     ]
-                    flows = list(price_flows(inst, tau, pools, need))
+                    flows = list(price_flows(sizes, tau, pools, need))
                     assert len(flows) == 2
                     step = None
                     for k, (mu, (sources, supply, covers)) in enumerate(zip(prices, flows), 2):
@@ -848,7 +857,8 @@ def test_price_refutation_is_a_sound_farkas_proof():
                         for i in need:
                             cfg = price_min_knapsack(pools[i], sizes, mu, F(need[i]))
                             kappa[i] = sum(mu[j] for j in cfg.jobs)
-                        assert covers == kappa, (inst, tau, k)
+                        # route's demand, by machine, up to the last one left
+                        assert covers + [0] * (m - len(covers)) == kappa, (inst, tau, k)
                         hall_fails = any(
                             sum(kappa[i] for i in range(m) if mask >> i & 1)
                             > sum(mu[j] for j in jobs
@@ -858,14 +868,14 @@ def test_price_refutation_is_a_sound_farkas_proof():
                         assert (route(sources, supply, covers) is None) == hall_fails
                         if hall_fails and step is None:
                             step = k - 1
-                refuted = price_refute(inst, tau)
+                refuted = price_refute(machine_pool, sizes, tau)
                 assert refuted == (step is not None), (inst, tau)
                 if refuted:
                     assert solve_clp_feasibility(inst, tau) is None, (inst, tau)
                     fired[step] += 1
                 else:
                     held += 1
-                if halves_refute_reference(inst, tau) or not flow(tau):
+                if halves_refute_reference(inst, tau) or not clipped_flow_feasible(inst, tau):
                     assert refuted, (inst, tau)
     assert min(*fired, held, forcings) >= 10, (fired, held, forcings)
 

@@ -43,8 +43,8 @@ GOLDEN = [
         '{"T":"33/1","branch":"clustered","min_value":"17/1",'
         '"certified_ratio_bound":"33/17","owner":{"2":0,"3":3,"6":2,"10":1},'
         '"counters":{"clp_solves":1,"composites":0,"lower_search_nodes":94,'
-        '"master_solves":6,"matching_steps":0,"price_proofs":0,"saturated":4,"supers":0,'
-        '"t_search_lower":33,"t_search_upper":36}}',
+        '"master_solves":6,"matching_steps":0,"price_proofs":2,"saturated":4,"supers":0,'
+        '"t_search_lower":33,"t_search_upper":34}}',
     ),
     (
         "random-3",
@@ -61,7 +61,7 @@ GOLDEN = [
         '{"T":"31/1","branch":"clustered","min_value":"13/1",'
         '"certified_ratio_bound":"31/13","owner":{"2":2,"6":0,"8":1,"9":3},'
         '"counters":{"clp_solves":1,"composites":0,"lower_search_nodes":56,'
-        '"master_solves":6,"matching_steps":0,"price_proofs":0,"saturated":4,"supers":0,'
+        '"master_solves":6,"matching_steps":0,"price_proofs":1,"saturated":4,"supers":0,'
         '"t_search_lower":31,"t_search_upper":32}}',
     ),
     (
@@ -79,7 +79,7 @@ GOLDEN = [
         '{"T":"14/1","branch":"clustered","min_value":"3/1",'
         '"certified_ratio_bound":"14/3","owner":{"0":1,"1":2,"2":0,"3":0,"4":0},'
         '"counters":{"clp_solves":0,"composites":1,"lower_search_nodes":15,'
-        '"master_solves":1,"matching_steps":1,"price_proofs":0,"saturated":2,"supers":0,'
+        '"master_solves":1,"matching_steps":1,"price_proofs":1,"saturated":2,"supers":0,'
         '"t_search_lower":14,"t_search_upper":14}}',
     ),
     (
@@ -171,7 +171,7 @@ def digest_batch():
 
 
 # sha256 over the batch's canonical_json lines, each followed by "\n".
-BATCH_DIGEST = "82fff9bc6f369de89cba556678ab9a7e3641982e44b6711c67f57d5d634ba7aa"
+BATCH_DIGEST = "9052a106f70d0d788c20b843d0b04f3fba01caec0aca6171382498a2919bb319"
 
 
 def batch_digest():

@@ -57,6 +57,13 @@ def test_instance_rejects_a_machine_count_that_is_not_a_positive_int(count):
         Instance(machine_count=count, jobs=())
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, True, -1, 2])
+def test_instance_rejects_a_machine_index_that_is_not_an_int_in_range(index):
+    # a float index crashed the T search, and True counted as machine 1
+    with pytest.raises(ValueError, match=r"jobs\[0\]: machine index not an int in range"):
+        Instance(machine_count=2, jobs=(JobSpec(3, frozenset({index})), JobSpec(4, frozenset({0, 1}))))
+
+
 def test_parse_rejects_out_of_range_machine():
     with pytest.raises(InstanceFormatError, match="machine index out of range") as err:
         parse_instance('{"machines":2,"jobs":[{"size":1,"eligible":[2]}]}')

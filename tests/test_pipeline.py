@@ -172,9 +172,9 @@ def test_cli_round_trip(tmp_path):
 
 
 def test_cli_solve_summary_line(tmp_path, capsys):
-    # the bracket is [7, 9]; at tau = 8 machine 0 cannot be covered without
-    # both jobs of size 7, which leaves machine 1 only the 5: forced jobs
-    # refute tau = 8 with no LP solved
+    # the bracket starts at [7, 9]; at tau = 8 machine 0 cannot be covered
+    # without both jobs of size 7, which leaves machine 1 only the 5: forced
+    # jobs refute tau = 8, so the upper end falls to 7 with no LP solved
     from santaclaus.cli import run_cli
 
     inst = tiny_instance([(7, [0, 1]), (5, [1]), (7, [0, 1])], machines=2)
@@ -183,7 +183,7 @@ def test_cli_solve_summary_line(tmp_path, capsys):
     argv = ["solve", "--input", str(inst_file), "--out", str(tmp_path / "alloc.json")]
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == (
-        "T=7/1 branch=clustered min_value=7/1 t_search_lower=7 t_search_upper=9 "
+        "T=7/1 branch=clustered min_value=7/1 t_search_lower=7 t_search_upper=7 "
         "clp_solves=0 price_proofs=1\n"
     )
 
