@@ -19,8 +19,8 @@ determinant; pricing runs the table on them as they are and compares
 reduced costs over integers, which keeps every comparison and so every
 priced column the same as over the rationals.  Every job dual is
 non-negative at an optimal basis (its slack prices at <= 0, and this is
-checked), so a machine whose cover dual is 0 has no improving column and is
-not priced.  With exact arithmetic, pricing convergence with a positive
+checked), so a machine whose cover dual is <= 0 has no improving column and
+is not priced.  With exact arithmetic, pricing convergence with a positive
 shortfall objective is a proof of infeasibility, not a numeric judgement
 call.
 
@@ -34,10 +34,12 @@ against thresholds multiplied by the scale; a `Fraction` is built only for
 an error message.  Bundle totals are integers, and so is the tau a cover LP
 is solved at, so every minimality test compares integers.
 
-Every cover LP is the configuration LP: one cover row per machine, cover
->= 1.  The T search probes it over the instance's sizes, and the pipeline
-solves it once more at T over the gap instance's sizes; that one solution
-classifies machines and feeds either branch.
+Every cover LP is the configuration LP in equality form (Bansal and
+Sviridenko): each machine takes exactly one unit of configurations, and
+only a job that two or more pools hold has a row, use <= 1; `solve_cover_lp`
+says why this is the same LP.  The T search probes it over the instance's
+sizes, and the pipeline solves it once more at T over the gap instance's
+sizes; that one solution classifies machines and feeds either branch.
 
 The T search probes only between two bounds that need no LP.  Below: the
 minimum load of an integral allocation, since its bundles, pruned, are a
@@ -61,9 +63,10 @@ one leads to a bisection.  When the two bounds meet, T costs no LP at all.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
@@ -224,18 +227,19 @@ def check_cover_solution(
 ) -> tuple[bool, str | None]:
     """Exact feasibility check: cover, job usage, minimality, eligibility.
 
-    Every machine in ``pools`` must reach cover 1.  Sums and thresholds are
-    integers over ``sol.scale``.
+    Every machine in ``pools`` must reach cover 1 and every job, private
+    ones too, stay within use 1.  Sums and thresholds are integers over
+    ``sol.scale``.
     """
     scale = sol.scale
     need = ceil_frac(sol.tau)
+    pool_sets = {i: set(pool) for i, pool in pools.items()}
     cover: dict[int, int] = {}
     usage: dict[int, int] = {}
     for (i, cfg), c in sol.counts.items():
         if c < 0 or c > scale:
             return False, f"weight out of [0,1] on machine {i}"
-        pool = set(pools.get(i, ()))
-        if not set(cfg.jobs) <= pool:
+        if not pool_sets.get(i, frozenset()).issuperset(cfg.jobs):
             return False, f"machine {i} carries a job outside its pool"
         if not is_minimal(cfg.jobs, need, sizes):
             return False, f"machine {i} carries a non-minimal configuration {cfg.jobs}"
@@ -262,31 +266,37 @@ def solve_cover_lp(
     """Column generation for the covering LP at the integer threshold
     ``tau``; None means certified infeasible.
 
-    Every machine in ``pools`` gets one cover row, ``>= 1``, in machine
-    order; ``pools[i]`` lists the jobs machine i may bundle
-    (eligibility already applied), so a machine with an empty pool makes the
-    LP infeasible.  ``seeds`` optionally warm-start the master with job
-    bundles re-pruned to minimality at this tau.
+    Every machine in ``pools`` gets one cover row, in machine order: its
+    weights plus its shortfall a_i equal 1.  ``pools[i]`` lists the jobs
+    machine i may bundle (eligibility already applied), so a machine with an
+    empty pool makes the LP infeasible.  Only a job that two or more pools
+    hold gets a row, use <= 1.  The LP with cover >= 1 and every job's row
+    is feasible at the same taus: scaling a point's weights on each machine
+    down to cover 1 only lowers job use, and at cover 1 no private job is
+    used above 1.  So a positive least shortfall, once pricing converges,
+    certifies infeasibility.  A cover dual may be negative; pricing skips it.
+    ``seeds`` optionally warm-start the master with job bundles re-pruned to
+    minimality at this tau.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     machines = sorted(pools)
     cover_row = {i: r for r, i in enumerate(machines)}
+    holders = Counter(chain.from_iterable(pools.values()))  # a repeat in a pool adds a row
 
     # The master keeps one tableau for the whole call.  Its columns are, by
-    # id: shortfall a_i, excess e_i, the warm-start configurations, the
-    # warm-start jobs' slacks s_j by job id, then each priced configuration
-    # followed by the slacks of the jobs it brings in.  Every row is an
-    # equality whose own a_i or s_j is a unit column, so the master starts on
-    # that identity basis (feasible, no phase 1) and the tableau columns of
-    # a_i and s_j always hold B^-1: a priced column enters as B^-1 a, and the
-    # row of a job seen for the first time touches only new, nonbasic
-    # columns, so it enters as written with s_j basic.  Each round then
-    # re-optimises from the previous optimal basis.  Pivot tie-breaks read
-    # the column id, so each solve pivots exactly as a solve of the same
-    # master written out from scratch, on that basis, would.
+    # id: shortfall a_i, the warm-start configurations, the warm-start
+    # contested jobs' slacks s_j by job id, then each priced configuration
+    # followed by the slacks of the contested jobs it brings in.  Every row
+    # is an equality whose own a_i or s_j is a unit column, so the master
+    # starts on that identity basis (feasible, no phase 1) and the tableau
+    # columns of a_i and s_j always hold B^-1: a priced column enters as
+    # B^-1 a, and the row of a job seen for the first time touches only new,
+    # nonbasic columns, so it enters as written with s_j basic.  Each round
+    # then re-optimises from the previous optimal basis.  Pivot tie-breaks
+    # read the column id, so each solve pivots exactly as a solve of the
+    # same master written out from scratch, on that basis, would.
     nrows = len(machines)
-    base = 2 * nrows
 
     # Warm start: seeds first, then one greedy column per machine whose pool
     # reaches tau at all, in creation order without repeats.
@@ -307,26 +317,26 @@ def solve_cover_lp(
             start[(i, prune_to_minimal(pool, tau, sizes))] = None
 
     # The warm-start master in one pass: cover rows in machine order, then
-    # one row per job some start column uses, by job id.
-    job_rows = sorted({j for _, cfg in start for j in cfg.jobs})  # jobs with a row
+    # one row per contested job some start column uses, by job id.
+    job_rows = sorted({j for _, cfg in start for j in cfg.jobs if holders[j] > 1})
     row_of = {j: nrows + k for k, j in enumerate(job_rows)}
-    first_slack = base + len(start)
-    rows = [({r: 1, nrows + r: -1}, 1, r) for r in range(nrows)]
+    first_slack = nrows + len(start)
+    rows = [({r: 1}, 1, r) for r in range(nrows)]
     rows += [({first_slack + k: 1}, 1, first_slack + k) for k in range(len(job_rows))]
     column_of: dict[tuple[int, Configuration], int] = {}  # in creation order
-    for col, (i, cfg) in enumerate(start, base):
+    for col, (i, cfg) in enumerate(start, nrows):
         column_of[(i, cfg)] = col
         rows[cover_row[i]][0][col] = 1
-        for j in cfg.jobs:
+        for j in row_of.keys() & cfg.jobs:
             rows[row_of[j]][0][col] = 1
-    master = Tableau.from_rows([-1] * nrows + [0] * (nrows + len(start) + len(job_rows)), rows)
+    master = Tableau.from_rows([-1] * nrows + [0] * (len(start) + len(job_rows)), rows)
 
     def add_column(i: int, cfg: Configuration) -> None:
         entries = {row_of[j]: 1 for j in cfg.jobs if j in row_of}
         entries[cover_row[i]] = 1
         col = column_of[(i, cfg)] = master.insert_column(entries)
         for j in cfg.jobs:
-            if j not in row_of:
+            if j not in row_of and holders[j] > 1:
                 slack = master.insert_column({})
                 row_of[j] = master.add_row({col: 1, slack: 1}, 1, basic=slack)
 
@@ -346,7 +356,7 @@ def solve_cover_lp(
         improved = False
         for i in machines:
             lam = -ys[cover_row[i]]
-            # Job duals are >= 0, so no column prices in where lam is 0.
+            # Job duals are >= 0, so no column prices in where lam <= 0.
             if lam <= 0 or not pools[i]:
                 continue
             cfg = price_min_knapsack(pools[i], sizes, mu, tau)

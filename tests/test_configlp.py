@@ -223,6 +223,28 @@ def test_clp_single_machine_single_cover():
     assert weights_of(sol) == {(0, Configuration(jobs=(0, 1), total_size=7)): F(1)}
 
 
+def every_row_lp_feasible(pools, sizes, tau):
+    """The configuration LP written out whole, no pricing involved: every
+    minimal configuration is a column, every machine gets a ``>=`` cover row
+    and every job some column uses a ``<=`` row."""
+    cols = []
+    for i in sorted(pools):
+        for jobs in all_minimal_configs(list(pools[i]), sizes, F(tau)):
+            cols.append((i, jobs))
+    lp = LinearProgram(len(cols))
+    for i in sorted(pools):
+        row = {c: F(1) for c, (ii, _) in enumerate(cols) if ii == i}
+        if not row:
+            lp.add_constraint({}, ">=", F(1))  # uncoverable machine
+        else:
+            lp.add_constraint(row, ">=", F(1))
+    for j in range(len(sizes)):
+        row = {c: F(1) for c, (_, jobs) in enumerate(cols) if j in jobs}
+        if row:
+            lp.add_constraint(row, "<=", F(1))
+    return solve_feasibility(lp).is_optimal
+
+
 def test_clp_agrees_with_full_column_lp():
     # independent route: enumerate every minimal configuration and hand the
     # whole LP to the simplex, no pricing involved.
@@ -231,24 +253,114 @@ def test_clp_agrees_with_full_column_lp():
         pools = machine_pools(inst)
         for tau in (2, 4, 6):
             by_pricing = solve_clp_feasibility(inst, F(tau)) is not None
-
-            cols = []
-            for i in range(inst.machine_count):
-                for jobs in all_minimal_configs(list(pools[i]), inst.sizes(), F(tau)):
-                    cols.append((i, jobs))
-            lp = LinearProgram(len(cols))
-            for i in range(inst.machine_count):
-                row = {c: F(1) for c, (ii, _) in enumerate(cols) if ii == i}
-                if not row:
-                    lp.add_constraint({}, ">=", F(1))  # uncoverable machine
-                else:
-                    lp.add_constraint(row, ">=", F(1))
-            for j in range(inst.job_count):
-                row = {c: F(1) for c, (_, jobs) in enumerate(cols) if j in jobs}
-                if row:
-                    lp.add_constraint(row, "<=", F(1))
-            by_enumeration = solve_feasibility(lp).is_optimal
+            by_enumeration = every_row_lp_feasible(pools, inst.sizes(), tau)
             assert by_pricing == by_enumeration, f"seed {seed} tau {tau}"
+
+
+def all_small_shape(rng, private):
+    """The benchmark's all-small shape: unit jobs only, on 3 or 4 machines,
+    ``rng.choice(private)`` private jobs per machine plus 0-3 shared by all."""
+    m = rng.randint(3, 4)
+    jobs = [
+        JobSpec(size=1, eligible=frozenset([i]))
+        for i in range(m)
+        for _ in range(rng.choice(private))
+    ]
+    jobs += [JobSpec(size=1, eligible=frozenset(range(m))) for _ in range(rng.randrange(4))]
+    return Instance(machine_count=m, jobs=tuple(jobs))
+
+
+def mostly_private_shapes(rng, rounds, private):
+    """Per round, one all-small-shaped instance and one sparse random one:
+    most jobs are private to one machine, or to none."""
+    for _ in range(rounds):
+        yield all_small_shape(rng, private)
+        yield generate_random(
+            m=rng.randint(3, 4), n=rng.randint(5, 8), max_size=7, density=F(1, 3),
+            seed=rng.getrandbits(32),
+        )
+
+
+def taus_up_to_the_least_pool(pools, sizes):
+    """Every tau from 1 to the least pool total + 1, which is infeasible."""
+    return range(1, min(sum(sizes[j] for j in pool) for pool in pools.values()) + 2)
+
+
+def test_cover_lp_without_private_job_rows_agrees_with_every_row_lp():
+    # the master gives no row to a job only one pool holds, and writes each
+    # cover as an equality; it must still decide feasibility as the LP with
+    # cover >= 1 and a row for every job does.  The all-small shape has 3-6
+    # private jobs per machine here, not 14-18, so that enumerating every
+    # minimal configuration stays cheap.
+    from random import Random
+
+    rng = Random(26)
+    feasible = infeasible = 0
+    for inst in mostly_private_shapes(rng, 20, range(3, 7)):
+        pools, sizes = machine_pools(inst), inst.sizes()
+        taus = taus_up_to_the_least_pool(pools, sizes)
+        for tau in taus:
+            got = solve_cover_lp(pools, sizes, tau) is not None
+            assert got == every_row_lp_feasible(pools, sizes, tau), (inst, tau)
+            feasible += got
+            infeasible += not got and tau < taus[-1]  # although every pool reaches tau
+    assert min(feasible, infeasible) >= 10, (feasible, infeasible)
+
+
+def test_master_rows_are_covers_and_contested_jobs(monkeypatch):
+    # each solution covers every machine exactly once, and every master
+    # handed to the simplex has a shortfall column and an equality cover row
+    # per machine, no excess column, and a row only for contested jobs (two
+    # or more pools hold them) that some column uses
+    import santaclaus.configlp as clp
+    from random import Random
+
+    real = clp.solve_lp
+    masters = []
+
+    def recording(tableau):
+        masters.append((len(tableau.rows), [dict(col) for col in tableau.columns], tableau.cost[:]))
+        return real(tableau)
+
+    monkeypatch.setattr(clp, "solve_lp", recording)
+    rng = Random(26)
+    contested_rows = 0
+    for inst in mostly_private_shapes(rng, 12, range(14, 19)):
+        pools, sizes = machine_pools(inst), inst.sizes()
+        m = len(pools)
+        contested = {j for j in range(len(sizes)) if sum(j in p for p in pools.values()) > 1}
+        for tau in taus_up_to_the_least_pool(pools, sizes):
+            masters.clear()
+            sol = solve_cover_lp(pools, sizes, tau)
+            if sol is not None:
+                for i in pools:
+                    assert sum(c for (k, _), c in sol.counts.items() if k == i) == sol.scale
+            greedy = [
+                (i, prune_to_minimal(pools[i], tau, sizes))
+                for i in sorted(pools) if sum(sizes[j] for j in pools[i]) >= tau
+            ]
+            for k, (nrows, columns, cost) in enumerate(masters):
+                assert columns[:m] == [{r: 1} for r in range(m)] and cost[:m] == [-1] * m
+                assert all(set(col.values()) == {1} for col in columns[m:])
+                assert not any(cost[m:])
+                configs = [col for col in columns[m:] if min(col) < m]
+                slacks = [col for col in columns[m:] if min(col) >= m]
+                assert all(sum(r < m for r in col) == 1 for col in configs)
+                assert sorted(r for col in slacks for r in col) == list(range(m, nrows))
+                assert {r for col in configs for r in col if r >= m} == set(range(m, nrows))
+                assert nrows - m <= len(contested)
+                if k == 0:  # the warm start: each machine's greedy column
+                    assert [(min(col), len(col) - 1) for col in configs] == [
+                        (i, len(contested.intersection(cfg.jobs))) for i, cfg in greedy
+                    ], (inst, tau)
+                    used = {j for _, cfg in greedy for j in cfg.jobs}
+                    assert nrows - m == len(contested & used), (inst, tau)
+            job_rows = masters[-1][0] - m
+            if sol is not None:
+                carried = {j for _, cfg in sol.counts for j in cfg.jobs}
+                assert job_rows >= len(contested & carried), (inst, tau)
+            contested_rows += job_rows
+    assert contested_rows >= 10, contested_rows
 
 
 def test_cover_rows_come_from_pool_keys():
