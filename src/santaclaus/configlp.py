@@ -514,7 +514,11 @@ def integral_allocation_at(
     machine.  With an unlimited budget the search is exact: None then means
     no allocation reaches tau.  A node is one job placed, so the node count
     and the answer are deterministic.  The stack is explicit, so the depth
-    is not bound by Python's recursion limit.
+    is not bound by Python's recursion limit: three flat arrays indexed by
+    depth hold each job's options, the index of its next option and the
+    machine it is on (-1 for none).  A job's size leaves the undecided
+    totals ``rest`` once, on entering its depth, whatever option it tries,
+    and returns to them on leaving it.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -535,46 +539,70 @@ def integral_allocation_at(
     if min(rest) < tau or deficit > tail[0]:
         return None, 0
 
-    def options(k: int) -> list[int | None]:
-        short = [i for i in eligible[k] if loads[i] < tau]
-        short.sort(key=loads.__getitem__)  # stable: ties stay in index order
-        return short + [next((i for i in eligible[k] if loads[i] >= tau), None)]
-
+    n = len(order)
+    options: list[list[int]] = [[]] * n  # per depth: short machines by load, then one at tau or -1
+    ahead = [0] * n  # per depth, the index of the next option to try
+    chosen = [-1] * n  # per depth, the machine the job is on, -1 for none
     nodes = 0
-    stack = [iter(options(0))]  # per depth, the choices not yet tried
-    placed: list[int | None] = []  # per depth, the choice being tried
-    while stack:
-        k = len(stack) - 1
-        s = size[k]
-        elig = eligible[k]
-        if len(placed) > k:  # undo the choice last tried at this depth
-            i = placed.pop()
+    k = -1
+    descend = True
+    while True:
+        if descend:  # enter depth k + 1
+            k += 1
+            s = size[k]
+            elig = eligible[k]
+            short = []
+            full = -1  # the first eligible machine already at tau
+            for e in elig:
+                rest[e] -= s
+                if loads[e] < tau:
+                    short.append(e)
+                elif full < 0:
+                    full = e
+            if len(short) > 1:
+                short.sort(key=loads.__getitem__)  # stable: ties stay in index order
+            short.append(full)
+            options[k] = short
+            ahead[k] = 0
+            descend = False
+        else:
+            s = size[k]
+            elig = eligible[k]
+            i = chosen[k]
+            if i >= 0:  # undo the option last tried at this depth
+                loads[i] -= s
+                if loads[i] < tau:
+                    deficit += min(s, tau - loads[i])
+                chosen[k] = -1
+        q = ahead[k]
+        if q == len(options[k]):  # every option tried: leave this depth
             for e in elig:
                 rest[e] += s
-            if i is not None:
-                loads[i] -= s
-                deficit += min(s, max(tau - loads[i], 0))
-        i = next(stack[-1], -1)
-        if i == -1:
-            stack.pop()
+            k -= 1
+            if k < 0:
+                return None, nodes
             continue
         if nodes == budget:
             return None, nodes
         nodes += 1
-        for e in elig:
-            rest[e] -= s
-        if i is not None:
-            deficit -= min(s, max(tau - loads[i], 0))
+        ahead[k] = q + 1
+        i = options[k][q]
+        if i >= 0:
+            if loads[i] < tau:
+                deficit -= min(s, tau - loads[i])
             loads[i] += s
-        placed.append(i)
-        if deficit > tail[k + 1] or any(loads[e] + rest[e] < tau for e in elig):
+            chosen[k] = i
+        if deficit > tail[k + 1]:
             continue
-        if deficit == 0:
-            owner = {order[q]: c for q, c in enumerate(placed) if c is not None}
-            owner.update((order[q], eligible[q][0]) for q in range(k + 1, len(order)))
-            return dict(sorted(owner.items())), nodes
-        stack.append(iter(options(k + 1)))
-    return None, nodes
+        for e in elig:
+            if loads[e] + rest[e] < tau:
+                break
+        else:
+            if deficit == 0:
+                owner = {order[d]: c for d, c in enumerate(chosen[: k + 1]) if c >= 0}
+                owner.update((order[d], eligible[d][0]) for d in range(k + 1, n))
+                return dict(sorted(owner.items())), nodes
+            descend = True
 
 
 def route(

@@ -17,8 +17,8 @@ take, so a stall is raised as an upstream defect rather than papered over.
 The local search may take superpolynomially many steps in principle; a step
 budget turns pathological blowup into an error instead of a hang.
 
-`exhaustive_matching`, a backtracking search over the same hyperedge
-streams, is the cross-check oracle on small instances.
+The tests cross-check it on small instances against a backtracking search
+over the same hyperedge streams, which they keep as their own oracle.
 """
 
 from __future__ import annotations
@@ -90,26 +90,6 @@ def machine_bundles(
                 yield bundle
 
 
-def enumerate_bundles(
-    composite_index: int, clusters: ClusterSet, threshold: Fraction
-) -> Iterator[Hyperedge]:
-    """Hyperedges of one composite: members in machine order, bundles lex.
-
-    Only members whose covering weights carry small configurations produce
-    edges; bundles of big jobs never appear because the streams are drawn
-    from small columns only.
-    """
-    comp = clusters.composites[composite_index]
-    sizes = clusters.gap.base.sizes()
-    small = clusters.job_classes.small
-    for i in comp.machines:
-        for bundle in machine_bundles(i, clusters.xstar, sizes, threshold, small):
-            total = sum(sizes[j] for j in bundle)
-            yield Hyperedge(
-                composite=composite_index, member=i, bundle=bundle, total_size=total
-            )
-
-
 def _small_only(xstar: ClpSolution, machine: int, small: frozenset[int]) -> list[tuple[int, ...]]:
     cols = []
     for cfg, w in xstar.carried(machine):
@@ -156,42 +136,6 @@ def find_perfect_matching(
 ) -> MatchingState:
     """Alternating-tree matching, validated before it is returned."""
     state = _local_search_matching(clusters, Fraction(T) / 6, budget, trace)
-    validate_matching(state, clusters, Fraction(T))
-    return state
-
-
-def exhaustive_matching(clusters: ClusterSet, T: Fraction, budget: int) -> MatchingState:
-    """Backtracking over the composites' hyperedge streams in order, within
-    ``budget`` steps; validated like `find_perfect_matching`."""
-    threshold = Fraction(T) / 6
-    n = len(clusters.composites)
-    streams = [list(enumerate_bundles(d, clusters, threshold)) for d in range(n)]
-    state = MatchingState(matched={})
-    used: set[int] = set()
-    chosen: dict[int, Hyperedge] = {}
-
-    def dfs(d: int) -> bool:
-        state.steps += 1
-        if state.steps > budget:
-            raise MatchingError(f"exhaustive matching budget {budget} exceeded")
-        if d == n:
-            return True
-        for e in streams[d]:
-            if used & set(e.bundle):
-                continue
-            chosen[d] = e
-            used.update(e.bundle)
-            if dfs(d + 1):
-                return True
-            used.difference_update(e.bundle)
-            del chosen[d]
-        return False
-
-    if not dfs(0):
-        raise MatchingError(
-            "existence contract violated: exhaustive search found no perfect matching"
-        )
-    state.matched = dict(chosen)
     validate_matching(state, clusters, Fraction(T))
     return state
 

@@ -9,10 +9,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from typing import Hashable, Mapping, TypeVar
-
-K = TypeVar("K", bound=Hashable)
 
 
 def rat_to_str(x: int | Fraction) -> str:
@@ -34,10 +30,3 @@ def rat_from_str(text: str) -> Fraction:
 def ceil_frac(x: int | Fraction) -> int:
     f = Fraction(x)
     return -((-f.numerator) // f.denominator)
-
-
-def to_counts(values: Mapping[K, int | Fraction]) -> tuple[dict[K, int], int]:
-    """Exact rationals as integer counts over one scale, the lcm of their
-    denominators: ``values[k] == Fraction(counts[k], scale)``."""
-    scale = lcm(*(Fraction(v).denominator for v in values.values()))
-    return {k: int(v * scale) for k, v in values.items()}, scale

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from santaclaus.configlp import ClpSolution
 from santaclaus.instances import Instance
-from santaclaus.rat import to_counts
+
+
+def to_counts(values):
+    """Exact rationals as integer counts over one scale, the lcm of their
+    denominators: ``values[k] == Fraction(counts[k], scale)``."""
+    scale = lcm(*(Fraction(v).denominator for v in values.values()))
+    return {k: int(v * scale) for k, v in values.items()}, scale
 
 
 def clp_from_weights(weights, tau):

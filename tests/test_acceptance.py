@@ -32,10 +32,11 @@ from santaclaus.instances import (
     generate_random,
     serialize_instance,
 )
-from santaclaus.matching import exhaustive_matching, find_perfect_matching
+from santaclaus.matching import find_perfect_matching
 from santaclaus.pipeline import solve
 from santaclaus.rounding import round_assignment
 from conftest import handmade_super_case, mixed_instance, weights_of
+from matching_oracle import exhaustive_matching
 
 F = Fraction
 DENSITIES = [F(1, 4), F(1, 2), F(3, 4), F(1)]

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 from santaclaus.configlp import (
     Configuration,
@@ -762,6 +764,102 @@ def test_integral_search_is_not_bound_by_recursion_depth():
     owner, nodes = integral_allocation_at(inst, 1000, 10**9)
     assert nodes == 2000
     assert verify_allocation(inst, Allocation(owner=owner, min_value=F(0))) == 1000
+
+
+def reference_integral_allocation_at(
+    inst: Instance, tau: int, budget: int
+) -> tuple[dict[int, int] | None, int]:
+    """`integral_allocation_at` as it was written on a stack of iterators and
+    a list of placed choices, before it moved to flat per-depth arrays: the
+    oracle for its answers and node counts."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    m = inst.machine_count
+    order = sorted(
+        (j for j in range(inst.job_count) if inst.jobs[j].eligible),
+        key=lambda j: (-inst.jobs[j].size, j),
+    )
+    size = [inst.jobs[j].size for j in order]
+    eligible = [sorted(inst.jobs[j].eligible) for j in order]
+    tail = list(accumulate(reversed(size), initial=0))[::-1]  # undecided total
+    loads = [0] * m
+    rest = [0] * m  # total size of the undecided jobs each machine may take
+    for s, elig in zip(size, eligible):
+        for i in elig:
+            rest[i] += s
+    deficit = m * tau  # sum over short machines of tau - load
+    if min(rest) < tau or deficit > tail[0]:
+        return None, 0
+
+    def options(k: int) -> list[int | None]:
+        short = [i for i in eligible[k] if loads[i] < tau]
+        short.sort(key=loads.__getitem__)  # stable: ties stay in index order
+        return short + [next((i for i in eligible[k] if loads[i] >= tau), None)]
+
+    nodes = 0
+    stack = [iter(options(0))]  # per depth, the choices not yet tried
+    placed: list[int | None] = []  # per depth, the choice being tried
+    while stack:
+        k = len(stack) - 1
+        s = size[k]
+        elig = eligible[k]
+        if len(placed) > k:  # undo the choice last tried at this depth
+            i = placed.pop()
+            for e in elig:
+                rest[e] += s
+            if i is not None:
+                loads[i] -= s
+                deficit += min(s, max(tau - loads[i], 0))
+        i = next(stack[-1], -1)
+        if i == -1:
+            stack.pop()
+            continue
+        if nodes == budget:
+            return None, nodes
+        nodes += 1
+        for e in elig:
+            rest[e] -= s
+        if i is not None:
+            deficit -= min(s, max(tau - loads[i], 0))
+            loads[i] += s
+        placed.append(i)
+        if deficit > tail[k + 1] or any(loads[e] + rest[e] < tau for e in elig):
+            continue
+        if deficit == 0:
+            owner = {order[q]: c for q, c in enumerate(placed) if c is not None}
+            owner.update((order[q], eligible[q][0]) for q in range(k + 1, len(order)))
+            return dict(sorted(owner.items())), nodes
+        stack.append(iter(options(k + 1)))
+    return None, nodes
+
+
+def test_integral_search_matches_the_iterator_stack_reference():
+    # the same (owner, nodes) as the reference on every tau up to past the
+    # smallest pool total and every budget, from none to unlimited
+    from random import Random
+
+    rng = Random(27)
+    shapes = [inst for _ in range(30) for inst in bracket_shapes(rng)]
+    shapes += [
+        generate_random(
+            m=rng.randint(1, 6), n=rng.randint(1, 20), max_size=20,
+            density=F(rng.randint(1, 3), 4), seed=rng.getrandbits(32),
+        )
+        for _ in range(120)
+    ]
+    outcomes = Counter()
+    for inst in shapes:
+        sizes = inst.sizes()
+        top = min(sum(sizes[j] for j in pool) for pool in machine_pools(inst).values())
+        for tau in range(1, top + 3):
+            for budget in (0, 1, 7, 80, 2000, 10**9):
+                owner, nodes = integral_allocation_at(inst, tau, budget)
+                expected = reference_integral_allocation_at(inst, tau, budget)
+                assert (owner, nodes) == expected, (inst, tau, budget)
+                assert owner is None or list(owner.items()) == list(expected[0].items())
+                kind = "found" if owner is not None else "spent" if nodes == budget else "refuted"
+                outcomes[kind] += 1
+    assert min(outcomes.values()) >= 5000, outcomes
 
 
 def test_lower_end_above_upper_bound_raises_under_python_O():

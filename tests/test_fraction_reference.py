@@ -39,9 +39,8 @@ from santaclaus.configlp import (
     route,
 )
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
-from santaclaus.rat import to_counts
 from santaclaus.rounding import RoundingError, _assert_forest, round_assignment
-from conftest import clp_from_weights, tiny_instance
+from conftest import clp_from_weights, tiny_instance, to_counts
 
 F = Fraction
 ZERO = F(0)

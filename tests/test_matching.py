@@ -5,13 +5,9 @@ import pytest
 from santaclaus.clustering import build_big_graph, eliminate_cycles, extract_clusters
 from santaclaus.configlp import machine_pools, solve_clp_feasibility
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
-from santaclaus.matching import (
-    enumerate_bundles,
-    exhaustive_matching,
-    find_perfect_matching,
-    minimal_covers,
-)
+from santaclaus.matching import find_perfect_matching, minimal_covers
 from conftest import clp_from_weights, tiny_instance
+from matching_oracle import enumerate_bundles, exhaustive_matching
 
 F = Fraction
 

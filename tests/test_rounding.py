@@ -9,9 +9,8 @@ from santaclaus.configlp import (
     solve_clp_feasibility,
 )
 from santaclaus.instances import generate_random
-from santaclaus.rat import to_counts
 from santaclaus.rounding import RoundingError, round_assignment
-from conftest import weights_of
+from conftest import to_counts, weights_of
 
 F = Fraction
 
@@ -105,16 +104,13 @@ def test_forest_postcondition_survives_python_O():
 
     code = """
 import sys
-from fractions import Fraction
 import santaclaus.rounding as rnd
 from santaclaus.configlp import FractionalAssignment
-from santaclaus.rat import to_counts
 assert sys.flags.optimize, "not running under -O"
 rnd.cancel_cycles = lambda weights: dict(weights)
-half = Fraction(1, 2)
-cycle = {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): half}
+cycle = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}  # every weight 1/2
 try:
-    rnd.round_assignment(FractionalAssignment(*to_counts(cycle)), [4, 4])
+    rnd.round_assignment(FractionalAssignment(cycle, 2), [4, 4])
 except rnd.RoundingError as exc:
     print("raised:", exc)
 else:
