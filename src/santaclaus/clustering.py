@@ -202,7 +202,6 @@ def eliminate_cycles(
     on ``x``'s scale, so the big-singleton counts always mirror the forest.
     """
     forest = cancel_cycles(graph)
-    t_int = gap.tau.numerator
     machines = {i for i, _ in graph}
     jobs = {j for _, j in graph}
     counts = {
@@ -211,7 +210,7 @@ def eliminate_cycles(
         if not (len(cfg.jobs) == 1 and cfg.jobs[0] in jobs and i in machines)
     }
     for (i, j), c in forest.items():
-        counts[(i, Configuration(jobs=(j,), total_size=t_int))] = c
+        counts[(i, Configuration(jobs=(j,), total_size=gap.tau))] = c
     xstar = ClpSolution(tau=x.tau, counts=counts, scale=x.scale)
     return forest, xstar
 

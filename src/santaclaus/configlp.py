@@ -70,7 +70,6 @@ from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .instances import Allocation, Instance, verify_allocation
-from .rat import ceil_frac
 from .ratlp import Tableau, solve_lp
 
 ZERO = Fraction(0)
@@ -92,11 +91,7 @@ class Configuration:
 
 
 def is_minimal(jobs: Iterable[int], need: int, sizes: Sequence[int]) -> bool:
-    """Whether the bundle reaches ``need`` and no member can be dropped.
-
-    Totals are integers, so ``need`` = ceil(tau) decides the same as tau;
-    a rational tau is accepted too.
-    """
+    """Whether the bundle reaches ``need`` and no member can be dropped."""
     tup = tuple(set(jobs))
     total = sum(sizes[j] for j in tup)
     if total < need:
@@ -108,12 +103,12 @@ def prune_to_minimal(
     jobs: Iterable[int],
     need: int,
     sizes: Sequence[int],
-    costs: Mapping[int, Fraction] | None = None,
+    costs: Mapping[int, int] | None = None,
 ) -> Configuration:
     """Drop removable jobs, largest cost first (ties: smallest index).
 
     Without costs the job size stands in for the cost, so seeds reuse the
-    same deterministic rule.  ``need`` is ceil(tau), as in `is_minimal`.
+    same deterministic rule.
     """
     chosen = sorted(set(jobs))
     total = sum(sizes[j] for j in chosen)
@@ -137,14 +132,14 @@ def price_min_knapsack(
     pool: Sequence[int],
     sizes: Sequence[int],
     costs: Mapping[int, int],
-    tau: Fraction,
+    tau: int,
 ) -> Configuration | None:
     """Cheapest subset of ``pool`` with total size >= tau, pruned to minimality.
 
     ``costs`` (job -> cost, 0 when absent) must be non-negative; they may be
     integers or rationals, and scaling them all by one positive factor
     returns the same configuration, since the table only compares costs.
-    Dynamic program over integer size totals capped at ceil(tau); returns
+    Dynamic program over integer size totals capped at tau; returns
     None when even the whole pool falls short.  Skipping is preferred on cost
     ties during reconstruction, so the raw cover leans on low job indices
     before pruning makes the final call.
@@ -152,8 +147,7 @@ def price_min_knapsack(
     if tau <= 0:
         raise ValueError("tau must be positive")
     pool = sorted(pool)
-    cap = ceil_frac(tau)
-    if sum(sizes[j] for j in pool) < cap:
+    if sum(sizes[j] for j in pool) < tau:
         return None
     cost = [costs.get(j, 0) for j in pool]
     if any(c < 0 for c in cost):
@@ -162,25 +156,25 @@ def price_min_knapsack(
     # entry plus a non-negative cost stays >= NO.
     NO = sum(cost) + 1
     # dp[k][s]: cheapest cost of the first k jobs reaching total s (capped).
-    dp = [[0] + [NO] * cap]
+    dp = [[0] + [NO] * tau]
     for j, c in zip(pool, cost):
         w = sizes[j]
         prev = dp[-1]
-        if w < cap:
+        if w < tau:
             dp.append(
                 prev[:w]
-                + [a if a <= (t := b + c) else t for a, b in zip(prev[w:cap], prev)]
-                + [min(prev[cap], min(prev[cap - w:]) + c)]
+                + [a if a <= (t := b + c) else t for a, b in zip(prev[w:tau], prev)]
+                + [min(prev[tau], min(prev[tau - w:]) + c)]
             )
         else:
-            dp.append(prev[:cap] + [min(prev[cap], min(prev) + c)])
-    if dp[-1][cap] >= NO:
+            dp.append(prev[:tau] + [min(prev[tau], min(prev) + c)])
+    if dp[-1][tau] >= NO:
         return None
     # Reconstruct, preferring "skip" whenever it explains the table entry.
-    # Taking job k reaches s < cap only from s - w, and reaches cap from the
-    # first matching total in [cap - w, cap].
+    # Taking job k reaches s < tau only from s - w, and reaches tau from the
+    # first matching total in [tau - w, tau].
     chosen = []
-    s = cap
+    s = tau
     for k in range(len(pool), 0, -1):
         target = dp[k][s]
         prev = dp[k - 1]
@@ -189,16 +183,16 @@ def price_min_knapsack(
         j = pool[k - 1]
         c = cost[k - 1]
         w = sizes[j]
-        if s < cap:
+        if s < tau:
             pre = s - w if s >= w and prev[s - w] + c == target else -1
         else:
-            lo = max(cap - w, 0)
-            pre = next((t for t in range(lo, cap + 1) if prev[t] + c == target), -1)
+            lo = max(tau - w, 0)
+            pre = next((t for t in range(lo, tau + 1) if prev[t] + c == target), -1)
         if pre < 0:
             raise CoverLpError("knapsack reconstruction failed")
         chosen.append(j)
         s = pre
-    return prune_to_minimal(chosen, cap, sizes, costs)
+    return prune_to_minimal(chosen, tau, sizes, costs)
 
 
 @dataclass
@@ -232,7 +226,6 @@ def check_cover_solution(
     ``sol.scale``.
     """
     scale = sol.scale
-    need = ceil_frac(sol.tau)
     pool_sets = {i: set(pool) for i, pool in pools.items()}
     cover: dict[int, int] = {}
     usage: dict[int, int] = {}
@@ -241,7 +234,7 @@ def check_cover_solution(
             return False, f"weight out of [0,1] on machine {i}"
         if not pool_sets.get(i, frozenset()).issuperset(cfg.jobs):
             return False, f"machine {i} carries a job outside its pool"
-        if not is_minimal(cfg.jobs, need, sizes):
+        if not is_minimal(cfg.jobs, sol.tau, sizes):
             return False, f"machine {i} carries a non-minimal configuration {cfg.jobs}"
         cover[i] = cover.get(i, 0) + c
         for j in cfg.jobs:

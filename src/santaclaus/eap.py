@@ -3,8 +3,10 @@
 The program couples a machine-selection weight s_i per machine with
 fractional small-job shares u_ij.  Per composite machine the s-weights sum
 to one and the s-weighted total size collected from small jobs must reach
-T/6; per small job the shares sum to at most one.  The bilinear constraint
-is evaluated exactly, never linearised.
+T/6; per small job the shares sum to at most one.  Shares and weights are
+integer counts over one scale, so the bilinear constraint is evaluated
+exactly over integers, never linearised: a composite collects T/6 when
+6 * collected >= T * scale**2.
 
 The pipeline builds its feasible point from a perfect bundle matching:
 integral s picks each composite's matched member, and u marks that member's
@@ -24,9 +26,6 @@ from .clustering import ClusterSet
 from .matching import MatchingState
 from .ratlp import LinearProgram, solve_feasibility
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class EapError(RuntimeError):
     pass
@@ -34,8 +33,11 @@ class EapError(RuntimeError):
 
 @dataclass
 class EapSolution:
-    u: dict[tuple[int, int], Fraction]  # (machine, small job) -> share
-    s: dict[int, Fraction]  # machine -> selection weight
+    """Share ``u[i, j] / scale`` and selection weight ``s[i] / scale``."""
+
+    u: dict[tuple[int, int], int]  # (machine, small job) -> share count
+    s: dict[int, int]  # machine -> selection weight count
+    scale: int
 
 
 @dataclass(frozen=True)
@@ -51,90 +53,86 @@ def _value_size(clusters: ClusterSet, machine: int, job: int) -> int:
     return 0
 
 
-def member_value(sol: EapSolution, clusters: ClusterSet, machine: int) -> Fraction:
+def member_value(sol: EapSolution, clusters: ClusterSet, machine: int) -> int:
+    """Size the machine collects from its shares, as a count over ``sol.scale``."""
     return sum(
-        (share * _value_size(clusters, machine, j) for (i, j), share in sol.u.items() if i == machine),
-        ZERO,
+        share * _value_size(clusters, machine, j) for (i, j), share in sol.u.items() if i == machine
     )
 
 
-def check_eap(sol: EapSolution, clusters: ClusterSet, T: Fraction) -> tuple[bool, str | None]:
+def check_eap(sol: EapSolution, clusters: ClusterSet, T: int) -> tuple[bool, str | None]:
     """Exact verification of every constraint group; returns the first violation."""
     small = clusters.job_classes.small
-    t6 = Fraction(T) / 6
+    scale = sol.scale
+    if scale <= 0:
+        return False, f"scale {scale} is not positive"
     for (i, j), share in sol.u.items():
         if j not in small:
             return False, f"u[{i},{j}] references a non-small job"
-        if share < 0 or share > 1:
-            return False, f"u[{i},{j}] = {share} outside [0,1]"
+        if share < 0 or share > scale:
+            return False, f"u[{i},{j}] = {Fraction(share, scale)} outside [0,1]"
     for i, weight in sol.s.items():
-        if weight < 0 or weight > 1:
-            return False, f"s[{i}] = {weight} outside [0,1]"
+        if weight < 0 or weight > scale:
+            return False, f"s[{i}] = {Fraction(weight, scale)} outside [0,1]"
     for d, comp in enumerate(clusters.composites):
-        total = sum((sol.s.get(i, ZERO) for i in comp.machines), ZERO)
-        if total != 1:
-            return False, f"composite {d}: selection weights sum to {total}, not 1"
-    usage: dict[int, Fraction] = {}
+        total = sum(sol.s.get(i, 0) for i in comp.machines)
+        if total != scale:
+            return False, f"composite {d}: selection weights sum to {Fraction(total, scale)}, not 1"
+    usage: dict[int, int] = {}
     for (i, j), share in sol.u.items():
-        usage[j] = usage.get(j, ZERO) + share
+        usage[j] = usage.get(j, 0) + share
     for j in sorted(usage):
-        if usage[j] > 1:
-            return False, f"small job {j} has share mass {usage[j]} > 1"
+        if usage[j] > scale:
+            return False, f"small job {j} has share mass {Fraction(usage[j], scale)} > 1"
     for d, comp in enumerate(clusters.composites):
-        collected = sum(
-            (sol.s.get(i, ZERO) * member_value(sol, clusters, i) for i in comp.machines),
-            ZERO,
-        )
-        if collected < t6:
-            return False, f"composite {d} collects {collected} < {t6}"
+        # A count over scale**2: s and u each carry one factor of the scale.
+        collected = sum(sol.s.get(i, 0) * member_value(sol, clusters, i) for i in comp.machines)
+        if 6 * collected < T * scale**2:
+            return False, (
+                f"composite {d} collects {Fraction(collected, scale**2)} < {Fraction(T, 6)}"
+            )
     return True, None
 
 
 def eap_from_matching(state: MatchingState, clusters: ClusterSet) -> EapSolution:
     """Indicator solution of a perfect matching: s picks the matched member,
-    u marks its bundle jobs."""
-    u: dict[tuple[int, int], Fraction] = {}
-    s: dict[int, Fraction] = {}
-    for comp in clusters.composites:
-        for i in comp.machines:
-            s[i] = ZERO
-    for d, edge in state.matched.items():
-        s[edge.member] = ONE
+    u marks its bundle jobs, all over scale 1."""
+    s = {i: 0 for comp in clusters.composites for i in comp.machines}
+    u: dict[tuple[int, int], int] = {}
+    for edge in state.matched.values():
+        s[edge.member] = 1
         for j in edge.bundle:
-            u[(edge.member, j)] = ONE
-    return EapSolution(u=u, s=s)
+            u[(edge.member, j)] = 1
+    return EapSolution(u=u, s=s, scale=1)
 
 
-def restrict_eap(sol: EapSolution, clusters: ClusterSet, T: Fraction) -> EapSolution:
+def restrict_eap(sol: EapSolution, clusters: ClusterSet, T: int) -> EapSolution:
     """Collapse fractional selection weights to one machine per composite.
 
     Averaging over a feasible point guarantees some member alone collects
     T/6; the lowest such machine id wins, everything else is zeroed.  Shares
-    never grow, so the per-job budget is preserved.
+    never grow, so the per-job budget is preserved.  The scale is kept.
     """
-    t6 = Fraction(T) / 6
+    scale = sol.scale
     chosen: set[int] = set()
     for d, comp in enumerate(clusters.composites):
         winner = None
         for i in comp.machines:
-            if member_value(sol, clusters, i) >= t6:
+            if 6 * member_value(sol, clusters, i) >= T * scale:
                 winner = i
                 break
         if winner is None:
             raise EapError(
-                f"composite {d}: no member collects {t6}; input was not feasible"
+                f"composite {d}: no member collects {Fraction(T, 6)}; input was not feasible"
             )
         chosen.add(winner)
     u = {(i, j): share for (i, j), share in sol.u.items() if i in chosen and share != 0}
-    s: dict[int, Fraction] = {}
-    for comp in clusters.composites:
-        for i in comp.machines:
-            s[i] = ONE if i in chosen else ZERO
-    return EapSolution(u=u, s=s)
+    s = {i: scale if i in chosen else 0 for comp in clusters.composites for i in comp.machines}
+    return EapSolution(u=u, s=s, scale=scale)
 
 
 def select_by_enumeration(
-    clusters: ClusterSet, T: Fraction, budget: int = 10**5
+    clusters: ClusterSet, T: int, budget: int = 10**5
 ) -> tuple[Selection, dict[tuple[int, int], Fraction]]:
     """Try selections (one machine per composite) in lexicographic order and
     return the first whose assignment LP reaches T/6 per selected machine.
@@ -150,7 +148,6 @@ def select_by_enumeration(
         space *= len(comp.machines)
         if space > budget:
             raise EapError(f"selection space exceeds budget {budget}")
-    t6 = Fraction(T) / 6
     inst = clusters.gap.base
     small = clusters.job_classes.small
 
@@ -164,7 +161,7 @@ def select_by_enumeration(
             picked.pop()
 
     for picked in candidates(0, []):
-        u = _alp_at_target(inst, small, picked, t6)
+        u = _alp_at_target(inst, small, picked, T)
         if u is not None:
             return Selection(chosen=dict(enumerate(picked))), u
     raise EapError(
@@ -172,8 +169,9 @@ def select_by_enumeration(
     )
 
 
-def _alp_at_target(inst, small, machines: list[int], target: Fraction):
-    """Assignment LP over selected machines and small jobs; None if infeasible."""
+def _alp_at_target(inst, small, machines: list[int], T: int):
+    """Assignment LP over selected machines and small jobs, each machine
+    collecting T/6, written 6 * collected >= T; None if infeasible."""
     pairs = [
         (i, j)
         for i in machines
@@ -187,8 +185,8 @@ def _alp_at_target(inst, small, machines: list[int], target: Fraction):
         row = {index[(i, jj)]: 1 for (i, jj) in pairs if jj == j}
         lp.add_constraint(row, "<=", 1)
     for i in machines:
-        row = {index[(ii, j)]: inst.jobs[j].size for (ii, j) in pairs if ii == i}
-        lp.add_constraint(row, ">=", target)
+        row = {index[(ii, j)]: 6 * inst.jobs[j].size for (ii, j) in pairs if ii == i}
+        lp.add_constraint(row, ">=", T)
     sol = solve_feasibility(lp)
     if not sol.is_optimal:
         return None

@@ -29,7 +29,7 @@ class GapClassError(RuntimeError):
 @dataclass(frozen=True)
 class GapInstance:
     base: Instance
-    tau: Fraction
+    tau: int
     gap_size: tuple[int, ...]
 
 
@@ -47,16 +47,12 @@ class MachineClasses:
     middle: frozenset[int]
 
 
-def build_gap_instance(inst: Instance, T: Fraction) -> GapInstance:
-    T = Fraction(T)
+def build_gap_instance(inst: Instance, T: int) -> GapInstance:
     if T <= 0:
         raise ValueError("T must be positive; a zero T short-circuits the pipeline")
-    if T.denominator != 1:
-        raise ValueError("T must be an integer (the T search returns integers)")
-    t_int = T.numerator
     # size < T / ALPHA over integers.  tuple(list), not tuple(generator): see
     # ratlp.LpSolution.
-    gap = tuple([job.size if ALPHA * job.size < t_int else t_int for job in inst.jobs])
+    gap = tuple([job.size if ALPHA * job.size < T else T for job in inst.jobs])
     return GapInstance(base=inst, tau=T, gap_size=gap)
 
 
@@ -67,17 +63,17 @@ def classify_jobs(gap: GapInstance) -> JobClasses:
     reaches tau in the gap instance, so no minimal configuration can contain
     a big job alongside anything else.
     """
-    t_int = gap.tau.numerator
+    T = gap.tau
     big = frozenset(
-        j for j, job in enumerate(gap.base.jobs) if ALPHA * job.size >= t_int
+        j for j, job in enumerate(gap.base.jobs) if ALPHA * job.size >= T
     )
     small = frozenset(range(len(gap.gap_size))) - big
     for j in big:
-        if gap.gap_size[j] != t_int:
-            raise GapClassError(f"big job {j} has gap size {gap.gap_size[j]}, not T = {t_int}")
+        if gap.gap_size[j] != T:
+            raise GapClassError(f"big job {j} has gap size {gap.gap_size[j]}, not T = {T}")
     for j in small:
         size = gap.base.jobs[j].size
-        if gap.gap_size[j] != size or ALPHA * size >= t_int:
+        if gap.gap_size[j] != size or ALPHA * size >= T:
             raise GapClassError(f"small job {j} lost its size or reaches T/{ALPHA}")
     return JobClasses(big=big, small=small)
 

@@ -46,6 +46,9 @@ class JobSpec:
         # type(...) is int also turns away bool, whose type is its own
         if type(self.size) is not int or self.size < 1:
             raise ValueError("size must be a positive integer")
+        # a list or set would break hashing and the set algebra on eligibility
+        if not isinstance(self.eligible, frozenset):
+            raise ValueError("eligible must be a frozenset")
 
 
 @dataclass(frozen=True)

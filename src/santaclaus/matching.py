@@ -4,7 +4,9 @@ Every composite machine (super machine or middle singleton) must receive a
 bundle of small jobs of total size at least T/6, pairwise disjoint across
 composites.  Bundles are minimal sub-configurations of the small
 configurations the covering solution actually carries, so each bundle's
-total also stays below T/6 + T/12.
+total also stays below T/6 + T/12 = T/4.  Totals are integers, so bundles
+are cut at the integer need ceil(T/6), and the window reads
+6 * total >= T and 4 * total < T.
 
 The default strategy grows an alternating tree per unmatched composite: it
 repeatedly takes the first hyperedge (smallest member machine, then
@@ -41,7 +43,6 @@ class Hyperedge:
     composite: int  # index into clusters.composites
     member: int  # machine id inside that composite, with support
     bundle: tuple[int, ...]
-    total_size: int
 
 
 @dataclass
@@ -50,7 +51,7 @@ class MatchingState:
     steps: int = 0
 
 
-def minimal_covers(jobs: tuple[int, ...], sizes, threshold: Fraction) -> Iterator[tuple[int, ...]]:
+def minimal_covers(jobs: tuple[int, ...], sizes, threshold: int) -> Iterator[tuple[int, ...]]:
     """Minimal subsets of ``jobs`` with total >= threshold, in lex order.
 
     A branch stops as soon as it covers: any extension would contain a
@@ -78,7 +79,7 @@ def machine_bundles(
     machine: int,
     xstar: ClpSolution,
     sizes,
-    threshold: Fraction,
+    threshold: int,
     small: frozenset[int],
 ) -> Iterator[tuple[int, ...]]:
     """Deduplicated minimal small bundles from the machine's carried columns."""
@@ -98,9 +99,7 @@ def _small_only(xstar: ClpSolution, machine: int, small: frozenset[int]) -> list
     return cols
 
 
-def validate_matching(state: MatchingState, clusters: ClusterSet, T: Fraction) -> None:
-    t6 = T / 6
-    t4 = T / 6 + T / 12
+def validate_matching(state: MatchingState, clusters: ClusterSet, T: int) -> None:
     sizes = clusters.gap.base.sizes()
     small = clusters.job_classes.small
     used: set[int] = set()
@@ -113,9 +112,9 @@ def validate_matching(state: MatchingState, clusters: ClusterSet, T: Fraction) -
         if not set(e.bundle) <= small:
             raise MatchingError(f"bundle of composite {d} contains a big job")
         total = sum(sizes[j] for j in e.bundle)
-        if not (t6 <= total < t4):
+        if not (6 * total >= T and 4 * total < T):
             raise MatchingError(
-                f"bundle total {total} outside [{t6}, {t4}) for composite {d}"
+                f"bundle total {total} outside [{Fraction(T, 6)}, {Fraction(T, 4)}) for composite {d}"
             )
         supported = set()
         for cfg_jobs in _small_only(clusters.xstar, e.member, small):
@@ -130,18 +129,18 @@ def validate_matching(state: MatchingState, clusters: ClusterSet, T: Fraction) -
 
 def find_perfect_matching(
     clusters: ClusterSet,
-    T: Fraction,
+    T: int,
     budget: int = 10**6,
     trace: list[str] | None = None,
 ) -> MatchingState:
     """Alternating-tree matching, validated before it is returned."""
-    state = _local_search_matching(clusters, Fraction(T) / 6, budget, trace)
-    validate_matching(state, clusters, Fraction(T))
+    state = _local_search_matching(clusters, -(-T // 6), budget, trace)
+    validate_matching(state, clusters, T)
     return state
 
 
 def _local_search_matching(
-    clusters: ClusterSet, threshold: Fraction, budget: int, trace: list[str] | None
+    clusters: ClusterSet, threshold: int, budget: int, trace: list[str] | None
 ) -> MatchingState:
     matched: dict[int, Hyperedge] = {}
     state = MatchingState(matched=matched)
@@ -156,7 +155,7 @@ def _local_search_matching(
 def _extend_matching(
     root: int,
     clusters: ClusterSet,
-    threshold: Fraction,
+    threshold: int,
     matched: dict[int, Hyperedge],
     comp_of_machine: dict[int, int],
     state: MatchingState,
@@ -201,8 +200,7 @@ def _extend_matching(
                 cur = matched.get(d)
                 if cur is not None and cur.member == i and cur.bundle == bundle:
                     continue
-                total = sum(sizes[j] for j in bundle)
-                return Hyperedge(composite=d, member=i, bundle=bundle, total_size=total)
+                return Hyperedge(composite=d, member=i, bundle=bundle)
         return None
 
     def assign_and_cascade(e: Hyperedge) -> None:

@@ -133,7 +133,7 @@ def solve(inst: Instance) -> SolveReport:
             timings_ms=watch.timings_ms,
         )
 
-    gap = build_gap_instance(inst, T)
+    gap = build_gap_instance(inst, T_int)
     job_classes = classify_jobs(gap)
     x = solve_clp_feasibility(
         inst, T_int, pools=machine_pools(inst), sizes=gap.gap_size, seeds=seeds, counters=counters
@@ -148,7 +148,7 @@ def solve(inst: Instance) -> SolveReport:
         branch = "no-upper"
         floor = T / 2 - T / ALPHA
     else:
-        owner = _solve_clustered(inst, gap, job_classes, machine_classes, x, T, counters)
+        owner = _solve_clustered(inst, gap, job_classes, machine_classes, x, counters)
         branch = "clustered"
         floor = T / ALPHA
     watch.lap("branch")
@@ -187,7 +187,7 @@ def _solve_no_upper(inst, job_classes, x, counters):
     return owner
 
 
-def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, counters):
+def _solve_clustered(inst, gap, job_classes, machine_classes, x, counters):
     graph = build_big_graph(gap, x, job_classes, machine_classes)
     forest, xstar = eliminate_cycles(graph, x, gap)
     clusters = extract_clusters(forest, xstar, job_classes, machine_classes, gap)
@@ -205,10 +205,10 @@ def _solve_clustered(inst, gap, job_classes, machine_classes, x, T, counters):
             raise PipelineError(f"job {job} assigned twice during assembly")
         owner[job] = machine
 
-    state = find_perfect_matching(clusters, T)
+    state = find_perfect_matching(clusters, gap.tau)
     counters["matching_steps"] = state.steps
     eap = eap_from_matching(state, clusters)
-    ok, why = check_eap(eap, clusters, T)
+    ok, why = check_eap(eap, clusters, gap.tau)
     if not ok:
         raise PipelineError(f"assignment-program check failed: {why}")
     selected = {d: e.member for d, e in state.matched.items()}

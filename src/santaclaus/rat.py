@@ -1,8 +1,10 @@
 """Exact rational helpers shared across the package.
 
-Every numeric quantity a solver component exchanges (thresholds, LP values,
-weights, certified bounds) is either a Python int or a `fractions.Fraction`.
-There is deliberately no float anywhere in the pipeline.
+Every threshold and weight the solver's stages exchange is a Python int,
+weights as integer counts over one scale.  A `fractions.Fraction` is built
+only where a rational is shown: the report and the public API (``T``, the
+minimum load, the certified ratio bound), error messages, and LP values
+handed to a caller.  There is deliberately no float anywhere in the pipeline.
 """
 
 from __future__ import annotations
@@ -26,7 +28,3 @@ def rat_from_str(text: str) -> Fraction:
     num, den = text.split("/")
     return Fraction(int(num), int(den))
 
-
-def ceil_frac(x: int | Fraction) -> int:
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)

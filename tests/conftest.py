@@ -21,12 +21,21 @@ def clp_from_weights(weights, tau):
     """A `ClpSolution` holding the rational ``weights``, as counts over the
     lcm of their denominators."""
     counts, scale = to_counts(weights)
-    return ClpSolution(tau=Fraction(tau), counts=counts, scale=scale)
+    return ClpSolution(tau=tau, counts=counts, scale=scale)
 
 
 def weights_of(sol):
     """The rational weights of a `ClpSolution` or `FractionalAssignment`."""
     return {key: Fraction(c, sol.scale) for key, c in sol.counts.items()}
+
+
+def with_selection(base, weights):
+    """The integral `EapSolution` ``base`` (scale 1) with the rational
+    selection ``weights`` put in, as counts over their common denominator."""
+    from santaclaus.eap import EapSolution
+
+    s, scale = to_counts({**base.s, **weights})
+    return EapSolution(u={k: v * scale for k, v in base.u.items()}, s=s, scale=scale)
 
 
 def enumerate_lp_vertices(objective, rows, nvars):
@@ -180,7 +189,7 @@ def handmade_super_case():
     from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
 
     inst = shared_big_instance(units=13)
-    gap = build_gap_instance(inst, Fraction(13))
+    gap = build_gap_instance(inst, 13)
     jc = classify_jobs(gap)
     half = Fraction(1, 2)
     big = Configuration(jobs=(0,), total_size=13)

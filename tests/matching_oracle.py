@@ -3,7 +3,6 @@ cross-check `santaclaus.matching.find_perfect_matching` against."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 from santaclaus.clustering import ClusterSet
@@ -17,7 +16,7 @@ from santaclaus.matching import (
 
 
 def enumerate_bundles(
-    composite_index: int, clusters: ClusterSet, threshold: Fraction
+    composite_index: int, clusters: ClusterSet, threshold: int
 ) -> Iterator[Hyperedge]:
     """Hyperedges of one composite: members in machine order, bundles lex.
 
@@ -30,16 +29,14 @@ def enumerate_bundles(
     small = clusters.job_classes.small
     for i in comp.machines:
         for bundle in machine_bundles(i, clusters.xstar, sizes, threshold, small):
-            total = sum(sizes[j] for j in bundle)
-            yield Hyperedge(
-                composite=composite_index, member=i, bundle=bundle, total_size=total
-            )
+            yield Hyperedge(composite=composite_index, member=i, bundle=bundle)
 
 
-def exhaustive_matching(clusters: ClusterSet, T: Fraction, budget: int) -> MatchingState:
+def exhaustive_matching(clusters: ClusterSet, T: int, budget: int) -> MatchingState:
     """Backtracking over the composites' hyperedge streams in order, within
-    ``budget`` steps; validated like `find_perfect_matching`."""
-    threshold = Fraction(T) / 6
+    ``budget`` steps; validated like `find_perfect_matching`.  Bundles are
+    cut at the integer need ceil(T/6), as there."""
+    threshold = -(-T // 6)
     n = len(clusters.composites)
     streams = [list(enumerate_bundles(d, clusters, threshold)) for d in range(n)]
     state = MatchingState(matched={})
@@ -68,5 +65,5 @@ def exhaustive_matching(clusters: ClusterSet, T: Fraction, budget: int) -> Match
             "existence contract violated: exhaustive search found no perfect matching"
         )
     state.matched = dict(chosen)
-    validate_matching(state, clusters, Fraction(T))
+    validate_matching(state, clusters, T)
     return state

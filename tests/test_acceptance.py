@@ -23,7 +23,7 @@ from santaclaus.configlp import (
     machine_pools,
     solve_clp_feasibility,
 )
-from santaclaus.eap import EapSolution, check_eap, eap_from_matching, member_value, restrict_eap
+from santaclaus.eap import check_eap, eap_from_matching, member_value, restrict_eap
 from santaclaus.gapclasses import build_gap_instance, classify_jobs, classify_machines
 from santaclaus.instances import (
     Instance,
@@ -35,7 +35,7 @@ from santaclaus.instances import (
 from santaclaus.matching import find_perfect_matching
 from santaclaus.pipeline import solve
 from santaclaus.rounding import round_assignment
-from conftest import handmade_super_case, mixed_instance, weights_of
+from conftest import handmade_super_case, mixed_instance, weights_of, with_selection
 from matching_oracle import exhaustive_matching
 
 F = Fraction
@@ -94,7 +94,7 @@ def test_relaxation_soundness():
         T = int(find_T(inst))
         feasible_set = [
             tau for tau in range(1, total + 1)
-            if solve_clp_feasibility(inst, F(tau)) is not None
+            if solve_clp_feasibility(inst, tau) is not None
         ]
         if feasible_set != list(range(1, T + 1)):
             bad_monotone.append(seed - 1)
@@ -161,7 +161,7 @@ def stage_runs():
     runs.append((inst, clusters))
 
     def attempt(inst, seed):
-        T = find_T(inst)
+        T = int(find_T(inst))
         if T == 0:
             return
         gap = build_gap_instance(inst, T)
@@ -229,7 +229,7 @@ def test_matching_suite(stage_runs):
         used = set()
         for e in tree.matched.values():
             total = sum(inst.jobs[j].size for j in e.bundle)
-            if not (T / 6 <= total < T / 6 + T / 12):
+            if not (F(T, 6) <= total < F(T, 6) + F(T, 12)):
                 failures.append(f"run {k}: bundle size {total} out of window")
             if used & set(e.bundle):
                 failures.append(f"run {k}: overlapping bundles")
@@ -271,22 +271,22 @@ def test_eap_suite(stage_runs):
     winner = next(i for i in comp.machines if base.s[i] == 1)
     other = next(i for i in comp.machines if i != winner)
     value = member_value(base, clusters, winner)
-    room = 1 - (T / 6) / value
+    room = 1 - F(T, 6) / value
     rng = Random(5)
     perturbed_ok = 0
     for _ in range(100):
         delta = room * F(rng.randrange(1000), 1000)
-        spread = EapSolution(u=dict(base.u), s={**base.s, winner: 1 - delta, other: delta})
+        spread = with_selection(base, {winner: 1 - delta, other: delta})
         ok, why = check_eap(spread, clusters, T)
         if not ok:
             failures.append(f"perturbation infeasible: {why}")
             continue
         restricted = restrict_eap(spread, clusters, T)
         ok, why = check_eap(restricted, clusters, T)
-        integral = all(v in (F(0), F(1)) for v in restricted.s.values())
-        shrunk = all(
-            v <= spread.u.get(key, F(0)) for key, v in restricted.u.items()
+        integral = restricted.scale == spread.scale and all(
+            v in (0, restricted.scale) for v in restricted.s.values()
         )
+        shrunk = all(v <= spread.u.get(key, 0) for key, v in restricted.u.items())
         if ok and integral and shrunk:
             perturbed_ok += 1
         else:
@@ -309,7 +309,7 @@ def test_rounding_suite():
         n = 3 + seed % 6
         inst = generate_random(m=m, n=n, max_size=8, density=DENSITIES[seed % 4], seed=2000 + seed)
         seed += 1
-        T = find_T(inst)
+        T = int(find_T(inst))
         if T == 0:
             continue
         sol = solve_clp_feasibility(inst, T)

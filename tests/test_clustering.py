@@ -35,7 +35,7 @@ def totals(graph, scale):
 
 def test_build_graph_single_edge():
     inst = tiny_instance([(20, [0])] + [(1, [0])] * 8, machines=1)
-    gap = build_gap_instance(inst, F(20))
+    gap = build_gap_instance(inst, 20)
     jc = classify_jobs(gap)
     x = clp_from_weights(
         {
@@ -53,7 +53,7 @@ def test_build_graph_single_edge():
 
 def test_build_graph_no_upper_machines_is_empty():
     inst = tiny_instance([(1, [0])] * 13, machines=1)
-    gap = build_gap_instance(inst, F(13))
+    gap = build_gap_instance(inst, 13)
     jc = classify_jobs(gap)
     assert jc.small == frozenset(range(13))
     x = clp_from_weights(
@@ -66,7 +66,7 @@ def test_build_graph_no_upper_machines_is_empty():
 
 def test_build_graph_shared_job():
     inst = tiny_instance([(10, [0, 1]), (10, [0]), (10, [1])], machines=2)
-    gap = build_gap_instance(inst, F(10))
+    gap = build_gap_instance(inst, 10)
     jc = classify_jobs(gap)
     x = clp_from_weights(
         {
@@ -88,7 +88,7 @@ def test_build_graph_shared_job():
 
 def make_gap_for_graph(m, njobs, t):
     inst = tiny_instance([(t, list(range(m)))] * njobs, machines=m)
-    return build_gap_instance(inst, F(t))
+    return build_gap_instance(inst, t)
 
 
 def test_eliminate_cycles_acyclic_fixed_point():
@@ -222,10 +222,10 @@ def test_cancel_cycles_random_supports_with_unequal_sizes():
 # ------------------------------------------------------------- extraction
 
 def run_clustering(inst, T):
-    gap = build_gap_instance(inst, F(T))
+    gap = build_gap_instance(inst, T)
     jc = classify_jobs(gap)
     x = solve_clp_feasibility(
-        inst, F(T), pools=machine_pools(inst), sizes=gap.gap_size
+        inst, T, pools=machine_pools(inst), sizes=gap.gap_size
     )
     assert x is not None
     mc = classify_machines(gap, jc, x)
@@ -297,9 +297,9 @@ def test_single_machine_single_big_job_saturates():
 def checker_fixture():
     jobs = [(26, [0, 1])] + [(1, [0])] * 13 + [(1, [1])] * 13
     inst = tiny_instance(jobs, machines=2)
-    gap = build_gap_instance(inst, F(13))
+    gap = build_gap_instance(inst, 13)
     jc = classify_jobs(gap)
-    x = solve_clp_feasibility(inst, F(13), pools=machine_pools(inst), sizes=gap.gap_size)
+    x = solve_clp_feasibility(inst, 13, pools=machine_pools(inst), sizes=gap.gap_size)
     mc = classify_machines(gap, jc, x)
     return inst, gap, jc, mc, x
 
@@ -409,7 +409,6 @@ def test_cycle_invariant_survives_python_O():
 
     code = """
 import sys
-from fractions import Fraction
 import santaclaus.clustering as clu
 from santaclaus.configlp import ClpSolution
 from santaclaus.gapclasses import build_gap_instance
@@ -419,9 +418,9 @@ graph = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
 found = iter([[(0, 0), (0, 1), (1, 1)], None])
 clu._find_cycle = lambda adj: next(found)
 inst = Instance(machine_count=2, jobs=(JobSpec(4, frozenset([0, 1])),) * 2)
-x = ClpSolution(tau=Fraction(4), counts={}, scale=2)
+x = ClpSolution(tau=4, counts={}, scale=2)
 try:
-    clu.eliminate_cycles(graph, x, build_gap_instance(inst, Fraction(4)))
+    clu.eliminate_cycles(graph, x, build_gap_instance(inst, 4))
 except clu.ClusteringError as exc:
     print("raised:", exc)
 else:

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from math import ceil
 
 from santaclaus.configlp import (
     Configuration,
@@ -48,21 +49,21 @@ F = Fraction
 def test_pricing_matches_subset_enumeration():
     sizes = [3, 5, 7]
     costs = {0: F(1, 5), 1: F(3, 10), 2: F(1, 2)}
-    cfg = price_min_knapsack([0, 1, 2], sizes, costs, F(8))
-    best, sets = min_cover_subsets([0, 1, 2], sizes, costs, F(8))
+    cfg = price_min_knapsack([0, 1, 2], sizes, costs, 8)
+    best, sets = min_cover_subsets([0, 1, 2], sizes, costs, 8)
     assert best == F(1, 2)
     assert sorted(cfg.jobs) in [sorted(s) for s in sets]
     assert cfg.jobs == (0, 1)  # the {3,5} cover at cost 1/2
 
 
 def test_pricing_short_pool_returns_none():
-    assert price_min_knapsack([0, 1], [2, 3], {}, F(6)) is None
+    assert price_min_knapsack([0, 1], [2, 3], {}, 6) is None
 
 
 def test_pricing_zero_costs_prunes_to_minimal():
     sizes = [3, 5, 7]
-    cfg = price_min_knapsack([0, 1, 2], sizes, {}, F(5))
-    assert is_minimal(cfg.jobs, F(5), sizes)
+    cfg = price_min_knapsack([0, 1, 2], sizes, {}, 5)
+    assert is_minimal(cfg.jobs, 5, sizes)
     assert len(cfg.jobs) == 1 and sizes[cfg.jobs[0]] >= 5
 
 
@@ -74,7 +75,7 @@ def test_pricing_randomized_against_oracle():
         n = rng.randint(1, 7)
         sizes = [rng.randint(1, 9) for _ in range(n)]
         costs = {j: F(rng.randint(0, 6), rng.randint(1, 4)) for j in range(n)}
-        tau = F(rng.randint(1, 20))
+        tau = rng.randint(1, 20)
         cfg = price_min_knapsack(list(range(n)), sizes, costs, tau)
         best, _ = min_cover_subsets(list(range(n)), sizes, costs, tau)
         if best is None:
@@ -87,9 +88,10 @@ def test_pricing_randomized_against_oracle():
 
 
 def test_pricing_with_mixed_denominators_matches_brute_force():
-    # the DP compares rational costs as they are; the configuration it
-    # returns must cost the true minimum over every subset of the pool that
-    # reaches tau, and be minimal at tau
+    # the DP compares rational costs as they are; run at the integer need
+    # ceil(tau), the configuration it returns must cost the true minimum over
+    # every subset of the pool that reaches the rational tau, and be minimal
+    # at tau, since totals are integers
     from random import Random
 
     rng = Random(5)
@@ -100,7 +102,7 @@ def test_pricing_with_mixed_denominators_matches_brute_force():
         pool = sorted(rng.sample(range(n), rng.randint(1, min(n, 8))))
         costs = {j: rng.choice(palette) for j in range(n) if rng.random() < 0.9}
         tau = F(rng.randint(1, 25), rng.choice([1, 1, 2, 3]))
-        cfg = price_min_knapsack(pool, sizes, costs, tau)
+        cfg = price_min_knapsack(pool, sizes, costs, ceil(tau))
         best, _ = min_cover_subsets(pool, sizes, costs, tau)
         if best is None:
             assert cfg is None, f"trial {trial}"
@@ -116,10 +118,8 @@ def reference_min_knapsack(pool, sizes, costs, tau):
     by scanning every earlier total for one that explains the entry."""
     from math import lcm
 
-    from santaclaus.rat import ceil_frac
-
     pool = sorted(pool)
-    cap = ceil_frac(tau)
+    cap = ceil(tau)
     if sum(sizes[j] for j in pool) < cap:
         return None
     raw = [F(costs.get(j, 0)) for j in pool]
@@ -165,7 +165,8 @@ def test_pricing_matches_reference_dp():
     # the list-built table with an integer sentinel and the direct
     # predecessor read must return the very configuration the original
     # None-table-and-scan DP returns; integer costs and the same costs over
-    # a common denominator must price alike
+    # a common denominator must price alike; the rational tau is priced at
+    # its integer need ceil(tau)
     from random import Random
 
     rng = Random(17)
@@ -181,11 +182,11 @@ def test_pricing_matches_reference_dp():
         else:
             costs = {j: rng.choice([0, 0, rng.randint(1, 9)]) for j in pool}
         expected = reference_min_knapsack(pool, sizes, costs, tau)
-        assert price_min_knapsack(pool, sizes, costs, tau) == expected, f"trial {trial}"
+        assert price_min_knapsack(pool, sizes, costs, ceil(tau)) == expected, f"trial {trial}"
         if kind == 2:
             den = rng.randint(2, 9)
             costs_over = {j: F(c, den) for j, c in costs.items()}
-            assert price_min_knapsack(pool, sizes, costs_over, tau) == expected, f"trial {trial}"
+            assert price_min_knapsack(pool, sizes, costs_over, ceil(tau)) == expected, f"trial {trial}"
             scaled += 1
         zero += not any(costs.values())
         big += any(sizes[j] >= tau for j in pool)
@@ -204,7 +205,7 @@ def test_prune_drops_largest_cost_first():
 
 def test_clp_symmetric_pair_feasible_at_4():
     inst = tiny_instance([(4, [0, 1]), (4, [0, 1])], machines=2)
-    sol = solve_clp_feasibility(inst, F(4))
+    sol = solve_clp_feasibility(inst, 4)
     assert sol is not None
     ok, why = check_cover_solution(sol, machine_pools(inst), inst.sizes())
     assert ok, why
@@ -215,12 +216,12 @@ def test_clp_symmetric_pair_infeasible_at_5():
     # two unit covers would use each job twice.
     inst = tiny_instance([(4, [0, 1]), (4, [0, 1])], machines=2)
     assert all_minimal_configs([0, 1], inst.sizes(), F(5)) == [(0, 1)]
-    assert solve_clp_feasibility(inst, F(5)) is None
+    assert solve_clp_feasibility(inst, 5) is None
 
 
 def test_clp_single_machine_single_cover():
     inst = tiny_instance([(3, [0]), (4, [0])], machines=1)
-    sol = solve_clp_feasibility(inst, F(7))
+    sol = solve_clp_feasibility(inst, 7)
     assert sol is not None
     assert weights_of(sol) == {(0, Configuration(jobs=(0, 1), total_size=7)): F(1)}
 
@@ -254,7 +255,7 @@ def test_clp_agrees_with_full_column_lp():
         inst = generate_random(m=3, n=5, max_size=7, density=F(1, 2), seed=seed)
         pools = machine_pools(inst)
         for tau in (2, 4, 6):
-            by_pricing = solve_clp_feasibility(inst, F(tau)) is not None
+            by_pricing = solve_clp_feasibility(inst, tau) is not None
             by_enumeration = every_row_lp_feasible(pools, inst.sizes(), tau)
             assert by_pricing == by_enumeration, f"seed {seed} tau {tau}"
 
@@ -368,8 +369,8 @@ def test_master_rows_are_covers_and_contested_jobs(monkeypatch):
 def test_cover_rows_come_from_pool_keys():
     # every key of pools gets a cover row: a machine with nothing to bundle
     # makes the LP infeasible even when the other machines are easy to cover
-    assert solve_cover_lp(pools={0: (0,), 1: ()}, sizes=[3], tau=F(3)) is None
-    sol = solve_cover_lp(pools={0: (0,)}, sizes=[3], tau=F(3))
+    assert solve_cover_lp(pools={0: (0,), 1: ()}, sizes=[3], tau=3) is None
+    sol = solve_cover_lp(pools={0: (0,)}, sizes=[3], tau=3)
     assert sol is not None and sum(w for (i, _), w in weights_of(sol).items() if i == 0) == 1
 
 
@@ -406,18 +407,18 @@ def test_find_T_uncoverable_machine():
 def test_find_T_relaxation_bound_and_monotone_feasibility():
     for seed in range(10):
         inst = generate_random(m=3, n=4, max_size=5, density=F(2, 3), seed=seed)
-        T = find_T(inst)
+        T = int(find_T(inst))
         assert T >= exact_optimum(inst)
         # feasible on every integer below T, infeasible just above
-        for tau in range(1, int(T) + 1):
-            assert solve_clp_feasibility(inst, F(tau)) is not None, (seed, tau)
+        for tau in range(1, T + 1):
+            assert solve_clp_feasibility(inst, tau) is not None, (seed, tau)
         assert solve_clp_feasibility(inst, T + 1) is None
 
 
 def test_carried_configurations_are_minimal():
     for seed in range(8):
         inst = generate_random(m=2, n=5, max_size=6, density=F(1, 2), seed=seed)
-        T = find_T(inst)
+        T = int(find_T(inst))
         if T == 0:
             continue
         sol = solve_clp_feasibility(inst, T)
@@ -428,12 +429,12 @@ def test_carried_configurations_are_minimal():
 
 def plain_bisection_T(inst):
     """The unbracketed search: bisect [1, total size] with one LP per probe."""
-    if solve_clp_feasibility(inst, F(1)) is None:
+    if solve_clp_feasibility(inst, 1) is None:
         return 0
     lo, hi = 1, inst.total_size()
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if solve_clp_feasibility(inst, F(mid)) is not None:
+        if solve_clp_feasibility(inst, mid) is not None:
             lo = mid
         else:
             hi = mid - 1
@@ -1065,7 +1066,7 @@ def test_price_refutation_is_a_sound_farkas_proof():
                         assert supply == [mu[j] for j in priced], (inst, tau, k)
                         kappa = [0] * m
                         for i in need:
-                            cfg = price_min_knapsack(pools[i], sizes, mu, F(need[i]))
+                            cfg = price_min_knapsack(pools[i], sizes, mu, need[i])
                             kappa[i] = sum(mu[j] for j in cfg.jobs)
                         # route's demand, by machine, up to the last one left
                         assert covers + [0] * (m - len(covers)) == kappa, (inst, tau, k)
@@ -1094,7 +1095,7 @@ def test_price_refutation_is_a_sound_farkas_proof():
 
 def test_clp_to_alp_direct_sum():
     inst = tiny_instance([(3, [0]), (4, [0])], machines=1)
-    sol = solve_clp_feasibility(inst, F(7))
+    sol = solve_clp_feasibility(inst, 7)
     fa = clp_to_alp(sol)
     assert weights_of(fa) == {(0, 0): F(1), (0, 1): F(1)}
     # machine 0's value reaches the floor tau
@@ -1119,7 +1120,7 @@ def test_check_mclp_thresholds():
     from santaclaus.gapclasses import build_gap_instance, classify_jobs
 
     inst = tiny_instance([(20, [0, 1])] + [(1, [0]), (1, [1])] * 7, machines=2)
-    gap = build_gap_instance(inst, F(14))
+    gap = build_gap_instance(inst, 14)
     jc = classify_jobs(gap)
     bundle0 = Configuration(jobs=(1, 3, 5, 7, 9, 11, 13), total_size=7)
     bundle1 = Configuration(jobs=(2, 4, 6, 8, 10, 12, 14), total_size=7)
@@ -1148,7 +1149,7 @@ def test_clp_to_alp_meets_target_on_samples():
     sizes_checked = 0
     for seed in range(10):
         inst = generate_random(m=2, n=4, max_size=6, density=F(3, 4), seed=seed)
-        T = find_T(inst)
+        T = int(find_T(inst))
         if T == 0:
             continue
         sol = solve_clp_feasibility(inst, T)

@@ -13,6 +13,7 @@ same verdict, the same message, the same owner map and the same clusters.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 from random import Random
 
 import pytest
@@ -231,7 +232,7 @@ def ref_eliminate_cycles(graph, weights, gap):
         if not (len(cfg.jobs) == 1 and cfg.jobs[0] in jobs and i in machines)
     }
     for (i, j), w in forest.items():
-        xstar[(i, Configuration(jobs=(j,), total_size=gap.tau.numerator))] = w
+        xstar[(i, Configuration(jobs=(j,), total_size=gap.tau))] = w
     return forest, xstar
 
 
@@ -414,7 +415,9 @@ def stretched(counts, scale, factor):
 
 
 def assert_cover_agrees(weights, tau, pools, sizes, factor=1):
-    sol = clp_from_weights(weights, tau)
+    # the check reads the integer need ceil(tau), the reference the rational
+    # tau: totals are integers, so both must decide alike
+    sol = clp_from_weights(weights, ceil(tau))
     counts, scale = stretched(sol.counts, sol.scale, factor)
     sol = ClpSolution(tau=sol.tau, counts=counts, scale=scale)
     got = check_cover_solution(sol, pools, sizes)
@@ -613,7 +616,7 @@ def random_clustered_case(rng):
     jobs = [(T + rng.randrange(6), rng.sample(range(m), rng.randint(1, m))) for _ in range(nbig)]
     jobs += [(1, range(m))] * nsmall
     inst = tiny_instance(jobs, machines=m)
-    gap = build_gap_instance(inst, F(T))
+    gap = build_gap_instance(inst, T)
     weights = {}
     for i in range(m):
         den = rng.randint(1, 12)

@@ -17,11 +17,11 @@ F = Fraction
 
 def test_gap_sizes_follow_threshold_table():
     inst = tiny_instance([(1, [0]), (7, [0]), (12, [0])], machines=1)
-    gap = build_gap_instance(inst, F(12))
+    gap = build_gap_instance(inst, 12)
     # threshold is 1: every size >= 1 snaps to T
     assert gap.gap_size == (12, 12, 12)
 
-    gap13 = build_gap_instance(tiny_instance([(1, [0])], machines=1), F(13))
+    gap13 = build_gap_instance(tiny_instance([(1, [0])], machines=1), 13)
     # 1 < 13/12 stays small
     assert gap13.gap_size == (1,)
 
@@ -29,30 +29,30 @@ def test_gap_sizes_follow_threshold_table():
 def test_gap_rejects_zero_T():
     inst = tiny_instance([(1, [0])], machines=1)
     with pytest.raises(ValueError):
-        build_gap_instance(inst, F(0))
+        build_gap_instance(inst, 0)
 
 
 def test_classify_jobs_boundaries():
     inst = tiny_instance([(1, [0]), (7, [0]), (12, [0])], machines=1)
-    gap = build_gap_instance(inst, F(12))
+    gap = build_gap_instance(inst, 12)
     jc = classify_jobs(gap)
     assert jc.big == {0, 1, 2}
     assert jc.small == frozenset()
 
     inst2 = tiny_instance([(1, [0]), (13, [0])], machines=1)
-    gap2 = build_gap_instance(inst2, F(12))
+    gap2 = build_gap_instance(inst2, 12)
     jc2 = classify_jobs(gap2)
     assert jc2.big == {0, 1}  # threshold 1 is inclusive
 
-    gap3 = build_gap_instance(tiny_instance([(1, [0])], machines=1), F(13))
+    gap3 = build_gap_instance(tiny_instance([(1, [0])], machines=1), 13)
     assert classify_jobs(gap3).small == {0}
 
 
 def test_classification_is_idempotent():
     inst = tiny_instance([(2, [0]), (5, [0])], machines=1)
-    gap = build_gap_instance(inst, F(7))
+    gap = build_gap_instance(inst, 7)
     once = classify_jobs(gap)
-    again = classify_jobs(build_gap_instance(inst, F(7)))
+    again = classify_jobs(build_gap_instance(inst, 7))
     assert once == again
 
 
@@ -60,7 +60,7 @@ def test_classify_machines_threshold_and_masses():
     # machine 0: one huge job; machine 1: thirteen unit jobs (small once T=13,
     # since 1 < 13/12).  T is 13 by hand: machine 1 tops out at 13.
     inst = tiny_instance([(30, [0])] + [(1, [1])] * 13, machines=2)
-    T = F(13)
+    T = 13
     gap = build_gap_instance(inst, T)
     jc = classify_jobs(gap)
     assert jc.big == {0}
@@ -85,7 +85,7 @@ def test_gap_solution_transfers_from_original():
         inst = generate_random(m=2, n=5, max_size=9, density=F(2, 3), seed=seed)
         from santaclaus.configlp import find_T
 
-        T = find_T(inst)
+        T = int(find_T(inst))
         if T == 0:
             continue
         original = solve_clp_feasibility(inst, T)
@@ -111,15 +111,14 @@ def test_mixed_configuration_check_survives_python_O():
 
     code = """
 import sys
-from fractions import Fraction
 from santaclaus.configlp import ClpSolution, Configuration
 from santaclaus.gapclasses import GapClassError, build_gap_instance, classify_jobs, classify_machines
 from santaclaus.instances import Instance, JobSpec
 assert sys.flags.optimize, "not running under -O"
 inst = Instance(machine_count=1, jobs=(JobSpec(size=30, eligible=frozenset([0])), JobSpec(size=1, eligible=frozenset([0]))))
-gap = build_gap_instance(inst, Fraction(13))
+gap = build_gap_instance(inst, 13)
 mixed = Configuration(jobs=(0, 1), total_size=14)
-x = ClpSolution(tau=Fraction(13), counts={(0, mixed): 1}, scale=1)
+x = ClpSolution(tau=13, counts={(0, mixed): 1}, scale=1)
 try:
     classify_machines(gap, classify_jobs(gap), x)
 except GapClassError as exc:

@@ -51,6 +51,14 @@ def test_jobspec_rejects_a_size_that_is_not_a_positive_int(size):
         JobSpec(size=size, eligible=frozenset({0}))
 
 
+@pytest.mark.parametrize("eligible", [[0], {0}, (0,), range(1)])
+def test_jobspec_rejects_an_eligible_that_is_not_a_frozenset(eligible):
+    # a list slipped through, then broke hashing and the clustered branch's
+    # set algebra (eligible & set(...))
+    with pytest.raises(ValueError, match="eligible must be a frozenset"):
+        JobSpec(size=1, eligible=eligible)
+
+
 @pytest.mark.parametrize("count", [2.5, 1.0, Fraction(2), True, 0])
 def test_instance_rejects_a_machine_count_that_is_not_a_positive_int(count):
     with pytest.raises(ValueError, match="machine_count must be a positive integer"):

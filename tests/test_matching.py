@@ -13,9 +13,9 @@ F = Fraction
 
 
 def clustered(inst, T):
-    gap = build_gap_instance(inst, F(T))
+    gap = build_gap_instance(inst, T)
     jc = classify_jobs(gap)
-    x = solve_clp_feasibility(inst, F(T), pools=machine_pools(inst), sizes=gap.gap_size)
+    x = solve_clp_feasibility(inst, T, pools=machine_pools(inst), sizes=gap.gap_size)
     assert x is not None
     mc = classify_machines(gap, jc, x)
     g = build_big_graph(gap, x, jc, mc)
@@ -27,12 +27,12 @@ def clustered(inst, T):
 
 def test_minimal_covers_singletons():
     # threshold 3 with two size-3 jobs: each singleton is minimal
-    assert list(minimal_covers((0, 1), [3, 3], F(3))) == [(0,), (1,)]
+    assert list(minimal_covers((0, 1), [3, 3], 3)) == [(0,), (1,)]
 
 
 def test_minimal_covers_pairs():
     # sizes 2,2,2 against threshold 3: all three pairs, lexicographic
-    assert list(minimal_covers((0, 1, 2), [2, 2, 2], F(3))) == [
+    assert list(minimal_covers((0, 1, 2), [2, 2, 2], 3)) == [
         (0, 1),
         (0, 2),
         (1, 2),
@@ -40,7 +40,7 @@ def test_minimal_covers_pairs():
 
 
 def test_minimal_covers_respects_exact_threshold():
-    for bundle in minimal_covers(tuple(range(5)), [2, 3, 4, 5, 6], F(7)):
+    for bundle in minimal_covers(tuple(range(5)), [2, 3, 4, 5, 6], 7):
         total = sum([2, 3, 4, 5, 6][j] for j in bundle)
         assert total >= 7
         assert all(total - [2, 3, 4, 5, 6][j] < 7 for j in bundle)
@@ -58,11 +58,13 @@ def test_enumerate_bundles_middle_machine():
     inst = tiny_instance([(1, [0])] * 13, machines=1)
     clusters = clustered(inst, 13)
     assert [c.kind for c in clusters.composites] == ["middle"]
-    edges = list(enumerate_bundles(0, clusters, F(13, 6)))
+    # the need ceil(13/6) = 3 cuts the same bundles as 13/6: totals are integers
+    edges = list(enumerate_bundles(0, clusters, 3))
     assert edges, "a covered middle machine must offer bundles"
-    t6 = F(13, 6)
+    sizes = clusters.gap.base.sizes()
     for e in edges:
-        assert t6 <= e.total_size < t6 + F(13, 12)
+        total = sum(sizes[j] for j in e.bundle)
+        assert F(13, 6) <= total < F(13, 6) + F(13, 12)
         assert e.member == 0
 
 
@@ -73,7 +75,7 @@ def test_enumerate_bundles_empty_support_stream():
     from santaclaus.gapclasses import build_gap_instance, classify_jobs
 
     inst = tiny_instance([(13, [0])] + [(1, [0])] * 13, machines=1)
-    gap = build_gap_instance(inst, F(13))
+    gap = build_gap_instance(inst, 13)
     hollow = ClusterSet(
         supers=(),
         saturated=(),
@@ -83,14 +85,14 @@ def test_enumerate_bundles_empty_support_stream():
         job_classes=classify_jobs(gap),
         machine_classes=None,
     )
-    assert list(enumerate_bundles(0, hollow, F(13, 6))) == []
+    assert list(enumerate_bundles(0, hollow, 3)) == []
 
 
 def test_matching_single_middle_composite():
     inst = tiny_instance([(1, [0])] * 13, machines=1)
     clusters = clustered(inst, 13)
     trace = []
-    state = find_perfect_matching(clusters, F(13), trace=trace)
+    state = find_perfect_matching(clusters, 13, trace=trace)
     assert set(state.matched) == {0}
     assert any(line.startswith("augment") for line in trace)
 
@@ -98,7 +100,7 @@ def test_matching_single_middle_composite():
 def test_matching_empty_composites():
     inst = tiny_instance([(4, [0, 1]), (4, [0, 1])], machines=2)
     clusters = clustered(inst, 4)
-    state = find_perfect_matching(clusters, F(4))
+    state = find_perfect_matching(clusters, 4)
     assert state.matched == {}
 
 
@@ -107,7 +109,7 @@ def test_matching_two_composites_tight_pool():
     jobs = [(1, [0])] * 13 + [(1, [1])] * 13
     inst = tiny_instance(jobs, machines=2)
     clusters = clustered(inst, 13)
-    state = find_perfect_matching(clusters, F(13))
+    state = find_perfect_matching(clusters, 13)
     bundles = [set(e.bundle) for e in state.matched.values()]
     assert not (bundles[0] & bundles[1])
 
@@ -123,7 +125,7 @@ def test_blocked_step_then_augmenting_path():
     from santaclaus.instances import Instance, JobSpec
     from santaclaus.matching import validate_matching
 
-    T = F(13)
+    T = 13
     inst = Instance(machine_count=2, jobs=(JobSpec(1, frozenset([0, 1])),) * 6)
     gap = build_gap_instance(inst, T)
     low = Configuration(jobs=(0, 1, 2), total_size=3)
@@ -163,13 +165,13 @@ def composite_rich():
 
     out = []
     inst = shared_big_instance(units=13)
-    out.append((inst, F(13), clustered(inst, 13)))
+    out.append((inst, 13, clustered(inst, 13)))
     seed = 0
     while len(out) < 50 and seed < 400:
         nbig = seed % 3  # 0..2 big jobs
         inst = mixed_instance(seed, m=2, nbig=nbig, nsmall=14 + seed % 5, bigsize=18)
         seed += 1
-        T = find_T(inst)
+        T = int(find_T(inst))
         if T < 13:
             continue
         clusters = clustered(inst, T)
@@ -211,7 +213,6 @@ def test_tree_invariant_survives_python_O():
 
     code = """
 import sys
-from fractions import Fraction
 import santaclaus.matching as mt
 from santaclaus.clustering import ClusterSet, Composite
 from santaclaus.configlp import ClpSolution, Configuration
@@ -225,7 +226,7 @@ class Sabotage(list):
         if line.startswith("add:"):
             sys._getframe(1).f_locals["blockers"][-1].clear()
 
-T = Fraction(13)
+T = 13
 inst = Instance(machine_count=2, jobs=(JobSpec(1, frozenset([0, 1])),) * 6)
 gap = build_gap_instance(inst, T)
 low, high = Configuration(jobs=(0, 1, 2), total_size=3), Configuration(jobs=(3, 4, 5), total_size=3)

@@ -1,17 +1,24 @@
+import fractions
 import json
+import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from santaclaus.eap import EapSolution, check_eap, eap_from_matching
 from santaclaus.instances import (
+    Instance,
+    JobSpec,
     exact_optimum,
     generate_random,
     parse_allocation,
     serialize_instance,
     verify_allocation,
 )
+from santaclaus.matching import find_perfect_matching
 from santaclaus.pipeline import solve
-from conftest import mixed_instance, shared_big_instance, tiny_instance
+from conftest import handmade_super_case, mixed_instance, shared_big_instance, tiny_instance
 from test_golden import all_unit_instance, one_big_no_upper_instance
 
 F = Fraction
@@ -123,6 +130,72 @@ def test_mixed_instances_certify():
         report = solve(inst)
         assert report.allocation.min_value >= report.T / 12, seed
         assert verify_allocation(inst, report.allocation) == report.allocation.min_value, seed
+
+
+INTEGER_STAGES = {
+    f"santaclaus.{name}" for name in ("gapclasses", "clustering", "matching", "eap", "rounding")
+}
+
+
+def fraction_callers(run):
+    """Modules whose code called into `fractions` while ``run()`` ran."""
+    callers = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            callers.add(frame.f_back.f_globals.get("__name__"))
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(saved)
+    return callers
+
+
+def unit_clustered_shape(rng):
+    """Three machines, two big jobs of size 18-23 and 18 unit jobs, each
+    eligible on each machine with probability 3/4."""
+
+    def eligible():
+        return frozenset(i for i in range(3) if rng.randrange(4) < 3)
+
+    jobs = [JobSpec(size=18 + rng.randrange(6), eligible=eligible()) for _ in range(2)]
+    jobs += [JobSpec(size=1, eligible=eligible()) for _ in range(18)]
+    return Instance(machine_count=3, jobs=tuple(jobs))
+
+
+def test_integer_stages_build_no_fraction():
+    # from the gap instance to the assignment-program check, thresholds and
+    # weights are integer counts over one scale: on a passing run no function
+    # of these stages calls into fractions, which only error messages may do
+    found = []
+
+    def super_case():
+        _, clusters = handmade_super_case()
+        T = clusters.gap.tau
+        state = find_perfect_matching(clusters, T)
+        ok, why = check_eap(eap_from_matching(state, clusters), clusters, T)
+        assert ok, why
+        found.append(clusters)
+
+    stray = fraction_callers(super_case) & INTEGER_STAGES
+    assert not stray, stray
+    rng = Random(28)
+    with_composites = 0
+    for _ in range(6):
+        inst = unit_clustered_shape(rng)
+        reports = []
+        stray = fraction_callers(lambda: reports.append(solve(inst))) & INTEGER_STAGES
+        assert not stray, (inst, stray)
+        with_composites += reports[0].counters.get("composites", 0) > 0
+    assert with_composites >= 4, with_composites
+
+    # the probe does see a stage that calls into fractions: an error message
+    clusters = found[0]
+    unselected = EapSolution(u={}, s=dict.fromkeys(clusters.composites[0].machines, 0), scale=1)
+    assert "santaclaus.eap" in fraction_callers(lambda: check_eap(unselected, clusters, 13))
 
 
 def test_deterministic_reports():

@@ -69,7 +69,7 @@ def test_loss_bound_on_generated_assignments():
     checked = 0
     for seed in range(30):
         inst = generate_random(m=3, n=6, max_size=8, density=F(1, 2), seed=seed)
-        T = find_T(inst)
+        T = int(find_T(inst))
         if T == 0:
             continue
         sol = solve_clp_feasibility(inst, T)
