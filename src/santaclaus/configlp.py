@@ -15,12 +15,15 @@ each round re-optimises from the previous optimal basis.  Pricing is a
 minimum-knapsack dynamic program over the master's dual values: a column
 prices in exactly when its jobs' dual cost is below the machine's cover
 dual.  The master hands out its duals as integers, scaled by its basis
-determinant; pricing runs the table on them as they are and compares
-reduced costs over integers, which keeps every comparison and so every
-priced column the same as over the rationals.  Every job dual is
-non-negative at an optimal basis (its slack prices at <= 0, and this is
-checked), so a machine whose cover dual is <= 0 has no improving column and
-is not priced.  With exact arithmetic, pricing convergence with a positive
+determinant, and pricing runs on them as they are, which keeps every
+comparison and so every priced column the same as over the rationals.  The
+program runs over cost breakpoints, not sizes, and builds none at or above
+the machine's cover dual, so a machine with no improving column costs one
+forward pass; a scaled cover dual is at most the master's det, usually
+small, so few costs lie below it.  Every job dual is non-negative at an
+optimal basis (its slack prices at <= 0, and this is checked), so a
+machine whose cover dual is <= 0 has no improving column and is not
+priced.  With exact arithmetic, pricing convergence with a positive
 shortfall objective is a proof of infeasibility, not a numeric judgement
 call.
 
@@ -69,10 +72,9 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .instances import Allocation, Instance, verify_allocation
+from .instances import Instance, min_load
 from .ratlp import Tableau, solve_lp
 
-ZERO = Fraction(0)
 # Nodes that all of one T search's integral-search attempts share.
 LOWER_SEARCH_BUDGET = 2000
 
@@ -133,61 +135,144 @@ def price_min_knapsack(
     sizes: Sequence[int],
     costs: Mapping[int, int],
     tau: int,
+    below: int,
 ) -> Configuration | None:
-    """Cheapest subset of ``pool`` with total size >= tau, pruned to minimality.
+    """Cheapest subset of ``pool`` with total size >= tau, pruned to
+    minimality, if it costs less than ``below``; None otherwise, and when
+    even the whole pool falls short.
 
-    ``costs`` (job -> cost, 0 when absent) must be non-negative; they may be
-    integers or rationals, and scaling them all by one positive factor
-    returns the same configuration, since the table only compares costs.
-    Dynamic program over integer size totals capped at tau; returns
-    None when even the whole pool falls short.  Skipping is preferred on cost
-    ties during reconstruction, so the raw cover leans on low job indices
-    before pruning makes the final call.
+    ``costs`` (job -> cost, 0 when absent) must be non-negative and
+    ``below`` positive; they may be integers or rationals, and scaling them
+    all by one positive factor returns the same configuration, since the
+    program only adds and compares costs.
+
+    A job that costs ``below`` or more is in no cover that costs less, so
+    the program runs over the rest of the pool, sorted.  With totals capped
+    at tau, let D[k][s] be the least cost at which the first k of those jobs
+    reach the total s.  The program keeps D[k]'s breakpoints: one
+    ``(cost, bits)`` level per cost at which the set of reachable totals
+    grows, where bit s of ``bits`` is set when D[k][s] <= cost.  A job of
+    size w and cost c shifts every level's totals by w, capped at tau, and
+    merges the copy in at cost + c; at c = 0 it ORs the copy into every
+    level.  No level at or above ``below`` is built, nor one above the first
+    level that reaches tau: costs only grow with k, so no cover from a
+    longer prefix costs more than that level.  A level list is therefore
+    never longer than tau + 1, and it stays short when few costs lie below
+    ``below``.
+
+    Reconstruction reads D just as a table over every size total would, so
+    it returns that table's configuration.  It goes back from D[K][tau] and skips job k
+    whenever D[k-1][s] explains the entry, so the raw cover leans on low job
+    indices before pruning makes the final call.  Taking job k reaches
+    s < tau only from s - w, and reaches tau from the lowest total in
+    [tau - w, tau] that the first k - 1 jobs reach at the entry's cost less
+    c.  No entry it reads costs more than D[K][tau], so each is in a level.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if below <= 0:
+        raise ValueError("the pricing bound must be positive")
     pool = sorted(pool)
-    if sum(sizes[j] for j in pool) < tau:
-        return None
     cost = [costs.get(j, 0) for j in pool]
     if any(c < 0 for c in cost):
         raise ValueError("pricing costs must be non-negative")
-    # Every reachable total costs at most sum(cost) < NO, and an unreachable
-    # entry plus a non-negative cost stays >= NO.
-    NO = sum(cost) + 1
-    # dp[k][s]: cheapest cost of the first k jobs reaching total s (capped).
-    dp = [[0] + [NO] * tau]
-    for j, c in zip(pool, cost):
-        w = sizes[j]
-        prev = dp[-1]
-        if w < tau:
-            dp.append(
-                prev[:w]
-                + [a if a <= (t := b + c) else t for a, b in zip(prev[w:tau], prev)]
-                + [min(prev[tau], min(prev[tau - w:]) + c)]
-            )
-        else:
-            dp.append(prev[:tau] + [min(prev[tau], min(prev) + c)])
-    if dp[-1][tau] >= NO:
+    jobs = [(j, c) for j, c in zip(pool, cost) if c < below]
+    if sum(sizes[j] for j, _ in jobs) < tau:
         return None
-    # Reconstruct, preferring "skip" whenever it explains the table entry.
-    # Taking job k reaches s < tau only from s - w, and reaches tau from the
-    # first matching total in [tau - w, tau].
+    top = 1 << tau  # the capped total tau
+    low = top - 1  # the totals below tau
+    prev = [(0, 1)]
+    levels = [prev]  # levels[k]: D[k]'s breakpoints; only the last may reach tau
+    for j, c in jobs:
+        w = sizes[j]
+        cut = tau - w if w < tau else 0  # the least total that job j lifts to tau
+        out = []
+        last = 0  # the totals of the last level out holds
+        if c == 0:
+            for v, b in prev:
+                b |= (b << w) & low | (top if b >> cut else 0)
+                if b != last:
+                    out.append((v, b))
+                    last = b
+                    if b & top:
+                        break
+        else:
+            # Merge prev with its copy shifted by w at cost + c: each level
+            # holds the totals of both at or below its cost.
+            moved = 0  # the copy's totals so far
+            q = 0  # the next level of prev to shift, whose copy costs u
+            u = c
+            for v, own in prev:
+                while u < v:  # a copied level alone at cost u
+                    x = prev[q][1]
+                    q += 1
+                    moved = (x << w) & low | (top if x >> cut else 0)
+                    b = last | moved
+                    if b != last:
+                        out.append((u, b))
+                        last = b
+                        if b & top:
+                            break
+                    u = prev[q][0] + c
+                else:
+                    if u == v:  # the copied level at cost v joins prev's
+                        x = prev[q][1]
+                        q += 1
+                        moved = (x << w) & low | (top if x >> cut else 0)
+                        u = prev[q][0] + c if q < len(prev) else below
+                    b = own | moved
+                    if b != last:
+                        out.append((v, b))
+                        last = b
+                        if b & top:
+                            break
+                    continue
+                break  # a copied level reached tau
+            else:  # the copied levels above prev's last
+                while u < below:
+                    x = prev[q][1]
+                    q += 1
+                    b = last | (x << w) & low | (top if x >> cut else 0)
+                    if b != last:
+                        out.append((u, b))
+                        last = b
+                        if b & top:
+                            break
+                    u = prev[q][0] + c if q < len(prev) else below
+        prev = out
+        levels.append(prev)
+    target, bits = prev[-1]
+    if not bits & top:
+        return None
+
     chosen = []
     s = tau
-    for k in range(len(pool), 0, -1):
-        target = dp[k][s]
-        prev = dp[k - 1]
-        if prev[s] == target:
+    for k in range(len(jobs), 0, -1):
+        # D[k][s] == target, D[k-1][s] >= target, and D[k-1][t] + c >= target
+        # for every t from which job k reaches s; so at both lookups a total
+        # the first k - 1 jobs reach at cost <= x costs exactly x.
+        reached = levels[k - 1]
+        b = 0
+        for v, bits in reached:
+            if v > target:
+                break
+            b = bits
+        if b >> s & 1:
             continue
-        j = pool[k - 1]
-        c = cost[k - 1]
+        j, c = jobs[k - 1]
         w = sizes[j]
+        target -= c
+        b = 0
+        for v, bits in reached:
+            if v > target:
+                break
+            b = bits
         if s < tau:
-            pre = s - w if s >= w and prev[s - w] + c == target else -1
+            pre = s - w if s >= w and b >> (s - w) & 1 else -1
         else:
-            lo = max(tau - w, 0)
-            pre = next((t for t in range(lo, tau + 1) if prev[t] + c == target), -1)
+            lo = tau - w if w < tau else 0
+            b >>= lo
+            pre = lo + (b & -b).bit_length() - 1 if b else -1
         if pre < 0:
             raise CoverLpError("knapsack reconstruction failed")
         chosen.append(j)
@@ -352,7 +437,7 @@ def solve_cover_lp(
             # Job duals are >= 0, so no column prices in where lam <= 0.
             if lam <= 0 or not pools[i]:
                 continue
-            cfg = price_min_knapsack(pools[i], sizes, mu, tau)
+            cfg = price_min_knapsack(pools[i], sizes, mu, tau, lam)
             if cfg is None:
                 continue
             if lam - sum(mu.get(j, 0) for j in cfg.jobs) > 0:
@@ -494,8 +579,8 @@ def integral_allocation_at(
     inst: Instance, tau: int, budget: int
 ) -> tuple[dict[int, int] | None, int]:
     """An owner map (job -> machine) with every machine's load >= tau, found
-    by a depth-first search of at most ``budget`` nodes; returns it, or None,
-    with the number of nodes visited.
+    by a depth-first search of at most ``budget`` nodes, a non-negative int;
+    returns it, or None, with the number of nodes visited.
 
     Jobs go largest first (ties: lower index).  Each job branches onto its
     eligible machines still below tau, least loaded first (ties: lower
@@ -515,6 +600,10 @@ def integral_allocation_at(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    # type(...) is int also turns away bool; a negative or fractional budget
+    # would never meet the node count and so search without limit
+    if type(budget) is not int or budget < 0:
+        raise ValueError("budget must be a non-negative integer")
     m = inst.machine_count
     order = sorted(
         (j for j in range(inst.job_count) if inst.jobs[j].eligible),
@@ -774,7 +863,7 @@ def find_T_with_seeds(
     family is constant on (k, k+1], so feasibility only changes at integers,
     and it is monotone in tau, so T is unique.  The search works in a
     bracket that needs no LP.  An allocation's minimum load, as
-    `verify_allocation` recomputes it, is a lower end: its bundles, pruned,
+    `instances.min_load` recomputes it, is a lower end: its bundles, pruned,
     are a feasible point at that tau.  The first allocation is
     `greedy_allocation` improved by `local_search_allocation`.  Above: the
     smallest pool total and floor(S / m), with S the total size of the jobs
@@ -807,7 +896,7 @@ def find_T_with_seeds(
     pools = machine_pools(inst)
     sizes = inst.sizes()
     owner = local_search_allocation(inst, greedy_allocation(inst))
-    lo = int(verify_allocation(inst, Allocation(owner=owner, min_value=ZERO)))
+    lo = min_load(inst, owner)
     hi = min(
         min(sum(sizes[j] for j in pools[i]) for i in pools),
         sum(job.size for job in inst.jobs if job.eligible) // inst.machine_count,
@@ -832,7 +921,7 @@ def find_T_with_seeds(
         if found is None:
             break
         owner = found
-        load = int(verify_allocation(inst, Allocation(owner=owner, min_value=ZERO)))
+        load = min_load(inst, owner)
         if not lo < load <= hi:
             raise CoverLpError(
                 f"T search lower end out of range: integral search {load} "

@@ -201,8 +201,14 @@ def verify_allocation(inst: Instance, alloc: Allocation) -> Fraction:
     Raises ValueError naming the job and machine if any job sits on a machine
     outside its eligible set.
     """
+    return Fraction(min_load(inst, alloc.owner))
+
+
+def min_load(inst: Instance, owner: dict[int, int]) -> int:
+    """The minimum machine load of the owner map ``owner`` (job -> machine)
+    on ``inst``, with the same checks as `verify_allocation`."""
     loads = [0] * inst.machine_count
-    for j, i in alloc.owner.items():
+    for j, i in owner.items():
         if j < 0 or j >= inst.job_count:
             raise ValueError(f"job {j} does not exist")
         if i < 0 or i >= inst.machine_count:
@@ -213,7 +219,7 @@ def verify_allocation(inst: Instance, alloc: Allocation) -> Fraction:
                 f"{sorted(inst.jobs[j].eligible)}"
             )
         loads[i] += inst.jobs[j].size
-    return Fraction(min(loads))
+    return min(loads)
 
 
 def exact_optimum(inst: Instance) -> Fraction:

@@ -46,10 +46,16 @@ F = Fraction
 
 # ------------------------------------------------------------- pricing
 
+def above_total(pool, costs):
+    """A pricing bound above the pool's total cost, so that pricing returns
+    the plain minimum."""
+    return sum(costs.get(j, 0) for j in set(pool)) + 1
+
+
 def test_pricing_matches_subset_enumeration():
     sizes = [3, 5, 7]
     costs = {0: F(1, 5), 1: F(3, 10), 2: F(1, 2)}
-    cfg = price_min_knapsack([0, 1, 2], sizes, costs, 8)
+    cfg = price_min_knapsack([0, 1, 2], sizes, costs, 8, above_total([0, 1, 2], costs))
     best, sets = min_cover_subsets([0, 1, 2], sizes, costs, 8)
     assert best == F(1, 2)
     assert sorted(cfg.jobs) in [sorted(s) for s in sets]
@@ -57,12 +63,12 @@ def test_pricing_matches_subset_enumeration():
 
 
 def test_pricing_short_pool_returns_none():
-    assert price_min_knapsack([0, 1], [2, 3], {}, 6) is None
+    assert price_min_knapsack([0, 1], [2, 3], {}, 6, 1) is None
 
 
 def test_pricing_zero_costs_prunes_to_minimal():
     sizes = [3, 5, 7]
-    cfg = price_min_knapsack([0, 1, 2], sizes, {}, 5)
+    cfg = price_min_knapsack([0, 1, 2], sizes, {}, 5, 1)
     assert is_minimal(cfg.jobs, 5, sizes)
     assert len(cfg.jobs) == 1 and sizes[cfg.jobs[0]] >= 5
 
@@ -76,7 +82,7 @@ def test_pricing_randomized_against_oracle():
         sizes = [rng.randint(1, 9) for _ in range(n)]
         costs = {j: F(rng.randint(0, 6), rng.randint(1, 4)) for j in range(n)}
         tau = rng.randint(1, 20)
-        cfg = price_min_knapsack(list(range(n)), sizes, costs, tau)
+        cfg = price_min_knapsack(list(range(n)), sizes, costs, tau, above_total(range(n), costs))
         best, _ = min_cover_subsets(list(range(n)), sizes, costs, tau)
         if best is None:
             assert cfg is None
@@ -102,7 +108,7 @@ def test_pricing_with_mixed_denominators_matches_brute_force():
         pool = sorted(rng.sample(range(n), rng.randint(1, min(n, 8))))
         costs = {j: rng.choice(palette) for j in range(n) if rng.random() < 0.9}
         tau = F(rng.randint(1, 25), rng.choice([1, 1, 2, 3]))
-        cfg = price_min_knapsack(pool, sizes, costs, ceil(tau))
+        cfg = price_min_knapsack(pool, sizes, costs, ceil(tau), above_total(pool, costs))
         best, _ = min_cover_subsets(pool, sizes, costs, tau)
         if best is None:
             assert cfg is None, f"trial {trial}"
@@ -161,37 +167,92 @@ def reference_min_knapsack(pool, sizes, costs, tau):
     return prune_to_minimal(chosen, tau, sizes, dict(zip(pool, icost)))
 
 
+def pricing_agrees_with_reference(pool, sizes, costs, tau, below):
+    """Whether pricing below ``below`` returns the reference's configuration
+    when its least cover costs less than ``below``, and None otherwise."""
+    expected = reference_min_knapsack(pool, sizes, costs, tau)
+    if expected is not None and sum(costs.get(j, 0) for j in expected.jobs) >= below:
+        expected = None
+    return price_min_knapsack(pool, sizes, costs, ceil(tau), below) == expected
+
+
 def test_pricing_matches_reference_dp():
-    # the list-built table with an integer sentinel and the direct
-    # predecessor read must return the very configuration the original
-    # None-table-and-scan DP returns; integer costs and the same costs over
-    # a common denominator must price alike; the rational tau is priced at
-    # its integer need ceil(tau)
+    # the breakpoint program must return the very configuration the
+    # size-table DP returns whenever its least cover costs less than the
+    # bound, and None exactly when it costs at least the bound: at every
+    # bound from 1 to one past the pool's total cost, and, for costs up to
+    # 2**40, whose breakpoint lists are long, at the bounds around the least
+    # cost; integer costs and the same costs over a common denominator must
+    # price alike; the rational tau is priced at its integer need ceil(tau);
+    # a bound <= 0 is refused
     from random import Random
 
     rng = Random(17)
-    zero = big = short = scaled = 0
-    for trial in range(600):
-        n = rng.randint(1, 9)
+    zero = big = short = scaled = wide = 0
+    for trial in range(800):
+        kind = trial % 4
+        n = rng.randint(6, 14) if kind == 3 else rng.randint(1, 9)
         sizes = [rng.randint(1, 12) for _ in range(n)]
         pool = sorted(rng.sample(range(n), rng.randint(1, n)))
         tau = F(rng.randint(1, 30), rng.choice([1, 1, 2, 3]))
-        kind = trial % 3
         if kind == 0:
             costs = {j: 0 for j in pool if rng.random() < 0.5}  # zero or absent
+        elif kind == 3:
+            costs = {j: rng.choice([0, rng.randint(1, 2**40)]) for j in pool}
         else:
             costs = {j: rng.choice([0, 0, rng.randint(1, 9)]) for j in pool}
         expected = reference_min_knapsack(pool, sizes, costs, tau)
-        assert price_min_knapsack(pool, sizes, costs, ceil(tau)) == expected, f"trial {trial}"
+        total = above_total(pool, costs)
+        least = None if expected is None else sum(costs.get(j, 0) for j in expected.jobs)
+        assert price_min_knapsack(pool, sizes, costs, ceil(tau), total) == expected, trial
+        if kind == 3:
+            bounds = {1, total} | ({least - 1, least, least + 1} - {0} if least else set())
+        else:
+            bounds = range(1, total + 1)
+        for below in bounds:
+            assert pricing_agrees_with_reference(pool, sizes, costs, tau, below), (trial, below)
+        for below in (0, -1):
+            try:
+                price_min_knapsack(pool, sizes, costs, ceil(tau), below)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"trial {trial}: bound {below} accepted")
         if kind == 2:
             den = rng.randint(2, 9)
             costs_over = {j: F(c, den) for j, c in costs.items()}
-            assert price_min_knapsack(pool, sizes, costs_over, ceil(tau)) == expected, f"trial {trial}"
+            total_over = above_total(pool, costs_over)
+            assert price_min_knapsack(pool, sizes, costs_over, ceil(tau), total_over) == expected, trial
+            if least:
+                for below in (F(least, den), F(2 * least + 1, 2 * den)):
+                    assert pricing_agrees_with_reference(pool, sizes, costs_over, tau, below), (
+                        trial, below
+                    )
             scaled += 1
         zero += not any(costs.values())
         big += any(sizes[j] >= tau for j in pool)
         short += expected is None
-    assert min(zero, big, short, scaled) >= 20, (zero, big, short, scaled)
+        wide += kind == 3 and len(set(costs.values()) - {0}) >= 6
+    assert min(zero, big, short, scaled, wide) >= 20, (zero, big, short, scaled, wide)
+
+
+def test_pricing_in_scale_t_searches_matches_reference_dp(monkeypatch):
+    # every pricing call of the T search on three scale instances, whose
+    # master duals run to tens of bits, against the reference DP
+    import santaclaus.configlp as clp
+
+    real = clp.price_min_knapsack
+    calls = []
+
+    def checked(pool, sizes, costs, tau, below):
+        calls.append(below)
+        assert pricing_agrees_with_reference(pool, sizes, costs, tau, below), (pool, tau, below)
+        return real(pool, sizes, costs, tau, below)
+
+    monkeypatch.setattr(clp, "price_min_knapsack", checked)
+    for seed in (1, 2, 3):
+        find_T_with_seeds(generate_random(m=12, n=48, max_size=20, density=F(1, 2), seed=seed))
+    assert len(calls) >= 300 and max(calls).bit_length() >= 20, (len(calls), max(calls))
 
 
 def test_prune_drops_largest_cost_first():
@@ -704,7 +765,7 @@ from fractions import Fraction
 import santaclaus.configlp as clp
 from santaclaus.instances import generate_random
 assert sys.flags.optimize, "not running under -O"
-clp.verify_allocation = lambda inst, alloc: Fraction(10**6)
+clp.min_load = lambda inst, owner: 10**6
 inst = generate_random(m=3, n=6, max_size=9, density=Fraction(2, 3), seed=1)
 try:
     clp.find_T(inst)
@@ -756,6 +817,21 @@ def test_integral_search_budget_is_exact_and_deterministic():
     assert integral_allocation_at(inst, 31, 80) == (None, 80)
     assert integral_allocation_at(inst, 31, 80) == (None, 80)
     assert integral_allocation_at(inst, 31, 81) == (owner, 81)
+
+
+def test_integral_search_refuses_a_bad_budget():
+    # a negative or fractional budget never meets the node count, so it
+    # would search without limit (94 nodes at tau 34, 29 at tau 33); a bool
+    # is refused as JobSpec refuses it for a size
+    inst = generate_random(m=4, n=14, max_size=20, density=F(1, 2), seed=0)
+    for tau, budget in ((34, -1), (34, 5.5), (33, 2.5), (33, F(3)), (33, True), (33, "7")):
+        try:
+            integral_allocation_at(inst, tau, budget)
+        except ValueError as exc:
+            assert "budget" in str(exc), (tau, budget)
+        else:
+            raise AssertionError(f"budget {budget!r} accepted at tau {tau}")
+    assert integral_allocation_at(inst, 34, 0) == (None, 0)
 
 
 def test_integral_search_is_not_bound_by_recursion_depth():
@@ -877,12 +953,12 @@ from fractions import Fraction
 import santaclaus.configlp as clp
 from santaclaus.instances import generate_random
 assert sys.flags.optimize, "not running under -O"
-real = clp.verify_allocation
+real = clp.min_load
 calls = []
-def verify(inst, alloc):
-    calls.append(alloc)
-    return real(inst, alloc) if len(calls) == 1 else Fraction(10**6)
-clp.verify_allocation = verify
+def load(inst, owner):
+    calls.append(owner)
+    return real(inst, owner) if len(calls) == 1 else 10**6
+clp.min_load = load
 inst = generate_random(m=4, n=14, max_size=20, density=Fraction(1, 2), seed=10)
 try:
     clp.find_T(inst)
@@ -1066,7 +1142,9 @@ def test_price_refutation_is_a_sound_farkas_proof():
                         assert supply == [mu[j] for j in priced], (inst, tau, k)
                         kappa = [0] * m
                         for i in need:
-                            cfg = price_min_knapsack(pools[i], sizes, mu, need[i])
+                            cfg = price_min_knapsack(
+                                pools[i], sizes, mu, need[i], above_total(pools[i], mu)
+                            )
                             kappa[i] = sum(mu[j] for j in cfg.jobs)
                         # route's demand, by machine, up to the last one left
                         assert covers + [0] * (m - len(covers)) == kappa, (inst, tau, k)

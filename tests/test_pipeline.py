@@ -133,7 +133,8 @@ def test_mixed_instances_certify():
 
 
 INTEGER_STAGES = {
-    f"santaclaus.{name}" for name in ("gapclasses", "clustering", "matching", "eap", "rounding")
+    f"santaclaus.{name}"
+    for name in ("configlp", "gapclasses", "clustering", "matching", "eap", "rounding")
 }
 
 
