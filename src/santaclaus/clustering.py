@@ -274,7 +274,6 @@ def extract_clusters(
                 f"upper machine {root} has no big support edge; classification bug"
             )
         # Orient the tree: BFS from the root, alternating machine/job levels.
-        parent_of_job: dict[int, int] = {}
         children_jobs: dict[int, list[int]] = {root: []}
         children_machines: dict[int, list[int]] = {}
         order: list[int] = [root]
@@ -288,7 +287,6 @@ def extract_clusters(
                 if j in seen_jobs:
                     continue
                 seen_jobs.add(j)
-                parent_of_job[j] = i
                 children_jobs[i].append(j)
                 children_machines[j] = []
                 for w in adj_j.get(j, ()):

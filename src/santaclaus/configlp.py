@@ -8,13 +8,12 @@ requirement while no job is used more than once in total.
 
 Solving works by column generation over one restricted master per cover LP
 call.  The master is an exact, fraction-free simplex tableau
-(`ratlp.Tableau`), written in one pass from the warm-start columns and kept
-for the whole call: pricing's improving columns are appended to it as
-B^-1 a, a job's row enters with the first column that uses the job, and
-each round re-optimises from the previous optimal basis.  Pricing is a
-minimum-knapsack dynamic program over the master's dual values: a column
-prices in exactly when its jobs' dual cost is below the machine's cover
-dual.  The master hands out its duals as integers, scaled by its basis
+(`ratlp.Tableau`), written in one pass, every row of it and the warm-start
+columns, and kept for the whole call: pricing's improving columns are
+appended to it as B^-1 a, and each round re-optimises from the previous
+optimal basis.  Pricing is a minimum-knapsack dynamic program over the
+master's dual values: a column prices in exactly when its jobs' dual cost
+is below the machine's cover dual.  The master hands out its duals as integers, scaled by its basis
 determinant, and pricing runs on them as they are, which keeps every
 comparison and so every priced column the same as over the rationals.  The
 program runs over cost breakpoints, not sizes, and builds none at or above
@@ -356,24 +355,26 @@ def solve_cover_lp(
     ``seeds`` optionally warm-start the master with job bundles re-pruned to
     minimality at this tau.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    # type(...) is int also turns away bool; a float tau broke pricing
+    if type(tau) is not int or tau <= 0:
+        raise ValueError("tau must be a positive integer")
     machines = sorted(pools)
     cover_row = {i: r for r, i in enumerate(machines)}
     holders = Counter(chain.from_iterable(pools.values()))  # a repeat in a pool adds a row
 
-    # The master keeps one tableau for the whole call.  Its columns are, by
-    # id: shortfall a_i, the warm-start configurations, the warm-start
-    # contested jobs' slacks s_j by job id, then each priced configuration
-    # followed by the slacks of the contested jobs it brings in.  Every row
-    # is an equality whose own a_i or s_j is a unit column, so the master
-    # starts on that identity basis (feasible, no phase 1) and the tableau
-    # columns of a_i and s_j always hold B^-1: a priced column enters as
-    # B^-1 a, and the row of a job seen for the first time touches only new,
-    # nonbasic columns, so it enters as written with s_j basic.  Each round
-    # then re-optimises from the previous optimal basis.  Pivot tie-breaks
-    # read the column id, so each solve pivots exactly as a solve of the
-    # same master written out from scratch, on that basis, would.
+    # The master keeps one tableau for the whole call, every row written at
+    # construction: a cover row per machine, then a row per contested job,
+    # by job id.  A job no column uses has dual 0 with or without its row,
+    # and pricing reads a job with no row at dual 0, so writing every row
+    # at once prices the same columns.  The columns are, by id: shortfall a_i, the warm-start
+    # configurations, the contested jobs' slacks s_j by job id, then each
+    # priced configuration.  Every row is an equality whose own a_i or s_j
+    # is a unit column, so the master starts on that identity basis
+    # (feasible, no phase 1) and the tableau columns of a_i and s_j always
+    # hold B^-1: a priced column enters as B^-1 a.  Each round then
+    # re-optimises from the previous optimal basis.  Pivot tie-breaks read
+    # the column id, so each solve pivots exactly as a solve of the same
+    # master written out from scratch, on that basis, would.
     nrows = len(machines)
 
     # Warm start: seeds first, then one greedy column per machine whose pool
@@ -395,8 +396,8 @@ def solve_cover_lp(
             start[(i, prune_to_minimal(pool, tau, sizes))] = None
 
     # The warm-start master in one pass: cover rows in machine order, then
-    # one row per contested job some start column uses, by job id.
-    job_rows = sorted({j for _, cfg in start for j in cfg.jobs if holders[j] > 1})
+    # one row per contested job, by job id.
+    job_rows = sorted(j for j, h in holders.items() if h > 1)
     row_of = {j: nrows + k for k, j in enumerate(job_rows)}
     first_slack = nrows + len(start)
     rows = [({r: 1}, 1, r) for r in range(nrows)]
@@ -408,15 +409,6 @@ def solve_cover_lp(
         for j in row_of.keys() & cfg.jobs:
             rows[row_of[j]][0][col] = 1
     master = Tableau.from_rows([-1] * nrows + [0] * (len(start) + len(job_rows)), rows)
-
-    def add_column(i: int, cfg: Configuration) -> None:
-        entries = {row_of[j]: 1 for j in cfg.jobs if j in row_of}
-        entries[cover_row[i]] = 1
-        col = column_of[(i, cfg)] = master.insert_column(entries)
-        for j in cfg.jobs:
-            if j not in row_of and holders[j] > 1:
-                slack = master.insert_column({})
-                row_of[j] = master.add_row({col: 1, slack: 1}, 1, basic=slack)
 
     while True:
         if counters is not None:
@@ -443,7 +435,9 @@ def solve_cover_lp(
             if lam - sum(mu.get(j, 0) for j in cfg.jobs) > 0:
                 if (i, cfg) in column_of:
                     raise CoverLpError("an improving column was already in the master")
-                add_column(i, cfg)
+                entries = {row_of[j]: 1 for j in cfg.jobs if j in row_of}
+                entries[cover_row[i]] = 1
+                column_of[(i, cfg)] = master.insert_column(entries)
                 improved = True
         if improved:
             continue
@@ -598,8 +592,8 @@ def integral_allocation_at(
     totals ``rest`` once, on entering its depth, whatever option it tries,
     and returns to them on leaving it.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if type(tau) is not int or tau <= 0:
+        raise ValueError("tau must be a positive integer")
     # type(...) is int also turns away bool; a negative or fractional budget
     # would never meet the node count and so search without limit
     if type(budget) is not int or budget < 0:

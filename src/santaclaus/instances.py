@@ -59,6 +59,9 @@ class Instance:
     def __post_init__(self) -> None:
         if type(self.machine_count) is not int or self.machine_count < 1:
             raise ValueError("machine_count must be a positive integer")
+        # a list would break hashing, which the frozen dataclass promises
+        if type(self.jobs) is not tuple or not all(isinstance(job, JobSpec) for job in self.jobs):
+            raise ValueError("jobs must be a tuple of JobSpec")
         for k, job in enumerate(self.jobs):
             bad = [i for i in job.eligible if type(i) is not int or not 0 <= i < self.machine_count]
             if bad:

@@ -6,10 +6,10 @@ on every row, and is solved as a `Tableau`: an equality-form LP kept in
 basic form, which starts on an identity basis of unit columns and so never
 needs a phase 1.  It comes from one of two places:
 
-* column generation builds its cover master with `Tableau.from_rows` and
-  keeps it between solves, adding each priced column as B^-1 a and each new
-  row in basic form, and `solve_lp` re-optimises from the basis the previous
-  solve left;
+* column generation writes its cover master, every row of it, with
+  `Tableau.from_rows` and keeps it between solves, adding each priced column
+  as B^-1 a, and `solve_lp` re-optimises from the basis the previous solve
+  left;
 * `solve_feasibility` takes a `LinearProgram` of ``<=`` and ``>=`` rows with
   rational right-hand sides, scales each row by its right-hand side's
   denominator, and builds the same kind of tableau with `Tableau.from_rows`:
@@ -41,12 +41,11 @@ original rows exactly and checks strong duality, over integers, and raises
 The tableau's rows are stored dense, but the work follows the nonzeros:
 `Tableau.from_rows` writes each row of A once, a column added later is a
 0/1 column whose entry in each row is a sum of that row's unit-column
-entries (one 0 per row when it is empty), and a pivot whose entry equals
-``det`` (every pivot while ``det`` is 1, and most pivots of the cover
-masters) updates only the pivot row's nonzero columns of the rows it
-touches.  A pivot that changes ``det`` rescales every row.  The LPs this
-package builds stay small (tens of rows, at most a few hundred columns),
-which keeps exact arithmetic affordable.
+entries, and a pivot whose entry equals ``det`` (every pivot while ``det``
+is 1, and most pivots of the cover masters) updates only the pivot row's
+nonzero columns of the rows it touches.  A pivot that changes ``det``
+rescales every row.  The LPs this package builds stay small (tens of rows,
+at most a few hundred columns), which keeps exact arithmetic affordable.
 """
 
 from __future__ import annotations
@@ -166,12 +165,11 @@ class Tableau:
     ``cost`` and every row are indexed by id, and a new column is appended,
     so ``basis`` and ``unit`` never shift.  Every pivot tie-break reads the
     column id, so a tableau grown column by column pivots exactly as the
-    same LP written out by `from_rows` in id order.  Rows are appended,
-    since no pivot rule reads row order.
+    same LP written out by `from_rows` in id order.
 
-    `from_rows` builds a tableau on the identity basis in one pass;
-    `insert_column` and `add_row` serve the columns and rows that arrive
-    after it.
+    `from_rows` writes every row, on the identity basis, in one pass;
+    `insert_column` serves the columns that arrive after it.  No row does:
+    these are the tableau's only two entry points.
     """
 
     def __init__(self) -> None:
@@ -179,7 +177,6 @@ class Tableau:
         self.xb: list[int] = []  # per row, det * B^-1 b
         self.det = 1  # |det B|
         self.basis: list[int] = []  # per row, the column basic there
-        self.basic: set[int] = set()  # the same columns, as a set
         self.unit: list[int] = []  # per row, its unit column
         self.rhs: list[int] = []  # per row, the original b
         self.columns: list[dict[int, int]] = []  # original A, row -> a
@@ -212,7 +209,6 @@ class Tableau:
             if columns[basic] != {r: 1}:
                 raise ValueError("a row's basic column must be a unit column of that row only")
         t.xb = list(t.rhs)
-        t.basic = set(t.basis)
         t.unit = list(t.basis)
         return t
 
@@ -229,23 +225,19 @@ class Tableau:
                 rows[r][c] = a
         return [(row, "=", b) for row, b in zip(rows, self.rhs)]
 
-    def insert_column(self, coeffs: Mapping[int, int], cost=0) -> int:
-        """Append the 0/1 column with a 1 in each row of ``coeffs`` (row ->
-        1) and integer ``cost``, entering the tableau as B^-1 a; it starts
-        nonbasic.  Returns its id.
+    def insert_column(self, coeffs: Mapping[int, int]) -> int:
+        """Append the 0/1 column of cost 0 with a 1 in each row of ``coeffs``
+        (row -> 1), entering the tableau as B^-1 a; it starts nonbasic.
+        Returns its id.
 
         Each row's entry of ``det * B^-1 a`` is the sum of its entries in the
         unit columns of the column's rows, read by one `operator.itemgetter`
-        call.  The package inserts only configurations and empty job slacks,
-        so 0/1 columns are all it accepts.
+        call.  The package inserts only configurations, each with its cover
+        row, so nonempty 0/1 columns are all it accepts.
         """
-        if not {1}.issuperset(coeffs.values()):
-            raise ValueError("an inserted column must be a 0/1 column")
-        cost = _integer(cost, "cost")
-        if not coeffs:
-            for row in self.rows:
-                row.append(0)
-        elif len(coeffs) == 1:
+        if not coeffs or not {1}.issuperset(coeffs.values()):
+            raise ValueError("an inserted column must be a nonempty 0/1 column")
+        if len(coeffs) == 1:
             (r,) = coeffs
             u = self.unit[r]
             for row in self.rows:
@@ -256,36 +248,8 @@ class Tableau:
                 row.append(sum(get(row)))
         c = len(self.columns)
         self.columns.append(dict.fromkeys(coeffs, 1))
-        self.cost.append(cost)
+        self.cost.append(0)
         return c
-
-    def add_row(self, coeffs: Mapping[int, int], rhs, basic: int) -> int:
-        """Append the row ``coeffs . x = rhs`` (column id -> a) with column
-        ``basic`` basic in it and return the row's index.
-
-        ``basic`` must be a column with coefficient 1 here and no entry in
-        any other row, and no other basic column may appear: then the row is
-        already in basic form, ``det`` does not change, and the basis stays
-        primal feasible.
-        """
-        rhs = _rhs(rhs)
-        coeffs = {c: _integer(a, "coefficient") for c, a in coeffs.items()}
-        if coeffs.get(basic) != 1 or self.columns[basic] or basic in self.basic:
-            raise ValueError("the basic column must be a fresh unit column of the row")
-        if any(c in self.basic for c in coeffs):
-            raise ValueError("a new row may touch no basic column but its own")
-        r = len(self.rows)
-        row = [0] * len(self.cost)
-        for c, a in coeffs.items():
-            row[c] = self.det * a
-            self.columns[c][r] = a
-        self.rows.append(row)
-        self.xb.append(self.det * rhs)
-        self.basis.append(basic)
-        self.basic.add(basic)
-        self.unit.append(basic)
-        self.rhs.append(rhs)
-        return r
 
     def optimise(self) -> LpSolution:
         """Re-optimise from the current basis, which must be primal feasible."""
@@ -368,7 +332,6 @@ class Tableau:
                 status = "unbounded"
                 break
             self.det = det = _pivot(rows, xb, z, basis, det, leave, enter)
-        self.basic = set(basis)
         return status, z
 
 

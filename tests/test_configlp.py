@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import ceil
 
+import pytest
+
 from santaclaus.configlp import (
     Configuration,
     check_cover_solution,
@@ -236,6 +238,12 @@ def test_pricing_matches_reference_dp():
     assert min(zero, big, short, scaled, wide) >= 20, (zero, big, short, scaled, wide)
 
 
+def scale_instances():
+    """Three m=12 instances, seeds 1-3, whose T searches solve masters of
+    a few dozen rows with duals of tens of bits."""
+    return [generate_random(m=12, n=48, max_size=20, density=F(1, 2), seed=seed) for seed in (1, 2, 3)]
+
+
 def test_pricing_in_scale_t_searches_matches_reference_dp(monkeypatch):
     # every pricing call of the T search on three scale instances, whose
     # master duals run to tens of bits, against the reference DP
@@ -250,9 +258,36 @@ def test_pricing_in_scale_t_searches_matches_reference_dp(monkeypatch):
         return real(pool, sizes, costs, tau, below)
 
     monkeypatch.setattr(clp, "price_min_knapsack", checked)
-    for seed in (1, 2, 3):
-        find_T_with_seeds(generate_random(m=12, n=48, max_size=20, density=F(1, 2), seed=seed))
+    for inst in scale_instances():
+        find_T_with_seeds(inst)
     assert len(calls) >= 300 and max(calls).bit_length() >= 20, (len(calls), max(calls))
+
+
+def test_scale_master_solves_stay_below_the_dantzig_pivot_limit(monkeypatch):
+    # the T searches of the scale instances find their T with every master
+    # solve taking Dantzig's rule all the way, far below the limit where it
+    # falls back to Bland's: a change to the pivot tie-breaks that made a
+    # master cycle or crawl would show here
+    import santaclaus.configlp as clp
+    import santaclaus.ratlp as ratlp
+
+    real_pivot, real_solve = ratlp._pivot, clp.solve_lp
+    per_solve = []
+
+    def counting_pivot(*args):
+        per_solve[-1] += 1
+        return real_pivot(*args)
+
+    def counting_solve(tableau):
+        per_solve.append(0)
+        return real_solve(tableau)
+
+    monkeypatch.setattr(ratlp, "_pivot", counting_pivot)
+    monkeypatch.setattr(clp, "solve_lp", counting_solve)
+    Ts = [find_T_with_seeds(inst)[0] for inst in scale_instances()]
+    assert Ts == [50, 43, 45]
+    assert per_solve and max(per_solve) < ratlp.DANTZIG_PIVOT_LIMIT, max(per_solve)
+    assert max(per_solve) >= 50, max(per_solve)  # the masters really pivot
 
 
 def test_prune_drops_largest_cost_first():
@@ -374,8 +409,9 @@ def test_cover_lp_without_private_job_rows_agrees_with_every_row_lp():
 def test_master_rows_are_covers_and_contested_jobs(monkeypatch):
     # each solution covers every machine exactly once, and every master
     # handed to the simplex has a shortfall column and an equality cover row
-    # per machine, no excess column, and a row only for contested jobs (two
-    # or more pools hold them) that some column uses
+    # per machine, no excess column, and a row with its slack for every
+    # contested job (two or more pools hold it), by job id, whether or not
+    # a column uses the job; the slacks follow the warm-start columns
     import santaclaus.configlp as clp
     from random import Random
 
@@ -388,11 +424,13 @@ def test_master_rows_are_covers_and_contested_jobs(monkeypatch):
 
     monkeypatch.setattr(clp, "solve_lp", recording)
     rng = Random(26)
-    contested_rows = 0
+    unused_rows = 0
     for inst in mostly_private_shapes(rng, 12, range(14, 19)):
         pools, sizes = machine_pools(inst), inst.sizes()
         m = len(pools)
-        contested = {j for j in range(len(sizes)) if sum(j in p for p in pools.values()) > 1}
+        contested = sorted(j for j in range(len(sizes)) if sum(j in p for p in pools.values()) > 1)
+        row_of = {j: m + k for k, j in enumerate(contested)}
+        slacks = [{r: 1} for r in range(m, m + len(contested))]
         for tau in taus_up_to_the_least_pool(pools, sizes):
             masters.clear()
             sol = solve_cover_lp(pools, sizes, tau)
@@ -400,31 +438,24 @@ def test_master_rows_are_covers_and_contested_jobs(monkeypatch):
                 for i in pools:
                     assert sum(c for (k, _), c in sol.counts.items() if k == i) == sol.scale
             greedy = [
-                (i, prune_to_minimal(pools[i], tau, sizes))
-                for i in sorted(pools) if sum(sizes[j] for j in pools[i]) >= tau
+                {i: 1, **{row_of[j]: 1 for j in cfg.jobs if j in row_of}}
+                for i in sorted(pools)
+                if sum(sizes[j] for j in pools[i]) >= tau
+                for cfg in [prune_to_minimal(pools[i], tau, sizes)]
             ]
-            for k, (nrows, columns, cost) in enumerate(masters):
+            start = len(greedy)
+            for nrows, columns, cost in masters:
+                assert nrows == m + len(contested), (inst, tau)
                 assert columns[:m] == [{r: 1} for r in range(m)] and cost[:m] == [-1] * m
-                assert all(set(col.values()) == {1} for col in columns[m:])
-                assert not any(cost[m:])
-                configs = [col for col in columns[m:] if min(col) < m]
-                slacks = [col for col in columns[m:] if min(col) >= m]
+                assert columns[m:m + start] == greedy, (inst, tau)
+                assert columns[m + start:m + start + len(contested)] == slacks, (inst, tau)
+                configs = columns[m + start + len(contested):]
+                assert all(set(col.values()) == {1} for col in configs)
                 assert all(sum(r < m for r in col) == 1 for col in configs)
-                assert sorted(r for col in slacks for r in col) == list(range(m, nrows))
-                assert {r for col in configs for r in col if r >= m} == set(range(m, nrows))
-                assert nrows - m <= len(contested)
-                if k == 0:  # the warm start: each machine's greedy column
-                    assert [(min(col), len(col) - 1) for col in configs] == [
-                        (i, len(contested.intersection(cfg.jobs))) for i, cfg in greedy
-                    ], (inst, tau)
-                    used = {j for _, cfg in greedy for j in cfg.jobs}
-                    assert nrows - m == len(contested & used), (inst, tau)
-            job_rows = masters[-1][0] - m
-            if sol is not None:
-                carried = {j for _, cfg in sol.counts for j in cfg.jobs}
-                assert job_rows >= len(contested & carried), (inst, tau)
-            contested_rows += job_rows
-    assert contested_rows >= 10, contested_rows
+                assert not any(cost[m:])
+            used = {r for col in masters[-1][1][m:] for r in col if col not in slacks}
+            unused_rows += len(set(row_of.values()) - used)
+    assert unused_rows >= 10, unused_rows
 
 
 def test_cover_rows_come_from_pool_keys():
@@ -832,6 +863,19 @@ def test_integral_search_refuses_a_bad_budget():
         else:
             raise AssertionError(f"budget {budget!r} accepted at tau {tau}")
     assert integral_allocation_at(inst, 34, 0) == (None, 0)
+
+
+@pytest.mark.parametrize("tau", [2.5, 3.0, F(3), True, 0, -1])
+def test_a_tau_that_is_not_a_positive_int_is_refused(tau):
+    # a float tau came back as a ClpSolution's tau, and a bool counted as 1;
+    # the cover LP's tau is an integer, as integral_allocation_at's budget is
+    inst = tiny_instance([(3, [0, 1]), (3, [0, 1])], machines=2)
+    with pytest.raises(ValueError, match="tau must be a positive integer"):
+        solve_cover_lp(pools=machine_pools(inst), sizes=inst.sizes(), tau=tau)
+    with pytest.raises(ValueError, match="tau must be a positive integer"):
+        solve_clp_feasibility(inst, tau)
+    with pytest.raises(ValueError, match="tau must be a positive integer"):
+        integral_allocation_at(inst, tau, 10)
 
 
 def test_integral_search_is_not_bound_by_recursion_depth():

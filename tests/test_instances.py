@@ -65,6 +65,17 @@ def test_instance_rejects_a_machine_count_that_is_not_a_positive_int(count):
         Instance(machine_count=count, jobs=())
 
 
+@pytest.mark.parametrize(
+    "jobs",
+    [[JobSpec(3, frozenset({0}))], (JobSpec(3, frozenset({0})), {"size": 3, "eligible": [0]}), (None,)],
+)
+def test_instance_rejects_jobs_that_are_not_a_tuple_of_jobspec(jobs):
+    # a list made hash(inst) raise TypeError, and a dict entry failed with
+    # AttributeError on .eligible
+    with pytest.raises(ValueError, match="jobs must be a tuple of JobSpec"):
+        Instance(machine_count=2, jobs=jobs)
+
+
 @pytest.mark.parametrize("index", [0.5, 1.0, True, -1, 2])
 def test_instance_rejects_a_machine_index_that_is_not_an_int_in_range(index):
     # a float index crashed the T search, and True counted as machine 1

@@ -23,13 +23,11 @@ def _slack_tableau(objective, rows, nvars):
     """``maximize objective.x  s.t.  rows, x >= 0`` for ``<=`` rows as a
     `Tableau` on its slack basis: the structural columns, then one slack per
     row, each row basic on its slack.  Every rhs must be an integer."""
-    t = Tableau()
-    for c in range(nvars + len(rows)):
-        t.insert_column({}, objective.get(c, 0))
-    for r, (coeffs, relation, rhs) in enumerate(rows):
-        assert relation == "<="
-        t.add_row({**coeffs, nvars + r: 1}, rhs, basic=nvars + r)
-    return t
+    assert all(relation == "<=" for _, relation, _ in rows)
+    cost = [objective.get(c, 0) for c in range(nvars + len(rows))]
+    return Tableau.from_rows(
+        cost, [({**coeffs, nvars + r: 1}, rhs, nvars + r) for r, (coeffs, _, rhs) in enumerate(rows)]
+    )
 
 
 def test_single_constraint():
@@ -204,34 +202,28 @@ def test_random_lps_with_rational_rhs_agree_with_vertex_enumeration():
 
 def _random_master_rounds(rng, ngroups, exact_cover, cover_rhs, njobs):
     """Grow a kept master the way column generation does and yield it after
-    every round: cover rows first, then each configuration followed by the
-    slacks of the jobs it brings in, a job's row added with the first column
-    that uses it.  Rows name columns by the id `Tableau.insert_column`
-    returns."""
-    master = Tableau()
-    for _ in range(ngroups):
-        master.insert_column({}, F(-1))
-    for _ in range(0 if exact_cover else ngroups):
-        master.insert_column({})
-    for g in range(ngroups):
-        cover = {g: F(1)} if exact_cover else {g: F(1), ngroups + g: F(-1)}
-        master.add_row(cover, cover_rhs, basic=g)
+    every round.  `Tableau.from_rows` writes every row at the start: a cover
+    row per group, basic on its shortfall column (cost -1, with a surplus
+    column unless ``exact_cover``), then a row per job, basic on its slack;
+    each round then inserts configuration columns, each with its group's
+    cover row and its jobs' rows."""
+    nshort = ngroups if exact_cover else 2 * ngroups
+    cost = [-1] * ngroups + [0] * (nshort - ngroups + njobs)
+    rows = [
+        ({g: 1} if exact_cover else {g: 1, ngroups + g: -1}, cover_rhs, g) for g in range(ngroups)
+    ]
+    rows += [({nshort + j: 1}, 1, nshort + j) for j in range(njobs)]
+    master = Tableau.from_rows(cost, rows)
     configs = set()
-    row_of = {}
     for _ in range(rng.randint(2, 6)):
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 4)):
             g = rng.randrange(ngroups)
             jobs = tuple(sorted(rng.sample(range(njobs), rng.randint(1, 3))))
             if (g, jobs) in configs:
                 continue
             configs.add((g, jobs))
-            entries = {row_of[j]: F(1) for j in jobs if j in row_of}
-            entries[g] = F(1)
-            col = master.insert_column(entries)
-            for j in jobs:
-                if j not in row_of:
-                    slack = master.insert_column({})
-                    row_of[j] = master.add_row({col: F(1), slack: F(1)}, F(1), basic=slack)
+            entries = dict.fromkeys([g] + [ngroups + j for j in jobs], 1)
+            assert master.insert_column(entries) == master.variable_count - 1
         yield master
 
 
@@ -284,48 +276,6 @@ def test_bland_fallback_reaches_the_optimum_and_certifying_duals(monkeypatch):
     assert len(pivots) > 500  # Bland's rule really pivots
 
 
-def _growth_rounds(rng, ngroups, njobs):
-    """Rounds of cover-master growth as operations that name columns by id:
-    ("column", entries, cost) appends a column; ("row", coeffs, rhs, basic)
-    appends a row in basic form on its fresh unit column ``basic``."""
-    first = [("column", {}, -1) for _ in range(ngroups)]
-    first += [("column", {}, 0) for _ in range(ngroups)]
-    first += [("row", {g: 1, ngroups + g: -1}, rng.randint(1, 2), g) for g in range(ngroups)]
-    rounds = [first]
-    ncols, nrows = 2 * ngroups, ngroups
-    configs, row_of = set(), {}
-    for _ in range(rng.randint(2, 6)):
-        ops = []
-        for _ in range(rng.randint(1, 4)):
-            g = rng.randrange(ngroups)
-            jobs = tuple(sorted(rng.sample(range(njobs), rng.randint(1, 3))))
-            if (g, jobs) in configs:
-                continue
-            configs.add((g, jobs))
-            entries = {row_of[j]: 1 for j in jobs if j in row_of}
-            entries[g] = 1
-            col = ncols
-            ops.append(("column", entries, 0))
-            ncols += 1
-            for j in jobs:
-                if j not in row_of:
-                    ops.append(("column", {}, 0))
-                    ops.append(("row", {col: 1, ncols: 1}, 1, ncols))
-                    row_of[j] = nrows
-                    ncols += 1
-                    nrows += 1
-        rounds.append(ops)
-    return rounds
-
-
-def _grow(t, ops):
-    for op in ops:
-        if op[0] == "column":
-            assert t.insert_column(*op[1:]) == t.variable_count - 1
-        else:
-            assert t.add_row(*op[1:]) == len(t.rows) - 1
-
-
 def _record_pivots(monkeypatch):
     """Make every pivot append its (row, entering column id) to the
     returned list."""
@@ -350,14 +300,13 @@ def test_kept_master_pivots_as_from_rows_in_id_order(monkeypatch):
     rng = Random(31)
     total = 0
     for trial in range(80):
-        kept, taken = Tableau(), []
-        for ops in _growth_rounds(rng, rng.randint(1, 3), njobs=7):
-            _grow(kept, ops)
+        taken = []
+        cover_rhs = rng.randint(1, 2)
+        for kept in _random_master_rounds(rng, rng.randint(1, 3), False, cover_rhs, njobs=7):
             fresh = _fresh(kept)
             z = [0] * fresh.variable_count
             for r, c in taken:
                 fresh.det = _pivot(fresh.rows, fresh.xb, z, fresh.basis, fresh.det, r, c)
-            fresh.basic = set(fresh.basis)
             assert _tableau_state(fresh) == _tableau_state(kept), f"trial {trial}"
             a = solve_lp(kept)
             kept_pivots, pivots[:] = list(pivots), []
@@ -372,37 +321,23 @@ def test_kept_master_pivots_as_from_rows_in_id_order(monkeypatch):
     assert total > 200  # the masters really pivot
 
 
-def test_kept_master_rejects_rows_out_of_basic_form():
-    master = Tableau()
-    master.insert_column({}, F(-1))
-    master.insert_column({})
-    master.add_row({0: F(1)}, F(1), basic=0)
-    with pytest.raises(ValueError):
-        master.add_row({0: F(1), 1: F(1)}, F(1), basic=1)  # touches basic column 0
-    with pytest.raises(ValueError):
-        master.add_row({1: F(1)}, F(-1), basic=1)  # negative rhs
-    with pytest.raises(ValueError):
-        master.add_row({1: F(1)}, F(1, 2), basic=1)  # non-integer rhs
-    assert len(master.rows) == 1
-
-
 def _tableau_state(t):
-    return (t.rows, t.xb, t.det, t.basis, t.basic, t.unit, t.rhs, t.columns, t.cost)
+    return (t.rows, t.xb, t.det, t.basis, t.unit, t.rhs, t.columns, t.cost)
 
 
 def test_from_rows_builds_the_incremental_tableau_in_one_pass(monkeypatch):
-    # a master grown column by column and row by row, and the same LP
-    # written out by from_rows in id order, must be the same tableau cell
-    # for cell and take the same pivots to the same solution
+    # a master grown column by column, and the same LP written out by
+    # from_rows in id order, must be the same tableau cell for cell and
+    # take the same pivots to the same solution
     from random import Random
 
     pivots = _record_pivots(monkeypatch)
     rng = Random(53)
     total = 0
     for trial in range(60):
-        grown = Tableau()
-        for ops in _growth_rounds(rng, rng.randint(1, 3), njobs=7):
-            _grow(grown, ops)
+        cover_rhs = rng.randint(1, 2)
+        for grown in _random_master_rounds(rng, rng.randint(1, 3), False, cover_rhs, njobs=7):
+            pass
         built = _fresh(grown)
         assert _tableau_state(built) == _tableau_state(grown), f"trial {trial}"
         a = solve_lp(grown)
@@ -548,8 +483,8 @@ def test_kept_master_tableau_is_integer_over_basis_determinant():
 def test_inserted_column_is_det_times_basis_inverse_times_a():
     # a 0/1 column inserted into a kept master after pivots must enter as
     # det * B^-1 a, as the Fraction elimination of _basis_inverse_times
-    # computes it from the original columns: empty, one-row and many-row
-    # columns, each also after pivots that left det above 1
+    # computes it from the original columns: one-row and many-row columns,
+    # each also after pivots that left det above 1
     from collections import Counter
     from random import Random
 
@@ -560,7 +495,7 @@ def test_inserted_column_is_det_times_basis_inverse_times_a():
         for master in _random_master_rounds(rng, rng.randint(1, 3), False, cover_rhs, njobs=6):
             assert solve_lp(master).is_optimal, f"trial {trial}"
             nrows = len(master.rows)
-            for size in (0, 1, rng.randint(min(2, nrows), nrows)):
+            for size in (1, rng.randint(min(2, nrows), nrows)):
                 ones = dict.fromkeys(rng.sample(range(nrows), size), 1)
                 c = master.insert_column(ones)
                 det, inverse = _basis_inverse_times(master)
@@ -569,14 +504,13 @@ def test_inserted_column_is_det_times_basis_inverse_times_a():
                     f"trial {trial}"
                 )
                 above_1[min(size, 2)] += master.det > 1
-    assert min(above_1[0], above_1[1], above_1[2]) >= 10, above_1
+    assert min(above_1[1], above_1[2]) >= 10, above_1
 
 
 def test_inserted_column_must_be_zero_one():
-    master = Tableau()
-    master.insert_column({}, F(-1))
-    master.add_row({0: 1}, F(1), basic=0)
-    for coeffs in ({0: 2}, {0: -1}, {0: 0}):
+    # the 0/1 columns a master inserts are configurations: never empty
+    master = Tableau.from_rows([-1], [({0: 1}, 1, 0)])
+    for coeffs in ({0: 2}, {0: -1}, {0: 0}, {}):
         with pytest.raises(ValueError):
             master.insert_column(coeffs)
     assert master.variable_count == 1 and master.rows == [[1]]
@@ -588,18 +522,13 @@ def test_non_integer_coefficient_or_cost_rejected():
         lp.add_constraint({0: F(1, 2)}, "<=", F(1))
     assert lp.constraints == []
 
-    master = Tableau()
-    master.insert_column({}, F(-1))  # an integral Fraction is fine
-    master.insert_column({})
-    master.add_row({0: F(1), 1: F(-1)}, F(2), basic=0)
+    # an integral Fraction is fine
+    master = Tableau.from_rows([F(-1), 0], [({0: F(1), 1: F(-1)}, F(2), 0)])
     with pytest.raises(ValueError):
         master.insert_column({0: F(2, 3)})
+    assert master.variable_count == 2 and len(master.rows) == 1
     with pytest.raises(ValueError):
-        master.insert_column({0: 1}, F(5, 2))
-    master.insert_column({})
-    with pytest.raises(ValueError):
-        master.add_row({1: F(3, 2), 2: F(1)}, F(1), basic=2)
-    assert master.variable_count == 3 and len(master.rows) == 1
+        Tableau.from_rows([F(5, 2), 0], [({0: 1, 1: F(-1)}, F(2), 0)])
 
 
 def test_simplex_checks_survive_python_O():
